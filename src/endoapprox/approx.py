@@ -30,7 +30,7 @@ from .morphisms import (
     WeightedCertificate,
     embedding_ir,
 )
-from .rings import ProductElement, ProductRingSpec, lambda_min_nonzero, norm_equivalence_constants
+from .rings import ProductElement, ProductRingSpec, product_constants, q0_from_constants
 
 
 class ApproxError(ValueError):
@@ -48,41 +48,20 @@ def derive_ledger(product: ProductRingSpec) -> ConstantLedger:
     bounds) enter through certified rational bounds in the valid direction.
     """
     led = ConstantLedger()
-    c0s, c1s = zip(*(norm_equivalence_constants(f) for f in product.factors))
-    c0_sq = min(c0s)
-    c1_sq = sum(c1s, Fraction(0))
-    lam_sq = min(lambda_min_nonzero(f).value_sq for f in product.factors)
+    consts = product_constants(product)
+    c0_sq = consts["c0_sq"]
+    tau_sum_up = consts["tau_norm_sum_upper"]
     led.define("c0_sq", c0_sq, "least-eigenvalue lower bound of the block Gram form")
-    led.define("c1_sq", c1_sq, "entry sum of |G| over all factors")
-    led.define("lambda_sq", lam_sq, "least squared norm of a nonzero lattice element")
-
-    tau_sum_up = Fraction(0)
-    one_sq_max = Fraction(0)
-    t2_terms: list[Fraction] = []
-    for f in product.factors:
-        basis = [f.basis_element(j) for j in range(f.rank)]
-        for e in basis:
-            tau_sum_up += sqrt_upper(e.norm_sq())
-        one_sq_max = max(one_sq_max, f.gram[0][0])
-        t2 = Fraction(0)
-        for a in basis:
-            for b in basis:
-                t2 += sqrt_upper((a * b).norm_sq())
-        t2_terms.append(t2)
+    led.define("c1_sq", consts["c1_sq"], "entry sum of |G| over all factors")
+    led.define("lambda_sq", consts["lambda_sq"], "least squared norm of a nonzero lattice element")
     led.define("tau_sum_upper", tau_sum_up, "upper bound on sum of basis-element norms")
-    led.define("one_norm_sq_max", max(one_sq_max, Fraction(1)),
+    led.define("one_norm_sq_max", max([Fraction(1)] + [f.gram[0][0] for f in product.factors]),
                "largest squared norm of a factor identity (at least 1)")
-
-    c_sub_sq = max(
-        (t2 * t2) / (c0 * c0) for t2, c0 in zip(t2_terms, c0s)
-    )
-    led.define("c_sub_sq", c_sub_sq,
+    led.define("c_sub_sq", consts["c_sub_sq"],
                "submultiplicativity: |e*c|^2 <= c_sub_sq |e|^2 |c|^2",
                t2="sum of basis-product norm bounds", c0_sq=str(c0_sq))
 
-    from .rings import compute_Q0
-
-    q0 = compute_Q0(product)
+    q0 = q0_from_constants(consts)
     led.define("Q0", Fraction(q0), "2*max(1, 1/c0, sum|tau|/lambda), certified ceiling")
 
     c0_low = sqrt_lower(c0_sq)

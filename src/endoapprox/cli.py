@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .approx import approx_weighted, derive_ledger
-from .morphisms import is_weighted, rank_and_codim, weightify
+from .morphisms import rank_and_codim, weighted_normal_form
 from .pipeline import PipelineErrors, run_pipeline, run_property_suites
 from .reduction import gamma_embed, point_project, translate_witness
 from .scenario import (
@@ -47,9 +47,8 @@ def cmd_approx(scenario: Scenario) -> dict:
         phi = scenario.morphisms[name]
         row: dict = {"morphism": name}
         try:
-            cert = is_weighted(phi)
-            if cert is None:
-                _, phi, cert = weightify(phi, scenario.ambient)
+            phi, cert, weightified = weighted_normal_form(phi, scenario.ambient)
+            if weightified:
                 row["weightified"] = True
             wa = approx_weighted(phi, cert, q0, ledger, budget=scenario.budget)
             row.update(

@@ -152,11 +152,6 @@ def le_linear_sqrt(u: Fraction, v: Fraction, s: Fraction) -> bool:
     return u * u >= v * v * s
 
 
-def surd_le(u: Fraction, v: Fraction, s: Fraction, bound: Fraction) -> bool:
-    """Decide u + v*sqrt(s) <= bound exactly."""
-    return le_linear_sqrt(u - bound, -v, s)
-
-
 def floor_mul_sqrt(c: Fraction, s: Fraction) -> int:
     """floor(c*sqrt(s)) for rational c and s >= 0."""
     if s < 0:

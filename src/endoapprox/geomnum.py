@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exact import sqrt_upper
 from .model import GeneratorSet, ModelPoint, SlotValue, _form_value, _slot_add, _slot_neg, _slot_ring_act, rank_of_point
-from .rings import RingElement, RingSpec, norm_equivalence_constants
+from .rings import RingElement, RingSpec, norm_equivalence_constants, submultiplicativity_sq
 
 
 class GeomNumError(ValueError):
@@ -34,17 +33,6 @@ class PointConstants:
     c_sq: Fraction
     eps0_sq: Fraction
     gram_lower: Fraction
-
-
-def _factor_sub_constant_sq(spec: RingSpec) -> Fraction:
-    """|e*c|^2 <= C |e|^2 |c|^2 for this factor (certified rational C)."""
-    c0_sq, _ = norm_equivalence_constants(spec)
-    basis = [spec.basis_element(j) for j in range(spec.rank)]
-    t2 = Fraction(0)
-    for a in basis:
-        for b in basis:
-            t2 += sqrt_upper((a * b).norm_sq())
-    return (t2 * t2) / (c0_sq * c0_sq)
 
 
 def _slot_inner(spec: RingSpec, a: SlotValue, b: SlotValue) -> Fraction:
@@ -79,8 +67,8 @@ def point_lower_constants(p: ModelPoint, factor: int) -> PointConstants:
     if lam_low <= 0:
         raise GeomNumError("orbit Gram matrix is not positive-definite")
 
-    _, c1_sq = norm_equivalence_constants(spec)
-    c_sub_sq = _factor_sub_constant_sq(spec)
+    c0_sq, c1_sq = norm_equivalence_constants(spec)
+    c_sub_sq = submultiplicativity_sq(spec, c0_sq)
     p_sq = max(
         sum((_form_value(spec, coeff) for coeff in slot.free), Fraction(0)) for slot in slots
     )

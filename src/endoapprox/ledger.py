@@ -28,10 +28,6 @@ class LedgerEntry:
             raise ValueError(f"ledger constant {self.name} must be positive, got {self.value}")
 
 
-# the approximation chain names this type after what it stores
-LedgerBound = LedgerEntry
-
-
 @dataclass
 class ConstantLedger:
     entries: dict[str, LedgerEntry] = field(default_factory=dict)

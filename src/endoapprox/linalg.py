@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
 
 def mat(rows) -> Matrix:
@@ -38,10 +37,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         for j in range(m):
             out[i][j] = sum((a[i][p] * b[p][j] for p in range(k)), Fraction(0))
     return out
-
-
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

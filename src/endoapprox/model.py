@@ -367,10 +367,6 @@ class GeneratorSet:
         if rank_of_point(self.point) != self.space.counts:
             raise ModelError("generators are not free (rank condition fails)")
 
-    @property
-    def rank_index(self) -> tuple[int, ...]:
-        return self.space.counts
-
     def generator(self, factor: int, index: int) -> SlotValue:
         return self.point.slots[factor][index]
 

@@ -28,10 +28,6 @@ class MorphismError(ValueError):
 MultiIndex = tuple[int, ...]
 
 
-def multi_total(idx: MultiIndex) -> int:
-    return sum(idx)
-
-
 @dataclass(frozen=True)
 class AmbientSpec:
     """A power of the product variety: per-factor coordinate counts."""
@@ -153,10 +149,6 @@ class BlockMorphism:
         blocks = [[[e.scale(n) for e in row] for row in block] for block in self.blocks]
         return BlockMorphism(self.product, self.source, self.target, blocks)
 
-    def scale_rational(self, c: Fraction) -> "BlockMorphism":
-        blocks = [[[e.scale(c) for e in row] for row in block] for block in self.blocks]
-        return BlockMorphism(self.product, self.source, self.target, blocks)
-
     def sub(self, other: "BlockMorphism") -> "BlockMorphism":
         if other.source != self.source or other.target != self.target:
             raise MorphismError("difference shape mismatch")
@@ -212,10 +204,6 @@ class BlockMorphism:
 
     def __repr__(self):
         return f"BlockMorphism({self.source}->{self.target}, |.|^2={self.norm_sq()})"
-
-
-def morphism_norm_sq(phi: BlockMorphism) -> Fraction:
-    return phi.norm_sq()
 
 
 def rationalize_block(spec: RingSpec, block) -> linalg.Matrix:
@@ -544,3 +532,14 @@ def weightify(psi: BlockMorphism, ambient: AmbientSpec) -> tuple[BlockMorphism, 
     cert = WeightedCertificate(scale=m, columns=columns, slack_sq=slack_sq)
     cert.verify(phi)
     return delta, phi, cert
+
+
+def weighted_normal_form(phi: BlockMorphism, ambient: AmbientSpec) -> tuple[BlockMorphism, WeightedCertificate, bool]:
+    """phi in weighted normal form with its certificate: phi itself when
+    is_weighted certifies it, else Delta o phi from weightify.  The flag
+    says whether weightify ran."""
+    cert = is_weighted(phi)
+    if cert is not None:
+        return phi, cert, False
+    _, phi_w, cert = weightify(phi, ambient)
+    return phi_w, cert, True

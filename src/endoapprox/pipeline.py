@@ -54,6 +54,7 @@ from .reduction import (
     gamma_embed,
     point_project,
     specialize,
+    weighted_witness,
 )
 from .rings import (
     ProductRingSpec,
@@ -101,32 +102,14 @@ def run_pipeline(scenario: Scenario) -> dict:
         try:
             row["stages"].append({"stage": "input", "checked": _checked(witness)})
 
-            cert = witness.weighted or is_weighted(witness.morphism)
-            if cert is None:
-                delta, phi_w, cert = weightify(witness.morphism, scenario.ambient)
-                witness = InclusionWitness(
-                    morphism=phi_w,
-                    x=witness.x,
-                    xi=witness.xi,
-                    xi_bound_sq=witness.xi_bound_sq,
-                    y=witness.y,
-                    weighted=cert,
-                )
-                witness.verify()
+            witness, weightified = weighted_witness(witness, scenario.ambient)
+            if weightified:
                 row["stages"].append(
-                    {"stage": "weightify", "scale": cert.scale,
-                     "morphism": morphism_to_json(phi_w)}
+                    {"stage": "weightify", "scale": witness.weighted.scale,
+                     "morphism": morphism_to_json(witness.morphism)}
                 )
             else:
-                witness = InclusionWitness(
-                    morphism=witness.morphism,
-                    x=witness.x,
-                    xi=witness.xi,
-                    xi_bound_sq=witness.xi_bound_sq,
-                    y=witness.y,
-                    weighted=cert,
-                )
-                row["stages"].append({"stage": "weighted", "scale": cert.scale})
+                row["stages"].append({"stage": "weighted", "scale": witness.weighted.scale})
 
             pair = specialize(witness, gamma, scenario.k0_sq, ledger)
             row["stages"].append(
@@ -277,13 +260,6 @@ def _rand_coords(rng: random.Random, rank: int, limit: int) -> list[int]:
 
 def _rand_element(rng, spec: RingSpec, limit: int = 9):
     return spec.element(_rand_coords(rng, spec.rank, limit))
-
-
-def _rand_nonzero(rng, spec: RingSpec, limit: int = 9):
-    while True:
-        e = _rand_element(rng, spec, limit)
-        if not e.is_zero():
-            return e
 
 
 def _rand_full_rank(rng, spec: RingSpec, n: int, limit: int = 4):

@@ -32,8 +32,8 @@ from .morphisms import (
     SpecialCertificate,
     WeightedCertificate,
     embedding_ir,
-    is_weighted,
     rank_and_codim,
+    weighted_normal_form,
     weightify,
 )
 
@@ -53,7 +53,8 @@ class InclusionWitness:
     Plain form (p is None): morphism(x + y + xi) == 0.
     Pair form (p given):    morphism((x, p) + xi) == 0, xi in the pair space.
     xi_bound_sq is the certified bound on h(xi); group_data optionally
-    records (N, G) with N*y == G*gamma from specialization.
+    records (N, G) with N*y == G*gamma from specialization, so that a
+    special morphism (N phi | phi G) has right block * N == left block o G.
     """
 
     morphism: BlockMorphism
@@ -85,10 +86,14 @@ class InclusionWitness:
             self.weighted.verify(phi)
         if self.special is not None:
             self.special.verify(self.morphism)
-        if self.group_data is not None and self.y is not None:
+        if self.group_data is not None:
             n, g_mor = self.group_data
             if n < 1:
                 raise WitnessError("group datum N must be a positive integer")
+            if self.special is not None:
+                left, right = self.morphism.split_columns(self.special.left_counts)
+                if g_mor.target != left.source or right.scale_int(n) != left.compose(g_mor):
+                    raise WitnessError("group datum (N, G) does not match the special morphism")
 
 
 def _solve_in_span(gamma: GeneratorSet, y: ModelPoint) -> list[list[list[Fraction]]]:
@@ -126,6 +131,18 @@ def _solve_in_span(gamma: GeneratorSet, y: ModelPoint) -> list[list[list[Fractio
             factor_coeffs.append([row[0] for row in sol])
         out.append(factor_coeffs)
     return out
+
+
+def weighted_witness(w: InclusionWitness, ambient: AmbientSpec) -> tuple[InclusionWitness, bool]:
+    """w with a weighted certificate: unchanged when it carries one, else
+    with its morphism in weighted normal form, re-verified.  The flag says
+    whether weightify ran."""
+    if w.weighted is not None:
+        return w, False
+    phi, cert, weightified = weighted_normal_form(w.morphism, ambient)
+    out = replace(w, morphism=phi, weighted=cert)
+    out.verify()
+    return out, weightified
 
 
 def specialize(
@@ -249,15 +266,7 @@ def gamma_embed(
     to distinct outputs."""
     if w.p is not None:
         raise WitnessError("gamma_embed expects a plain witness")
-    witness = w
-    if witness.weighted is None:
-        cert = is_weighted(witness.morphism)
-        if cert is None:
-            delta, phi_w, cert = weightify(witness.morphism, ambient)
-            witness = replace(witness, morphism=phi_w, weighted=cert)
-        else:
-            witness = replace(witness, weighted=cert)
-        witness.verify()
+    witness, _ = weighted_witness(w, ambient)
     return specialize(witness, gamma, k0_sq, ledger)
 
 

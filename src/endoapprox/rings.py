@@ -236,14 +236,6 @@ class RingElement:
         return f"<{self.ring.tag}: {' + '.join(terms) or '0'}>"
 
 
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def rosati_norm_sq(a: RingElement) -> Fraction:
-    return a.norm_sq()
-
-
 class LambdaMin(NamedTuple):
     value_sq: Fraction
     witness: RingElement
@@ -306,6 +298,15 @@ def norm_equivalence_constants(ring: RingSpec) -> tuple[Fraction, Fraction]:
     if c0_sq <= 0:
         raise RingError(f"{ring.tag}: gram form is not positive-definite")
     return c0_sq, c1_sq
+
+
+def submultiplicativity_sq(ring: RingSpec, c0_sq: Fraction) -> Fraction:
+    """C with |e*c|^2 <= C |e|^2 |c|^2 for all e, c in the ring, given the
+    ring's c0_sq from norm_equivalence_constants: C = (T2 / c0_sq)^2 with
+    T2 a certified upper bound on the sum of the basis-product norms."""
+    basis = [ring.basis_element(j) for j in range(ring.rank)]
+    t2 = sum((sqrt_upper((a * b).norm_sq()) for a in basis for b in basis), Fraction(0))
+    return (t2 * t2) / (c0_sq * c0_sq)
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,8 @@ def product_constants(product: ProductRingSpec) -> dict[str, Fraction]:
 
     c0_sq/c1_sq extend the per-factor constants; lambda_sq is the least
     factor minimum; tau_norm_sum_upper is a certified rational upper bound
-    on the sum of the basis-element norms.
+    on the sum of the basis-element norms; c_sub_sq is the largest factor
+    submultiplicativity constant.
     """
     c0s, c1s = zip(*(norm_equivalence_constants(f) for f in product.factors))
     lam = min(lambda_min_nonzero(f).value_sq for f in product.factors)
@@ -406,18 +408,23 @@ def product_constants(product: ProductRingSpec) -> dict[str, Fraction]:
         "c1_sq": sum(c1s, Fraction(0)),
         "lambda_sq": lam,
         "tau_norm_sum_upper": tau_sum_upper,
+        "c_sub_sq": max(submultiplicativity_sq(f, c0) for f, c0 in zip(product.factors, c0s)),
     }
 
 
 def compute_Q0(product: ProductRingSpec) -> int:
-    """Least admissible Dirichlet modulus for the ring: the smallest integer
-    at least 2*max(1, 1/c0, sum_i |tau_i| / lambda).
+    """Least admissible Dirichlet modulus for the ring (see q0_from_constants)."""
+    return q0_from_constants(product_constants(product))
+
+
+def q0_from_constants(consts: dict[str, Fraction]) -> int:
+    """The smallest integer at least 2*max(1, 1/c0, sum_i |tau_i| / lambda),
+    from the constants of product_constants.
 
     Irrational terms enter through certified rational upper bounds, and all
     square-root comparisons happen on squares, so the result is a certified
     integer upper bound for the true formula value.
     """
-    consts = product_constants(product)
     # upper bound for 1/c0 = sqrt(1/c0_sq)
     inv_c0_upper = sqrt_upper(1 / consts["c0_sq"])
     # upper bound for sum|tau| / lambda: certified numerator over sqrt lower bound

@@ -12,7 +12,6 @@ from endoapprox.morphisms import (
     gauss_reduce,
     is_weighted,
     isogeny_extension,
-    morphism_norm_sq,
     rank_and_codim,
     rationalize_block,
     solve_ax_eq_by,
@@ -28,11 +27,11 @@ def _mor(product, source, target, coords):
 def test_norm_examples(products):
     pz, pzi = products["Z"], products["Zi"]
     zero = BlockMorphism.zero(pz, (2,), (1,))
-    assert morphism_norm_sq(zero) == 0
+    assert zero.norm_sq() == 0
     phi = _mor(pz, (2,), (1,), [[[[2], [-3]]]])
-    assert morphism_norm_sq(phi) == 9
+    assert phi.norm_sq() == 9
     phi2 = _mor(pzi, (2,), (1,), [[[[1, 1], [2, 0]]]])
-    assert morphism_norm_sq(phi2) == 4
+    assert phi2.norm_sq() == 4
 
 
 def test_rank_and_codim(products):

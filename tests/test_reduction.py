@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,7 @@ from endoapprox.reduction import (
     translate_witness,
 )
 from endoapprox.rings import ProductRingSpec, integer_ring
+from endoapprox.scenario import load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +235,17 @@ def test_rank_check_negative(zsetup):
                              xi=huge, xi_bound_sq=F(1, 100))
     with pytest.raises((ConsistencyError, WitnessError)):
         rank_check_special(phi_tilde, (2,), p, small, amb)
+
+
+def test_pair_witness_rejects_tampered_group_data(scenario_paths):
+    # (N, G) must match the special morphism (N phi | phi G); (N+1, 7G)
+    # keeps N positive and G's shape but breaks N * right == left o G
+    scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
+    ledger = derive_ledger(scenario.product)
+    for _, w in scenario.witnesses():
+        pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
+        pw.verify()
+        n, g_mor = pw.group_data
+        tampered = replace(pw, group_data=(n + 1, g_mor.scale_int(7)))
+        with pytest.raises(WitnessError):
+            tampered.verify()

@@ -12,7 +12,6 @@ from endoapprox.rings import (
     integer_ring,
     lambda_min_nonzero,
     norm_equivalence_constants,
-    rosati_norm_sq,
 )
 
 
@@ -46,9 +45,9 @@ def test_mixed_ring_rejected(ring_z, ring_zi):
 
 
 def test_norm_examples(ring_z, ring_zi):
-    assert rosati_norm_sq(ring_zi.zero()) == 0
-    assert rosati_norm_sq(ring_zi.element([2, 1])) == 5
-    assert rosati_norm_sq(ring_z.integer(-3)) == 9
+    assert ring_zi.zero().norm_sq() == 0
+    assert ring_zi.element([2, 1]).norm_sq() == 5
+    assert ring_z.integer(-3).norm_sq() == 9
 
 
 def test_lambda_min_examples(ring_z, ring_zi):
