@@ -92,17 +92,9 @@ class VectorApprox:
 
 
 def _product_inner(x: ProductElement, y: ProductElement) -> Fraction:
-    total = Fraction(0)
-    for xe, ye in zip(x.parts, y.parts):
-        g = xe.ring.gram
-        t = xe.ring.rank
-        for i in range(t):
-            if xe.coords[i] == 0:
-                continue
-            for j in range(t):
-                if ye.coords[j] != 0:
-                    total += xe.coords[i] * g[i][j] * ye.coords[j]
-    return total
+    return sum(
+        (xe.ring.form(xe.coords, ye.coords) for xe, ye in zip(x.parts, y.parts)), Fraction(0)
+    )
 
 
 def approx_vector(

@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-Rat = Fraction
-
 DEFAULT_SQRT_DIGITS = 24
 
 
@@ -169,14 +167,14 @@ def round_mul_sqrt(c: Fraction, s: Fraction) -> int:
     f = floor_mul_sqrt(c, s)
     # compare c*sqrt(s) - f against 1/2, i.e. 2*c*sqrt(s) against 2f + 1
     half = Fraction(2 * f + 1)
-    if _surd_is_zero(half, -2 * c, s):
+    if surd_eq(half, -2 * c, s):
         # exact tie: round to even
         return f if f % 2 == 0 else f + 1
     # round up iff 2c*sqrt(s) > 2f + 1; ties were handled above
     return f + 1 if le_linear_sqrt(half, 2 * c, s) else f
 
 
-def _surd_is_zero(u: Fraction, v: Fraction, s: Fraction) -> bool:
+def surd_eq(u: Fraction, v: Fraction, s: Fraction) -> bool:
     """Decide u + v*sqrt(s) == 0 exactly."""
     if v == 0:
         return u == 0
@@ -186,7 +184,3 @@ def _surd_is_zero(u: Fraction, v: Fraction, s: Fraction) -> bool:
     if (u > 0) == (v > 0):
         return False
     return u * u == v * v * s
-
-
-def surd_eq(u: Fraction, v: Fraction, s: Fraction) -> bool:
-    return _surd_is_zero(u, v, s)

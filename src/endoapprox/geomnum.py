@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import GeneratorSet, ModelPoint, SlotValue, _form_value, _slot_add, _slot_neg, _slot_ring_act, rank_of_point
+from .model import GeneratorSet, ModelPoint, SlotValue, _slot_add, _slot_inner, _slot_neg, _slot_ring_act, rank_of_point
 from .rings import RingElement, RingSpec, norm_equivalence_constants, submultiplicativity_sq
 
 
@@ -33,19 +33,6 @@ class PointConstants:
     c_sq: Fraction
     eps0_sq: Fraction
     gram_lower: Fraction
-
-
-def _slot_inner(spec: RingSpec, a: SlotValue, b: SlotValue) -> Fraction:
-    total = Fraction(0)
-    g = spec.gram
-    for ca, cb in zip(a.free, b.free):
-        for i in range(spec.rank):
-            if ca[i] == 0:
-                continue
-            for j in range(spec.rank):
-                if cb[j] != 0:
-                    total += ca[i] * g[i][j] * cb[j]
-    return total
 
 
 def point_lower_constants(p: ModelPoint, factor: int) -> PointConstants:
@@ -69,9 +56,7 @@ def point_lower_constants(p: ModelPoint, factor: int) -> PointConstants:
 
     c0_sq, c1_sq = norm_equivalence_constants(spec)
     c_sub_sq = submultiplicativity_sq(spec, c0_sq)
-    p_sq = max(
-        sum((_form_value(spec, coeff) for coeff in slot.free), Fraction(0)) for slot in slots
-    )
+    p_sq = max(_slot_inner(spec, slot, slot) for slot in slots)
     c_sq = lam_low / (4 * c1_sq * p_sq)
     eps0_sq = lam_low / (4 * c_sub_sq * s * c1_sq)
     return PointConstants(factor=factor, c_sq=c_sq, eps0_sq=eps0_sq, gram_lower=lam_low)
@@ -126,12 +111,10 @@ def morphism_lower_bound_check(
         if xi.slot_height(factor, j) > consts.eps0_sq:
             raise GeomNumError("perturbation outside the certified ball")
     row_norm_sq = max(e.norm_sq() for e in row)
-    min_h = min(
-        sum((_form_value(spec, c) for c in slot.free), Fraction(0)) for slot in slots
-    )
+    min_h = min(_slot_inner(spec, slot, slot) for slot in slots)
     diff = [_slot_add(a, _slot_neg(b)) for a, b in zip(slots, xi_slots)]
     image = combine_slot(spec, row, diff)
-    image_h = sum((_form_value(spec, c) for c in image.free), Fraction(0))
+    image_h = _slot_inner(spec, image, image)
     return consts.c_sq * min_h * row_norm_sq <= image_h
 
 

@@ -48,9 +48,6 @@ class ConstantLedger:
         except KeyError:
             raise LedgerError(f"no ledger constant named {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
     def to_jsonable(self) -> dict:
         return {
             name: {

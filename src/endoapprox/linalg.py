@@ -8,6 +8,7 @@ elimination is plenty.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor, lcm
 
 Matrix = list[list[Fraction]]
 
@@ -198,136 +199,91 @@ def poly_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def poly_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
+def poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(q, r) with a == q*b + r and deg r < deg b, for nonzero b."""
     b = poly_trim(b)
-    db = len(b) - 1
-    while len(poly_trim(a)) - 1 >= db and any(c != 0 for c in a):
-        a = poly_trim(a)
-        da = len(a) - 1
-        if da < db:
-            break
-        f = a[-1] / b[-1]
-        for i in range(db + 1):
-            a[da - db + i] -= f * b[i]
-        a = a[:-1]
-    return poly_trim(a) if any(c != 0 for c in a) else [Fraction(0)]
+    r = poly_trim(a[:])
+    q = [Fraction(0)] * max(len(r) - len(b) + 1, 1)
+    while len(r) >= len(b) and r[-1] != 0:
+        k = len(r) - len(b)
+        f = r[-1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        r = poly_trim(r[:-1]) if len(r) > 1 else [Fraction(0)]
+    return q, r
 
 
 def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a, b = poly_trim(a), poly_trim(b)
     while any(c != 0 for c in b):
-        a, b = b, poly_rem(a, b)
+        a, b = b, poly_divmod(a, b)[1]
     if a[-1] != 0:
         a = [c / a[-1] for c in a]
     return a
 
 
-def poly_div_exact(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """a / b assuming exact divisibility."""
-    a, b = poly_trim(a[:]), poly_trim(b)
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        out[k] = f
-        for i in range(len(b)):
-            a[k + i] -= f * b[i]
-        a = poly_trim(a[:-1]) if len(a) > 1 else [Fraction(0)]
-        if all(c == 0 for c in a):
-            break
-    return out
-
-
 def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
     chain = [poly_trim(p), poly_trim(poly_deriv(p))]
     while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        r = poly_rem(chain[-2], chain[-1])
+        r = poly_divmod(chain[-2], chain[-1])[1]
         if all(c == 0 for c in r):
             break
         chain.append([-c for c in r])
     return chain
 
 
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(p: list[Fraction], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of p in (a, b]; p need not be square-free."""
-    sf = poly_div_exact(p, poly_gcd(p, poly_deriv(p)))
-    chain = sturm_chain(sf)
-    return _sign_changes(chain, a) - _sign_changes(chain, b)
+_BISECTION_STEPS = 64
 
 
-def _rational_root_candidates(p: list[Fraction]) -> list[Fraction]:
-    from math import gcd
-
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ip = [int(c * lcm) for c in poly_trim(p)]
-    while ip and ip[0] == 0:
-        ip = ip[1:]
-    if not ip:
-        return []
-    a0, an = abs(ip[0]), abs(ip[-1])
-
-    def divisors(n: int) -> list[int]:
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return sorted(set(out))
-
-    cands = set()
-    for num in divisors(a0):
-        for den in divisors(an):
-            cands.add(Fraction(num, den))
-    return sorted(cands)
-
-
-def min_eigenvalue_lower(g: Matrix, iterations: int = 64) -> Fraction:
+def min_eigenvalue_lower(g: Matrix) -> Fraction:
     """Certified rational lower bound on the least eigenvalue of a symmetric
-    positive-definite rational matrix.
+    positive-definite rational matrix; ArithmeticError if it is not
+    positive-definite.
 
-    Root isolation on the characteristic polynomial: if the least eigenvalue
-    is rational it is returned exactly, otherwise a strict lower bound from
-    Sturm bisection (rounded down) is returned.
+    One Sturm chain of the square-free characteristic polynomial drives a
+    bisection of (0, min diagonal] that keeps no root in (0, lo] and at
+    least one in (lo, hi].  Every rational root is a multiple of 1/L, L the
+    lcm of the coefficient denominators, so once hi - lo < 1/L the only
+    possible rational least eigenvalue is floor(hi*L)/L; it is returned when
+    it is one, else lo after at least 64 steps and lo > 0.
     """
     n = len(g)
     if n == 0:
         raise ValueError("empty matrix")
     p = charpoly(g)
-    hi = min(g[i][i] for i in range(n))  # lambda_min <= min diagonal entry
-    if poly_eval(p, hi) == 0 and count_roots_halfopen(p, Fraction(0), hi) == 1:
-        return hi
-    # exact hit: smallest rational root with nothing below it
-    for r in _rational_root_candidates(p):
-        if 0 < r <= hi and poly_eval(p, r) == 0:
-            if count_roots_halfopen(p, Fraction(0), r) == 1:
-                return r
-            break
-    # bisection: maintain no roots in (0, lo], at least one in (lo, hi]
-    lo = Fraction(0)
-    if count_roots_halfopen(p, Fraction(0), hi) < 1:
-        hi = hi + 1  # eigenvalue equals the diagonal bound only if hit above
-    steps = 0
-    while lo == 0 or steps < iterations:
+    den = lcm(*(c.denominator for c in p))
+    chain = sturm_chain(poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0])
+    at_zero = _sign_changes(q[0] for q in chain)
+
+    def roots_upto(x: Fraction) -> int:
+        """Distinct roots in (0, x]."""
+        return at_zero - _sign_changes(poly_eval(q, x) for q in chain)
+
+    lo, hi = Fraction(0), min(g[i][i] for i in range(n))  # lambda_min <= min diagonal
+    # no root in (-inf, 0], and the root the bisection converges to in (0, hi]
+    at_minus_inf = _sign_changes(q[-1] if len(q) % 2 else -q[-1] for q in chain)
+    if at_minus_inf != at_zero or roots_upto(hi) == 0:
+        raise ArithmeticError("matrix is not positive-definite")
+    steps, lo_stop, tested = 0, None, False
+    while lo_stop is None or not tested:
+        if not tested and (hi - lo) * den < 1:
+            tested = True
+            k = Fraction(floor(hi * den), den)
+            if k > lo and poly_eval(p, k) == 0 and roots_upto(k) == 1:
+                return k
+            continue
         mid = (lo + hi) / 2
-        if count_roots_halfopen(p, Fraction(0), mid) >= 1:
+        if roots_upto(mid) >= 1:
             hi = mid
         else:
             lo = mid
         steps += 1
-        if steps > iterations + 4096:
-            raise ArithmeticError("eigenvalue bisection failed to separate zero")
-    return lo
+        if lo_stop is None and lo > 0 and steps >= _BISECTION_STEPS:
+            lo_stop = lo
+    return lo_stop

@@ -146,12 +146,8 @@ class ModelPoint:
     # -- heights -----------------------------------------------------------
 
     def slot_height(self, factor: int, index: int) -> Fraction:
-        spec = self.space.product.factors[factor]
         slot = self.slots[factor][index]
-        total = Fraction(0)
-        for coeff in slot.free:
-            total += _form_value(spec, coeff)
-        return total
+        return _slot_inner(self.space.product.factors[factor], slot, slot)
 
     def height(self) -> Fraction:
         best = Fraction(0)
@@ -163,16 +159,10 @@ class ModelPoint:
         return best
 
 
-def _form_value(spec: RingSpec, coeff: tuple[Fraction, ...]) -> Fraction:
-    g = spec.gram
-    total = Fraction(0)
-    for a in range(spec.rank):
-        if coeff[a] == 0:
-            continue
-        for b in range(spec.rank):
-            if coeff[b] != 0:
-                total += coeff[a] * g[a][b] * coeff[b]
-    return total
+def _slot_inner(spec: RingSpec, a: SlotValue, b: SlotValue) -> Fraction:
+    """The ring's Gram form summed over the free coefficients; the height
+    of a slot is its inner product with itself."""
+    return sum((spec.form(x, y) for x, y in zip(a.free, b.free)), Fraction(0))
 
 
 def _slot_add(a: SlotValue, b: SlotValue) -> SlotValue:
@@ -235,10 +225,6 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
             fac.append(acc)
         out_slots.append(tuple(fac))
     return ModelPoint(target_space, tuple(out_slots))
-
-
-def height(x: ModelPoint) -> Fraction:
-    return x.height()
 
 
 def divide(y: ModelPoint, b: int) -> ModelPoint:

@@ -109,9 +109,6 @@ class BlockMorphism:
 
     # -- arithmetic --------------------------------------------------------
 
-    def entry(self, factor: int, row: int, col: int) -> RingElement:
-        return self.blocks[factor][row][col]
-
     def norm_sq(self) -> Fraction:
         if self._norm_sq is None:
             best = Fraction(0)

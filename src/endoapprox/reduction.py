@@ -325,25 +325,9 @@ def point_project(
     if w.x.height() > k0_sq:
         raise WitnessError("witness point exceeds the configured height bound")
     left_counts = w.special.left_counts
-    ranks, psi_tilde, special = rank_check_special(
+    _, psi_tilde, special = rank_check_special(
         w.morphism, left_counts, w.p, w, ambient
     )
-    psi, psi_prime = psi_tilde.split_columns(left_counts)
-    a = special.weighted.scale
-    ir = embedding_ir(psi, special.weighted)
-
-    y = apply_morphism(ir, divide(apply_morphism(psi_prime, w.p), a))
-    zeta = apply_morphism(ir, divide(apply_morphism(psi_tilde, w.xi), a))
-
-    c_op_sq = op_constant_sq(ledger, sum(psi_tilde.source))
-    bound = c_op_sq * psi_tilde.norm_sq() * w.xi_bound_sq / Fraction(a * a)
-    out = InclusionWitness(
-        morphism=psi,
-        x=w.x,
-        y=y,
-        xi=zeta,
-        xi_bound_sq=bound,
-        weighted=special.weighted,
+    return translate_witness(
+        replace(w, morphism=psi_tilde, weighted=special.weighted, special=special), ledger
     )
-    out.verify()
-    return out

@@ -143,6 +143,18 @@ class RingSpec:
             for k in range(j + 1, self.rank)
         )
 
+    def form(self, x, y) -> Fraction:
+        """The Gram bilinear form x^T G y on coordinate vectors."""
+        g = self.gram
+        total = Fraction(0)
+        for i, xi in enumerate(x):
+            if xi:
+                row = g[i]
+                for j, yj in enumerate(y):
+                    if yj:
+                        total += xi * row[j] * yj
+        return total
+
     def rho(self, a: "RingElement") -> linalg.Matrix:
         """Image of an element under the lattice representation."""
         two_d = 2 * self.dimension
@@ -210,17 +222,7 @@ class RingElement:
         return RingElement(self.ring, out)
 
     def norm_sq(self) -> Fraction:
-        g = self.ring.gram
-        t = self.ring.rank
-        total = Fraction(0)
-        for i in range(t):
-            ci = self.coords[i]
-            if not ci:
-                continue
-            for j in range(t):
-                if self.coords[j]:
-                    total += ci * g[i][j] * self.coords[j]
-        return total
+        return self.ring.form(self.coords, self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)

@@ -1,8 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from endoapprox import linalg
 from endoapprox.geomnum import (
     GeomNumError,
     inflate_generators,
@@ -112,3 +114,17 @@ def test_constants_all_min(zs):
     assert both.eps0_sq == min(c1.eps0_sq, c2.eps0_sq)
     empty = s.with_counts((0, 0)).zero()
     assert point_constants_all(empty) is None
+    # three Z slots with coordinates within +-1000: the orbit Gram is the
+    # 3x3 Gram of the free vectors; gram_lower bounds its least eigenvalue
+    s3 = ModelSpace(AmbientSpec(ProductRingSpec((integer_ring(),)), (3,)), (3,))
+    rng = random.Random(1)
+    free = [[[rng.randint(-1000, 1000)] for _ in range(3)] for _ in range(3)]
+    p3 = s3.point([[s3.slot(0, free=f) for f in free]])
+    both = point_constants_all(p3)
+    assert both == replace(point_lower_constants(p3, 0), factor=-1)
+    vecs = [[x for (x,) in f] for f in free]
+    gram = [[F(sum(x * y for x, y in zip(u, v))) for v in vecs] for u in vecs]
+    for i in range(3):
+        gram[i][i] -= both.gram_lower
+    assert both.gram_lower > 0
+    assert all(linalg.det([r[:k] for r in gram[:k]]) > 0 for k in (1, 2, 3))

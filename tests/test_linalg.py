@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from endoapprox import linalg
 
 
@@ -38,6 +40,22 @@ def test_charpoly_and_eigen_lower():
     assert 0 < lb
     assert (2 - lb) ** 2 >= 2  # lb <= 2 - sqrt(2)
     assert (F(2) - lb - F(1, 10**6)) ** 2 <= 2  # and is tight to ~1e-6
+    # entries around 1e9: [[a+c, c], [c, a+c]] has eigenvalues a and a+2c
+    a, c = 10**9 + 7, 10**9 + 9
+    assert linalg.min_eigenvalue_lower(linalg.mat([[a + c, c], [c, a + c]])) == a
+    # irrational least eigenvalue: p(x) = x^2 - tr*x + det is >= 0 at and
+    # below it, and < 0 just above it
+    g = linalg.mat([[10**9 + 1, 12345], [12345, 2 * 10**9 + 3]])
+    tr, d = g[0][0] + g[1][1], linalg.det(g)
+    lb = linalg.min_eigenvalue_lower(g)
+    assert 0 < lb <= tr / 2 and lb * lb - tr * lb + d >= 0
+    up = lb * (1 + F(1, 10**6))
+    assert up * up - tr * up + d < 0
+    # not positive-definite: eigenvalues -1, 2, 5 (2 is the min diagonal),
+    # and the singular 0, 2
+    for bad in ([[2, 3, 0], [3, 2, 0], [0, 0, 2]], [[1, 1], [1, 1]]):
+        with pytest.raises(ArithmeticError):
+            linalg.min_eigenvalue_lower(linalg.mat(bad))
 
 
 def test_eigen_lower_is_valid_quadratic_bound():
