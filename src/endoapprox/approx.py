@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import dirichlet
 from .exact import ceil_sqrt, le_linear_sqrt, round_mul_sqrt, sqrt_lower, sqrt_upper
-from .ledger import ConstantLedger
+from .ledger import ConstantLedger, op_constant_sq
 from .model import ModelPoint, apply_morphism, concat_points, divide
 from .morphisms import (
     BlockMorphism,
@@ -30,6 +30,7 @@ from .morphisms import (
     WeightedCertificate,
     embedding_ir,
 )
+from .reduction import InclusionWitness
 from .rings import ProductElement, ProductRingSpec, product_constants, q0_from_constants
 
 
@@ -73,11 +74,6 @@ def derive_ledger(product: ProductRingSpec) -> ConstantLedger:
     led.define("C_c_sq", tau_sum_up * tau_sum_up,
                "direction-error constant: (sum|tau|)^2")
     return led
-
-
-def op_constant_sq(ledger: ConstantLedger, ncols: int) -> Fraction:
-    """h(phi(x)) <= op_constant_sq * |phi|^2 * h(x) for ncols source slots."""
-    return ledger.value("c_sub_sq") * Fraction(max(ncols, 1)) ** 2
 
 
 # -- vectors over the product ring ----------------------------------------
@@ -296,7 +292,6 @@ def approx_weighted(
         columns=cert.columns,
         slack_sq=max(Fraction(1), psi.norm_sq() / Fraction(b * b)),
     )
-    psi_cert.verify(psi)
 
     # (ii) |psi|^2 <= C_psi^2 b^2 with the ledger formula
     c_w_up = sqrt_upper(cert.slack_sq)
@@ -321,11 +316,9 @@ def approx_weighted(
                 if diff.norm_sq() > rhs:
                     raise CertificationError("direction error exceeds the certified constant")
 
-    # (iv) exactness is re-checked through the actual composition
-    ir = embedding_ir(psi, psi_cert)
-    composed = psi.compose(ir)
-    if composed != BlockMorphism.scalar(phi.product, phi.target, b):
-        raise CertificationError("section identity psi o i_r = [b] failed")
+    # (iv) the section identity psi o i_r = [b]: embedding_ir verifies
+    # psi_cert on psi and raises unless the identity holds
+    embedding_ir(psi, psi_cert)
 
     checks = {
         "branch": "approximated",
@@ -358,7 +351,7 @@ class SpecialApprox:
     eps_prime_sq_cap: Fraction  # epsilon'^2 <= C_eps^2 * eps^2, this is the cap
     family_bound_sq: Fraction   # |psi_tilde|^2 <= family_bound_sq * M^2
     approximated: bool
-    transform: Callable[[ModelPoint, ModelPoint, ModelPoint], tuple[ModelPoint, Fraction]]
+    transform: Callable[[ModelPoint, ModelPoint, ModelPoint], InclusionWitness]
 
 
 def section_into_pair(psi_tilde: BlockMorphism, left_counts, cert: WeightedCertificate) -> BlockMorphism:
@@ -385,7 +378,9 @@ def approx_special(
     budget: int = dirichlet.DEFAULT_BUDGET,
 ) -> SpecialApprox:
     """A bounded special morphism plus the transformer carrying witnesses
-    from the input kernel to the output kernel.
+    from the input kernel to the output kernel: transform(x, p, xi) checks
+    the input witness and returns the transported witness, verified, with
+    xi_bound_sq = eps_prime_sq_cap / |psi_tilde|^2.
 
     The modulus is Q = max(Q0, ceil((K0 + |p|)/eps)) computed on squares
     through (K0+|p|)^2 <= 2(K0^2+|p|^2); the morphism family emitted over
@@ -453,7 +448,7 @@ def approx_special(
 
     section = section_into_pair(psi_tilde, cert.left_counts, out_cert.weighted)
 
-    def transform(x: ModelPoint, p: ModelPoint, xi: ModelPoint) -> tuple[ModelPoint, Fraction]:
+    def transform(x: ModelPoint, p: ModelPoint, xi: ModelPoint) -> InclusionWitness:
         pair = concat_points(x, p)
         if not apply_morphism(phi_tilde, pair + xi).is_zero():
             raise ApproxError("input witness equation does not hold")
@@ -461,18 +456,20 @@ def approx_special(
             raise ApproxError("input perturbation is not inside the eps/M ball")
         if x.height() > k0_sq:
             raise ApproxError("witness point exceeds the configured height bound")
-        if not approximated:
-            if xi.height() * psi_tilde.norm_sq() > eps_prime_sq_cap:
-                raise CertificationError("perturbation exceeds the certified radius")
-            return xi, eps_prime_sq_cap
-        image = apply_morphism(psi_tilde, pair)
-        xi_second = divide(-image, b)
-        xi_prime = apply_morphism(section, xi_second)
-        if not apply_morphism(psi_tilde, pair + xi_prime).is_zero():
-            raise CertificationError("transported witness equation failed")
-        if xi_prime.height() * psi_tilde.norm_sq() > eps_prime_sq_cap:
-            raise CertificationError("transported perturbation exceeds the certified radius")
-        return xi_prime, eps_prime_sq_cap
+        xi_prime = xi
+        if approximated:
+            xi_prime = apply_morphism(section, divide(-apply_morphism(psi_tilde, pair), b))
+        out = InclusionWitness(
+            morphism=psi_tilde,
+            x=x,
+            p=p,
+            xi=xi_prime,
+            xi_bound_sq=eps_prime_sq_cap / psi_tilde.norm_sq(),
+            weighted=out_cert.weighted,
+            special=out_cert,
+        )
+        out.verify()
+        return out
 
     return SpecialApprox(
         morphism=psi_tilde,

@@ -18,12 +18,12 @@ from .morphisms import rank_and_codim, weighted_normal_form
 from .pipeline import PipelineErrors, run_pipeline, run_property_suites
 from .reduction import gamma_embed, point_project, translate_witness
 from .scenario import (
-    REPORT_SCHEMA,
     Scenario,
     dump_report,
     load_scenario,
     morphism_to_json,
     rat_to_json,
+    report_envelope,
     witness_to_json,
 )
 from .thresholds import ThresholdError, finiteness_thresholds, mu_lower_bounds
@@ -68,10 +68,7 @@ def cmd_approx(scenario: Scenario) -> dict:
             ok = False
         rows.append(row)
     return {
-        "schema": REPORT_SCHEMA,
-        "kind": "approx",
-        "scenario": scenario.name,
-        "seed": scenario.seed,
+        **report_envelope("approx", scenario),
         "ledger": ledger.to_jsonable(),
         "morphisms": rows,
         "ok": ok,
@@ -100,10 +97,7 @@ def cmd_reduce(scenario: Scenario) -> dict:
             ok = False
         rows.append(row)
     return {
-        "schema": REPORT_SCHEMA,
-        "kind": "reduce",
-        "scenario": scenario.name,
-        "seed": scenario.seed,
+        **report_envelope("reduce", scenario),
         "witnesses": rows,
         "ok": ok,
     }
@@ -114,10 +108,7 @@ def cmd_thresholds(scenario: Scenario) -> dict:
     ok = True
     if scenario.card is None or scenario.oracle is None or not scenario.targets:
         return {
-            "schema": REPORT_SCHEMA,
-            "kind": "thresholds",
-            "scenario": scenario.name,
-            "seed": scenario.seed,
+            **report_envelope("thresholds", scenario),
             "ok": False,
             "diagnostic": "scenario lacks a variety card, an oracle, or targets",
         }
@@ -156,38 +147,29 @@ def cmd_thresholds(scenario: Scenario) -> dict:
             rows.append(row)
     except ThresholdError as err:
         return {
-            "schema": REPORT_SCHEMA,
-            "kind": "thresholds",
-            "scenario": scenario.name,
-            "seed": scenario.seed,
+            **report_envelope("thresholds", scenario),
             "ok": False,
             "diagnostic": f"ThresholdError: {err}",
         }
     return {
-        "schema": REPORT_SCHEMA,
-        "kind": "thresholds",
-        "scenario": scenario.name,
-        "seed": scenario.seed,
+        **report_envelope("thresholds", scenario),
         "thresholds": summary,
         "morphisms": rows,
         "ok": ok,
     }
 
 
-def cmd_report(scenario: Scenario, seed: int | None) -> dict:
+def cmd_report(scenario: Scenario) -> dict:
     sections = {
         "approx": cmd_approx(scenario),
         "reduce": cmd_reduce(scenario),
         "pipeline": run_pipeline(scenario),
         "thresholds": cmd_thresholds(scenario),
-        "verify": run_property_suites(scenario, seed=seed),
+        "verify": run_property_suites(scenario),
     }
     ok = all(s.get("ok", False) for s in sections.values())
     return {
-        "schema": REPORT_SCHEMA,
-        "kind": "report",
-        "scenario": scenario.name,
-        "seed": scenario.seed if seed is None else seed,
+        **report_envelope("report", scenario),
         "sections": sections,
         "ok": ok,
     }
@@ -221,11 +203,11 @@ def main(argv=None) -> int:
     elif args.command == "pipeline":
         report = run_pipeline(scenario)
     elif args.command == "verify":
-        report = run_property_suites(scenario, seed=args.seed)
+        report = run_property_suites(scenario)
     elif args.command == "thresholds":
         report = cmd_thresholds(scenario)
     else:
-        report = cmd_report(scenario, args.seed)
+        report = cmd_report(scenario)
 
     _emit(report, args.out)
     return 0 if report.get("ok", False) else 1

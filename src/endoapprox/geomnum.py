@@ -15,7 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import GeneratorSet, ModelPoint, SlotValue, _slot_add, _slot_inner, _slot_neg, _slot_ring_act, rank_of_point
+from .model import (
+    GeneratorSet,
+    ModelPoint,
+    SlotValue,
+    _free_inner,
+    _slot_add,
+    _slot_neg,
+    _slot_ring_act,
+    rank_of_point,
+    slot_orbit,
+)
 from .rings import RingElement, RingSpec, norm_equivalence_constants, submultiplicativity_sq
 
 
@@ -45,18 +55,15 @@ def point_lower_constants(p: ModelPoint, factor: int) -> PointConstants:
     if rank_of_point(p)[factor] != s:
         raise GeomNumError("point is not of full rank in the requested factor")
 
-    orbit: list[SlotValue] = []
-    for slot in slots:
-        for k in range(spec.rank):
-            orbit.append(_slot_ring_act(spec, spec.basis_element(k), slot))
-    gram = [[_slot_inner(spec, a, b) for b in orbit] for a in orbit]
+    orbit = [acted for slot in slots for acted in slot_orbit(spec, slot)]
+    gram = [[_free_inner(spec, a, b) for b in orbit] for a in orbit]
     lam_low = linalg.min_eigenvalue_lower(gram)
     if lam_low <= 0:
         raise GeomNumError("orbit Gram matrix is not positive-definite")
 
     c0_sq, c1_sq = norm_equivalence_constants(spec)
     c_sub_sq = submultiplicativity_sq(spec, c0_sq)
-    p_sq = max(_slot_inner(spec, slot, slot) for slot in slots)
+    p_sq = max(p.slot_height(factor, j) for j in range(s))
     c_sq = lam_low / (4 * c1_sq * p_sq)
     eps0_sq = lam_low / (4 * c_sub_sq * s * c1_sq)
     return PointConstants(factor=factor, c_sq=c_sq, eps0_sq=eps0_sq, gram_lower=lam_low)
@@ -111,10 +118,10 @@ def morphism_lower_bound_check(
         if xi.slot_height(factor, j) > consts.eps0_sq:
             raise GeomNumError("perturbation outside the certified ball")
     row_norm_sq = max(e.norm_sq() for e in row)
-    min_h = min(_slot_inner(spec, slot, slot) for slot in slots)
+    min_h = min(p.slot_height(factor, j) for j in range(len(slots)))
     diff = [_slot_add(a, _slot_neg(b)) for a, b in zip(slots, xi_slots)]
     image = combine_slot(spec, row, diff)
-    image_h = _slot_inner(spec, image, image)
+    image_h = _free_inner(spec, image.free, image.free)
     return consts.c_sq * min_h * row_norm_sq <= image_h
 
 

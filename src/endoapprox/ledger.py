@@ -57,3 +57,8 @@ class ConstantLedger:
             }
             for name, e in sorted(self.entries.items())
         }
+
+
+def op_constant_sq(ledger: ConstantLedger, ncols: int) -> Fraction:
+    """h(phi(x)) <= op_constant_sq * |phi|^2 * h(x) for ncols source slots."""
+    return ledger.value("c_sub_sq") * Fraction(max(ncols, 1)) ** 2

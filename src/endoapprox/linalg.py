@@ -52,14 +52,15 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def rank(a: Matrix) -> int:
-    """Rank by exact Gaussian elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [row[:] for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
+def _rref(m: Matrix, cols: int) -> list[int]:
+    """Bring m to reduced row echelon form in place, pivoting on its first
+    `cols` columns; the k-th returned pivot column has its pivot in row k."""
+    rows = len(m)
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
@@ -70,10 +71,15 @@ def rank(a: Matrix) -> int:
             if i != r and m[i][c] != 0:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(c)
+    return pivots
+
+
+def rank(a: Matrix) -> int:
+    """Rank by exact Gaussian elimination."""
+    if not a:
+        return 0
+    return len(_rref([row[:] for row in a], len(a[0])))
 
 
 def det(a: Matrix) -> Fraction:
@@ -110,28 +116,12 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     rows, cols = len(a), len(a[0])
     width = len(b[0]) if b else 0
     aug = [a[i][:] + b[i][:] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
+    pivots = _rref(aug, cols)
+    for i in range(len(pivots), rows):
         if any(x != 0 for x in aug[i][cols:]):
             return None
     x = zeros(cols, width)
-    for i, c in pivots:
+    for i, c in enumerate(pivots):
         for j in range(width):
             x[c][j] = aug[i][cols + j]
     return x

@@ -146,8 +146,8 @@ class ModelPoint:
     # -- heights -----------------------------------------------------------
 
     def slot_height(self, factor: int, index: int) -> Fraction:
-        slot = self.slots[factor][index]
-        return _slot_inner(self.space.product.factors[factor], slot, slot)
+        free = self.slots[factor][index].free
+        return _free_inner(self.space.product.factors[factor], free, free)
 
     def height(self) -> Fraction:
         best = Fraction(0)
@@ -159,10 +159,19 @@ class ModelPoint:
         return best
 
 
-def _slot_inner(spec: RingSpec, a: SlotValue, b: SlotValue) -> Fraction:
-    """The ring's Gram form summed over the free coefficients; the height
-    of a slot is its inner product with itself."""
-    return sum((spec.form(x, y) for x, y in zip(a.free, b.free)), Fraction(0))
+def _free_inner(spec: RingSpec, a, b) -> Fraction:
+    """The ring's Gram form summed over two slots' free coefficients; the
+    height of a slot is its free part's inner product with itself."""
+    return sum((spec.form(x, y) for x, y in zip(a, b)), Fraction(0))
+
+
+def slot_orbit(spec: RingSpec, slot: SlotValue) -> list[tuple[tuple[Fraction, ...], ...]]:
+    """The free parts of tau_k * slot for the ring basis tau_1..tau_t,
+    which span the free part of the slot's ring orbit over Q."""
+    return [
+        tuple(tuple((tau * spec.element(coeff)).coords) for coeff in slot.free)
+        for tau in map(spec.basis_element, range(spec.rank))
+    ]
 
 
 def _slot_add(a: SlotValue, b: SlotValue) -> SlotValue:
@@ -291,12 +300,11 @@ def rank_of_point(p: ModelPoint) -> tuple[int, ...]:
     out = []
     for i, spec in enumerate(p.space.product.factors):
         nu = p.space.free_ranks[i]
-        vecs = []
-        for slot in p.slots[i]:
-            for k in range(spec.rank):
-                tau = spec.basis_element(k)
-                acted = tuple((tau * spec.element(coeff)).coords for coeff in slot.free)
-                vecs.append([c for coeff in acted for c in coeff])
+        vecs = [
+            [c for coeff in acted for c in coeff]
+            for slot in p.slots[i]
+            for acted in slot_orbit(spec, slot)
+        ]
         if not vecs or nu == 0:
             out.append(0)
             continue

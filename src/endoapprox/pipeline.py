@@ -20,7 +20,6 @@ from .approx import (
     approx_vector,
     approx_weighted,
     derive_ledger,
-    op_constant_sq,
 )
 from .exact import le_linear_sqrt
 from .geomnum import (
@@ -29,6 +28,7 @@ from .geomnum import (
     morphism_lower_bound_check,
     point_lower_constants,
 )
+from .ledger import op_constant_sq
 from .model import (
     ModelPoint,
     ModelSpace,
@@ -49,7 +49,6 @@ from .morphisms import (
 )
 from .reduction import (
     ConsistencyError,
-    InclusionWitness,
     WitnessError,
     gamma_embed,
     point_project,
@@ -63,11 +62,11 @@ from .rings import (
     norm_equivalence_constants,
 )
 from .scenario import (
-    REPORT_SCHEMA,
     Scenario,
     morphism_to_json,
     point_to_json,
     rat_to_json,
+    report_envelope,
     witness_to_json,
 )
 from .thresholds import ThresholdError, finiteness_thresholds, kernel_degree
@@ -100,7 +99,8 @@ def run_pipeline(scenario: Scenario) -> dict:
     for name, witness in scenario.witnesses():
         row = {"witness": name, "stages": []}
         try:
-            row["stages"].append({"stage": "input", "checked": _checked(witness)})
+            witness.verify()
+            row["stages"].append({"stage": "input", "checked": True})
 
             witness, weightified = weighted_witness(witness, scenario.ambient)
             if weightified:
@@ -126,17 +126,7 @@ def run_pipeline(scenario: Scenario) -> dict:
                 ledger,
                 budget=scenario.budget,
             )
-            xi_prime, cap = sa.transform(pair.x, p_point, pair.xi)
-            transported = InclusionWitness(
-                morphism=sa.morphism,
-                x=pair.x,
-                p=p_point,
-                xi=xi_prime,
-                xi_bound_sq=(cap / sa.morphism.norm_sq()) if sa.morphism.norm_sq() else Fraction(0),
-                weighted=sa.certificate.weighted,
-                special=sa.certificate,
-            )
-            transported.verify()
+            transported = sa.transform(pair.x, p_point, pair.xi)
             row["stages"].append(
                 {
                     "stage": "approx_special",
@@ -147,8 +137,8 @@ def run_pipeline(scenario: Scenario) -> dict:
                     "denominator": sa.denominator,
                     "norm_sq": rat_to_json(sa.morphism.norm_sq()),
                     "family_bound_sq": rat_to_json(sa.family_bound_sq * Fraction(sa.modulus) ** 2),
-                    "c_eps_sq": rat_to_json(cap / scenario.eps_sq),
-                    "eps_prime_sq_cap": rat_to_json(cap),
+                    "c_eps_sq": rat_to_json(sa.eps_prime_sq_cap / scenario.eps_sq),
+                    "eps_prime_sq_cap": rat_to_json(sa.eps_prime_sq_cap),
                     "witness": witness_to_json(transported),
                 }
             )
@@ -207,10 +197,7 @@ def run_pipeline(scenario: Scenario) -> dict:
         ),
     }
     return {
-        "schema": REPORT_SCHEMA,
-        "kind": "pipeline",
-        "scenario": scenario.name,
-        "seed": scenario.seed,
+        **report_envelope("pipeline", scenario),
         "gamma_inflation": inflation,
         "gamma": point_to_json(gamma.point),
         "p_height_sq": rat_to_json(p_height),
@@ -244,11 +231,6 @@ def _moduli_table(scenario: Scenario, ledger, p_height: Fraction) -> list[dict]:
         m = t * (r_total * (g_total + s_total) - r_total**2 + n_factors)
         table.append({"target": list(target), "Q": q, "m": m, "M": q**m})
     return table
-
-
-def _checked(w: InclusionWitness) -> bool:
-    w.verify()
-    return True
 
 
 # -- random data for the suites ---------------------------------------------
@@ -625,7 +607,6 @@ def suite_reduction(scenario: Scenario, rng: random.Random) -> dict:
         count += 1
         try:
             pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
-            pw.verify()
             embedded[name] = (w, pw)
         except PipelineErrors as err:
             failures.append(f"{name}: embed failed: {err}")
@@ -651,8 +632,8 @@ def suite_reduction(scenario: Scenario, rng: random.Random) -> dict:
     return _suite("reduction", count, failures)
 
 
-def run_property_suites(scenario: Scenario, seed: int | None = None, trials: int = 60) -> dict:
-    rng = random.Random(scenario.seed if seed is None else seed)
+def run_property_suites(scenario: Scenario, trials: int = 60) -> dict:
+    rng = random.Random(scenario.seed)
     suites = [
         suite_rings(scenario.product, trials, rng),
         suite_morphisms(scenario.product, max(trials // 2, 5), rng),
@@ -666,10 +647,7 @@ def run_property_suites(scenario: Scenario, seed: int | None = None, trials: int
     ]
     ok = all(s["failures"] == 0 for s in suites)
     return {
-        "schema": REPORT_SCHEMA,
-        "kind": "verify",
-        "scenario": scenario.name,
-        "seed": scenario.seed if seed is None else seed,
+        **report_envelope("verify", scenario),
         "suites": suites,
         "ok": ok,
     }

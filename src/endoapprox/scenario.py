@@ -20,6 +20,11 @@ SCHEMA = "endoapprox/scenario/1"
 REPORT_SCHEMA = "endoapprox/report/1"
 
 
+def report_envelope(kind: str, scenario: "Scenario") -> dict:
+    """The schema, kind, scenario name and seed every report carries."""
+    return {"schema": REPORT_SCHEMA, "kind": kind, "scenario": scenario.name, "seed": scenario.seed}
+
+
 class ScenarioError(ValueError):
     pass
 

@@ -176,9 +176,32 @@ def test_special_identity_branch():
     assert sa.morphism == phi_tilde
     x = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[1]])]])
     xi = concat_points(space_g.zero(), space_s.zero())
-    xi_out, cap = sa.transform(x, p, xi)
-    assert xi_out == xi
-    assert cap >= F(1)  # eps'^2 cap dominates eps^2
+    out = sa.transform(x, p, xi)
+    assert out.xi == xi
+    assert sa.eps_prime_sq_cap >= F(1)  # eps'^2 cap dominates eps^2
+
+
+def test_special_transform_checks_input_and_returns_verified_witness():
+    pz, led, space_g, space_s, phi_tilde, cert = _special_setup()
+    p = space_s.point([[space_s.slot(0, free=[[1]])]])
+    sa = approx_special(phi_tilde, cert, F(1), F(25), p.height(), led)
+    x = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[1]])]])
+    xi = concat_points(space_g.zero(), space_s.zero())
+    out = sa.transform(x, p, xi)
+    out.verify()
+    assert out.morphism == sa.morphism and out.special == sa.certificate
+    assert out.xi_bound_sq == sa.eps_prime_sq_cap / sa.morphism.norm_sq()
+    # 2*(-4) + 5*2 + 3 != 0: the kernel equation fails on the input
+    off_kernel = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[2]])]])
+    with pytest.raises(ApproxError, match="equation"):
+        sa.transform(off_kernel, p, xi)
+    # (5, -2, 0) lies in the kernel but has height 25 > eps^2 / M^2
+    big_xi = concat_points(
+        space_g.point([[space_g.slot(0, free=[[5]]), space_g.slot(0, free=[[-2]])]]),
+        space_s.zero(),
+    )
+    with pytest.raises(ApproxError, match="eps/M ball"):
+        sa.transform(x, p, big_xi)
 
 
 def test_special_rejects_zero_radius():
@@ -209,7 +232,8 @@ def test_special_transport_exact_and_divide_height():
     sa = approx_special(phi_tilde, cert, F(25), F(49), p.height(), led)
     assert sa.approximated
     xi = concat_points(space_g.zero(), space_s.zero())
-    xi_prime, cap = sa.transform(x, p, xi)
+    out = sa.transform(x, p, xi)
+    xi_prime, cap = out.xi, sa.eps_prime_sq_cap
     assert apply_morphism(sa.morphism, pair + xi_prime).is_zero()
     assert xi_prime.height() * sa.morphism.norm_sq() <= cap
     # height of the transported perturbation is h(psi(x,p)) / b^2 by the divide contract
