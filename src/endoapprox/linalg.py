@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of lists of Fraction.  Everything here is dense and
-small (ranks up to a few dozen), so plain fraction-free-ish Gaussian
-elimination is plenty.
+small (ranks up to a few dozen), so plain Gaussian elimination is plenty;
+determinants clear denominators and run fraction-free in integers.
 """
 
 from __future__ import annotations
@@ -40,16 +40,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(nums, den) with values[i] == nums[i] / den, den the least common
+    denominator of the rationals (or integers) in values."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _rref(m: Matrix, cols: int) -> list[int]:
@@ -83,26 +78,38 @@ def rank(a: Matrix) -> int:
 
 
 def det(a: Matrix) -> Fraction:
+    """Determinant: each row is cleared of its denominators, the integer
+    determinant is taken and divided once by the product of the row
+    denominators."""
+    assert all(len(row) == len(a) for row in a), "determinant of non-square matrix"
+    rows, den = [], 1
+    for row in a:
+        nums, d = clear_denominators(row)
+        rows.append(nums)
+        den *= d
+    return Fraction(_det_int(rows), den)
+
+
+def _det_int(a: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss's fraction-free
+    elimination: every division is exact."""
     n = len(a)
-    if n == 0:
-        return Fraction(1)
-    assert len(a[0]) == n, "determinant of non-square matrix"
-    m = [row[:] for row in a]
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            piv = next((i for i in range(c + 1, n) if m[i][c] != 0), None)
+            if piv is None:
+                return 0
             m[c], m[piv] = m[piv], m[c]
-            result = -result
-        result *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
+        p, pivot_row = m[c][c], m[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
+            row, f = m[i], m[i][c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -130,23 +137,15 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
 def adjugate_int(a: list[list[int]]) -> tuple[list[list[int]], int]:
     """(adj(a), det(a)) for an integer matrix, with adj(a) @ a == det(a) * I."""
     n = len(a)
-    d = det([[Fraction(x) for x in row] for row in a])
-    assert d.denominator == 1
-    dint = d.numerator
-    if n == 0:
-        return [], 1
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [Fraction(a[r][c]) for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            md = det(minor)
-            assert md.denominator == 1
-            adj[i][j] = (-1) ** (i + j) * md.numerator
-    return adj, dint
+    adj = [
+        [
+            (-1) ** (i + j)
+            * _det_int([[a[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return adj, _det_int(a)
 
 
 def charpoly(a: Matrix) -> list[Fraction]:

@@ -16,9 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from .linalg import clear_denominators
 from .morphisms import AmbientSpec, BlockMorphism, MorphismError
-from .rings import RingSpec
+from .rings import RingSpec, _fr
 
 
 class ModelError(ValueError):
@@ -27,10 +29,6 @@ class ModelError(ValueError):
 
 class ResourceError(RuntimeError):
     pass
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -174,9 +172,16 @@ def slot_orbit(spec: RingSpec, slot: SlotValue) -> list[tuple[tuple[Fraction, ..
     ]
 
 
+def _torsion_mod1(nums, den: int) -> tuple[Fraction, ...]:
+    """Torsion coordinates nums[i] / den reduced mod 1."""
+    return tuple(Fraction(x % den, den) for x in nums)
+
+
 def _slot_add(a: SlotValue, b: SlotValue) -> SlotValue:
+    nums, den = clear_denominators(a.torsion + b.torsion)
+    k = len(a.torsion)
     return SlotValue(
-        torsion=tuple((x + y) % 1 for x, y in zip(a.torsion, b.torsion)),
+        torsion=_torsion_mod1((x + y for x, y in zip(nums[:k], nums[k:])), den),
         free=tuple(
             tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.free, b.free)
         ),
@@ -184,36 +189,73 @@ def _slot_add(a: SlotValue, b: SlotValue) -> SlotValue:
 
 
 def _slot_neg(a: SlotValue) -> SlotValue:
+    nums, den = clear_denominators(a.torsion)
     return SlotValue(
-        torsion=tuple((-x) % 1 for x in a.torsion),
+        torsion=_torsion_mod1((-x for x in nums), den),
         free=tuple(tuple(-x for x in row) for row in a.free),
     )
 
 
 def _slot_int_mul(a: SlotValue, n: int) -> SlotValue:
+    nums, den = clear_denominators(a.torsion)
     return SlotValue(
-        torsion=tuple((n * x) % 1 for x in a.torsion),
+        torsion=_torsion_mod1((n * x for x in nums), den),
         free=tuple(tuple(n * x for x in row) for row in a.free),
+    )
+
+
+def _act_into(spec: RingSpec, e, tors: list[int], free, acc_tors, acc_free) -> None:
+    """Add the action of an integral ring element on a slot, given by integer
+    numerators, to the accumulators: lattice representation on torsion,
+    module multiplication on each free coefficient."""
+    if not e.is_integral():
+        raise ModelError("only integral ring elements act on model points")
+    coords = [c.numerator for c in e.coords]
+    if any(tors):
+        for r, row in enumerate(spec.rho_int(coords)):
+            acc_tors[r] += sum(m * t for m, t in zip(row, tors))
+    for acc, coeff in zip(acc_free, free):
+        for l, v in enumerate(spec.mul_int(coords, coeff)):
+            acc[l] += v
+
+
+def _slot_nums(slots) -> tuple[list[list[int]], int, list[list[list[int]]], int]:
+    """The slots' torsion and free coordinates as integer numerators over one
+    torsion and one free denominator: (torsion per slot, torsion den, free
+    coefficients per slot, free den)."""
+    tden = lcm(*(x.denominator for s in slots for x in s.torsion))
+    fden = lcm(*(x.denominator for s in slots for row in s.free for x in row))
+    tors = [[x.numerator * (tden // x.denominator) for x in s.torsion] for s in slots]
+    free = [
+        [[x.numerator * (fden // x.denominator) for x in row] for row in s.free] for s in slots
+    ]
+    return tors, tden, free, fden
+
+
+def _slot_from_nums(acc_tors, tden: int, acc_free, fden: int) -> SlotValue:
+    return SlotValue(
+        _torsion_mod1(acc_tors, tden),
+        tuple(tuple(Fraction(x, fden) for x in row) for row in acc_free),
     )
 
 
 def _slot_ring_act(spec: RingSpec, e, slot: SlotValue) -> SlotValue:
     """Action of a ring element: lattice representation on torsion,
     module multiplication on free coefficients."""
-    if not e.is_integral():
-        raise ModelError("only integral ring elements act on model points")
-    rho = spec.rho(e)
-    two_d = 2 * spec.dimension
-    tors = tuple(
-        (sum((rho[r][c] * slot.torsion[c] for c in range(two_d)), Fraction(0))) % 1
-        for r in range(two_d)
-    )
-    free = tuple(tuple((e * spec.element(coeff)).coords) for coeff in slot.free)
-    return SlotValue(tors, free)
+    (tors,), tden, (free,), fden = _slot_nums([slot])
+    acc_tors = [0] * (2 * spec.dimension)
+    acc_free = [[0] * spec.rank for _ in free]
+    _act_into(spec, e, tors, free, acc_tors, acc_free)
+    return _slot_from_nums(acc_tors, tden, acc_free, fden)
 
 
 def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
-    """Evaluate a block morphism on a point; exact and additive."""
+    """Evaluate a block morphism on a point; exact and additive.
+
+    Per factor, the input slots are cleared to integer numerators over one
+    torsion and one free denominator, each output row is accumulated in
+    integers across its columns, and each output coordinate is divided
+    once (torsion reduced mod 1)."""
     if phi.source != x.space.counts:
         raise MorphismError("morphism source does not match the point's space")
     if phi.product is not x.space.product and phi.product != x.space.product:
@@ -221,17 +263,16 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
     target_space = x.space.with_counts(phi.target)
     out_slots = []
     for i, spec in enumerate(phi.product.factors):
-        rows = phi.target[i]
-        cols = phi.source[i]
+        tors, tden, free, fden = _slot_nums(x.slots[i])
+        nu = x.space.free_ranks[i]
         fac = []
-        for r in range(rows):
-            acc = target_space.zero_slot(i)
-            for c in range(cols):
-                e = phi.blocks[i][r][c]
-                if e.is_zero():
-                    continue
-                acc = _slot_add(acc, _slot_ring_act(spec, e, x.slots[i][c]))
-            fac.append(acc)
+        for row in phi.blocks[i]:
+            acc_tors = [0] * (2 * spec.dimension)
+            acc_free = [[0] * spec.rank for _ in range(nu)]
+            for c, e in enumerate(row):
+                if not e.is_zero():
+                    _act_into(spec, e, tors[c], free[c], acc_tors, acc_free)
+            fac.append(_slot_from_nums(acc_tors, tden, acc_free, fden))
         out_slots.append(tuple(fac))
     return ModelPoint(target_space, tuple(out_slots))
 
@@ -323,19 +364,6 @@ def concat_points(x: ModelPoint, p: ModelPoint) -> ModelPoint:
     space = x.space.with_counts(counts)
     slots = tuple(fa + fb for fa, fb in zip(x.slots, p.slots))
     return ModelPoint(space, slots)
-
-
-def split_point(xp: ModelPoint, left_counts) -> tuple[ModelPoint, ModelPoint]:
-    left_counts = tuple(left_counts)
-    right_counts = tuple(a - b for a, b in zip(xp.space.counts, left_counts))
-    if any(c < 0 for c in right_counts):
-        raise ModelError("split exceeds the point's slot counts")
-    ls = tuple(fac[:c] for fac, c in zip(xp.slots, left_counts))
-    rs = tuple(fac[c:] for fac, c in zip(xp.slots, left_counts))
-    return (
-        ModelPoint(xp.space.with_counts(left_counts), ls),
-        ModelPoint(xp.space.with_counts(right_counts), rs),
-    )
 
 
 @dataclass(frozen=True)

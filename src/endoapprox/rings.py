@@ -116,20 +116,13 @@ class RingSpec:
             if linalg.det(minor) <= 0:
                 raise RingError(f"{self.tag}: gram form is not positive-definite")
         # lattice representation: unital ring homomorphism, faithful
-        two_d = 2 * self.dimension
-        rho = [linalg.mat(m) for m in self.lattice_rep]
-        if rho[0] != linalg.identity(two_d):
+        rho = [self.rho(b) for b in basis]
+        if self.rho(one) != linalg.identity(2 * self.dimension):
             raise RingError(f"{self.tag}: lattice representation is not unital")
         for j, k in itertools.product(range(t), repeat=2):
-            prod = linalg.mat_mul(rho[j], rho[k])
-            expect = linalg.zeros(two_d, two_d)
-            for l in range(t):
-                c = self.mul_table[j][k][l]
-                if c:
-                    expect = linalg.mat_add(expect, linalg.mat_scale(rho[l], Fraction(c)))
-            if prod != expect:
+            if linalg.mat_mul(rho[j], rho[k]) != self.rho(basis[j] * basis[k]):
                 raise RingError(f"{self.tag}: lattice representation does not respect products")
-        flat = [[m[r][c] for r in range(two_d) for c in range(two_d)] for m in rho]
+        flat = [[x for row in m for x in row] for m in rho]
         if linalg.rank(flat) != t:
             raise RingError(f"{self.tag}: lattice representation is not faithful")
 
@@ -156,12 +149,40 @@ class RingSpec:
         return total
 
     def rho(self, a: "RingElement") -> linalg.Matrix:
-        """Image of an element under the lattice representation."""
+        """Image of an element under the lattice representation, summed in
+        integers over the coordinates' common denominator and divided once."""
+        nums, den = linalg.clear_denominators(a.coords)
+        return [[Fraction(x, den) for x in row] for row in self.rho_int(nums)]
+
+    def rho_int(self, coords) -> list[list[int]]:
+        """Integer image sum_j coords[j] * lattice_rep[j] of integer
+        coordinates under the lattice representation."""
         two_d = 2 * self.dimension
-        out = linalg.zeros(two_d, two_d)
-        for j, c in enumerate(a.coords):
+        out = [[0] * two_d for _ in range(two_d)]
+        for c, m in zip(coords, self.lattice_rep):
             if c:
-                out = linalg.mat_add(out, linalg.mat_scale(linalg.mat(self.lattice_rep[j]), c))
+                for orow, mrow in zip(out, m):
+                    for k, v in enumerate(mrow):
+                        if v:
+                            orow[k] += c * v
+        return out
+
+    def mul_int(self, a, b) -> list[int]:
+        """Coordinates of the product of two elements with integer
+        coordinates, through the integer structure constants."""
+        out = [0] * self.rank
+        table = self.mul_table
+        for j, x in enumerate(a):
+            if not x:
+                continue
+            row = table[j]
+            for k, y in enumerate(b):
+                if not y:
+                    continue
+                xy = x * y
+                for l, c in enumerate(row[k]):
+                    if c:
+                        out[l] += xy * c
         return out
 
     def right_mul_matrix(self, a: "RingElement") -> linalg.Matrix:
@@ -192,21 +213,10 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        t = self.ring.rank
-        out = [Fraction(0)] * t
-        table = self.ring.mul_table
-        for j, a in enumerate(self.coords):
-            if not a:
-                continue
-            for k, b in enumerate(other.coords):
-                if not b:
-                    continue
-                ab = a * b
-                row = table[j][k]
-                for l in range(t):
-                    if row[l]:
-                        out[l] += ab * row[l]
-        return RingElement(self.ring, tuple(out))
+        a, da = linalg.clear_denominators(self.coords)
+        b, db = linalg.clear_denominators(other.coords)
+        den = da * db
+        return RingElement(self.ring, tuple(Fraction(x, den) for x in self.ring.mul_int(a, b)))
 
     def scale(self, c) -> "RingElement":
         c = _fr(c)

@@ -7,6 +7,7 @@ from endoapprox.exact import le_linear_sqrt
 from endoapprox.model import (
     GeneratorSet,
     ModelError,
+    ModelPoint,
     ModelSpace,
     ResourceError,
     apply_morphism,
@@ -14,7 +15,6 @@ from endoapprox.model import (
     divide,
     in_ball,
     rank_of_point,
-    split_point,
     torsion_enum,
 )
 from endoapprox.morphisms import AmbientSpec, BlockMorphism
@@ -124,6 +124,19 @@ def test_morphism_linearity_and_composition(zspace):
         y = zspace.point([[zspace.slot(0, free=[[rng.randint(-4, 4)]]), zspace.slot(0)]])
         assert apply_morphism(phi, x + y) == apply_morphism(phi, x) + apply_morphism(phi, y)
         assert apply_morphism(phi.compose(psi), x) == apply_morphism(phi, apply_morphism(psi, x))
+
+
+def split_point(xp: ModelPoint, left_counts) -> tuple[ModelPoint, ModelPoint]:
+    left_counts = tuple(left_counts)
+    right_counts = tuple(a - b for a, b in zip(xp.space.counts, left_counts))
+    if any(c < 0 for c in right_counts):
+        raise ModelError("split exceeds the point's slot counts")
+    ls = tuple(fac[:c] for fac, c in zip(xp.slots, left_counts))
+    rs = tuple(fac[c:] for fac, c in zip(xp.slots, left_counts))
+    return (
+        ModelPoint(xp.space.with_counts(left_counts), ls),
+        ModelPoint(xp.space.with_counts(right_counts), rs),
+    )
 
 
 def test_concat_split_roundtrip(zspace):
