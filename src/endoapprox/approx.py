@@ -354,18 +354,22 @@ class SpecialApprox:
     transform: Callable[[ModelPoint, ModelPoint, ModelPoint], InclusionWitness]
 
 
-def section_into_pair(psi_tilde: BlockMorphism, left_counts, cert: WeightedCertificate) -> BlockMorphism:
-    """i_r followed by the inclusion of the left block of a pair morphism."""
-    product = psi_tilde.product
-    blocks = []
-    for i, spec in enumerate(product.factors):
-        gs_i = psi_tilde.source[i]
-        r_i = psi_tilde.target[i]
-        block = [[spec.zero() for _ in range(r_i)] for _ in range(gs_i)]
-        for j, c in enumerate(cert.columns[i]):
-            block[c][j] = spec.one()
-        blocks.append(block)
-    return BlockMorphism(product, psi_tilde.target, psi_tilde.source, blocks)
+def special_moduli(
+    product: ProductRingSpec,
+    ledger: ConstantLedger,
+    eps_sq: Fraction,
+    k0_sq: Fraction,
+    p_height_sq: Fraction,
+    r_total: int,
+    source_total: int,
+) -> tuple[int, int]:
+    """(Q, m) for a special morphism of target rank r and source rank g + s:
+    Q = max(Q0, ceil((K0 + |p|)/eps), 2) computed on squares through
+    (K0+|p|)^2 <= 2(K0^2+|p|^2), and m = t(r(g+s) - r^2 + n_factors)."""
+    q0 = int(ledger.value("Q0"))
+    q = max(q0, ceil_sqrt(2 * (k0_sq + p_height_sq) / eps_sq), 2)
+    m = product.rank * (r_total * source_total - r_total**2 + product.n_factors)
+    return q, m
 
 
 def approx_special(
@@ -382,22 +386,16 @@ def approx_special(
     the input witness and returns the transported witness, verified, with
     xi_bound_sq = eps_prime_sq_cap / |psi_tilde|^2.
 
-    The modulus is Q = max(Q0, ceil((K0 + |p|)/eps)) computed on squares
-    through (K0+|p|)^2 <= 2(K0^2+|p|^2); the morphism family emitted over
+    Q and m come from `special_moduli`; the morphism family emitted over
     any scenario is finite because |psi_tilde|^2 <= C^2 M^2 with M = Q^m.
     """
     if eps_sq <= 0:
         raise ApproxError("positive ball radius required")
     cert.verify(phi_tilde)
-    q0 = int(ledger.value("Q0"))
-    q = max(q0, ceil_sqrt(2 * (k0_sq + p_height_sq) / eps_sq), 2)
-
-    t = phi_tilde.product.rank
-    n_factors = phi_tilde.product.n_factors
-    r_total = sum(phi_tilde.target)
-    g_total = sum(cert.left_counts)
-    s_total = sum(phi_tilde.source) - g_total
-    m = t * (r_total * (g_total + s_total) - r_total**2 + n_factors)
+    q, m = special_moduli(
+        phi_tilde.product, ledger, eps_sq, k0_sq, p_height_sq,
+        sum(phi_tilde.target), sum(phi_tilde.source),
+    )
     modulus = q**m
 
     c_w_sq = cert.weighted.slack_sq
@@ -409,6 +407,7 @@ def approx_special(
         psi_tilde = phi_tilde
         out_cert = cert
         b = cert.weighted.scale
+        section = None
         approximated = False
         c_psi_sq = Fraction(1)
         family_bound_sq = Fraction(1)
@@ -433,6 +432,7 @@ def approx_special(
             slack_sq=max(Fraction(1), psi_tilde.norm_sq() / psi_left.norm_sq()),
         )
         out_cert.verify(psi_tilde)
+        section = embedding_ir(psi_left, left_cert)
         approximated = True
         c_psi_sq = wa.checks["c_psi_sq"]
         family_bound_sq = c_psi_sq
@@ -446,8 +446,6 @@ def approx_special(
     )
     eps_prime_sq_cap = c_eps_sq * eps_sq
 
-    section = section_into_pair(psi_tilde, cert.left_counts, out_cert.weighted)
-
     def transform(x: ModelPoint, p: ModelPoint, xi: ModelPoint) -> InclusionWitness:
         pair = concat_points(x, p)
         if not apply_morphism(phi_tilde, pair + xi).is_zero():
@@ -458,7 +456,8 @@ def approx_special(
             raise ApproxError("witness point exceeds the configured height bound")
         xi_prime = xi
         if approximated:
-            xi_prime = apply_morphism(section, divide(-apply_morphism(psi_tilde, pair), b))
+            xi_left = apply_morphism(section, divide(-apply_morphism(psi_tilde, pair), b))
+            xi_prime = concat_points(xi_left, p.space.zero())
         out = InclusionWitness(
             morphism=psi_tilde,
             x=x,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-DEFAULT_SQRT_DIGITS = 24
+ROOT_DIGITS = 24  # decimals of every inexact root bound
 
 
 def floor_sqrt(x: Fraction) -> int:
@@ -28,41 +28,19 @@ def ceil_sqrt(x: Fraction) -> int:
     return r if Fraction(r * r) >= x else r + 1
 
 
-def sqrt_bounds(x: Fraction, digits: int = DEFAULT_SQRT_DIGITS) -> tuple[Fraction, Fraction]:
-    """Certified rational bounds lo <= sqrt(x) <= hi with ~`digits` decimals."""
+def sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Certified rational bounds lo <= sqrt(x) <= hi, exact for rational squares."""
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    exact = exact_sqrt(x)
-    if exact is not None:
-        return exact, exact
-    n, d = x.numerator, x.denominator
-    scale = 10 ** digits
-    # sqrt(n/d) = sqrt(n*d)/d
-    root = isqrt(n * d * scale * scale)
-    lo = Fraction(root, d * scale)
-    hi = Fraction(root + 1, d * scale)
-    return lo, hi
+    return _root_bounds(x, 2)
 
 
-def sqrt_lower(x: Fraction, digits: int = DEFAULT_SQRT_DIGITS) -> Fraction:
-    return sqrt_bounds(x, digits)[0]
+def sqrt_lower(x: Fraction) -> Fraction:
+    return sqrt_bounds(x)[0]
 
 
-def sqrt_upper(x: Fraction, digits: int = DEFAULT_SQRT_DIGITS) -> Fraction:
-    return sqrt_bounds(x, digits)[1]
-
-
-def exact_sqrt(x: Fraction) -> Fraction | None:
-    """sqrt(x) if x is a perfect rational square, else None."""
-    if x < 0:
-        return None
-    rn = isqrt(x.numerator)
-    rd = isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
+def sqrt_upper(x: Fraction) -> Fraction:
+    return sqrt_bounds(x)[1]
 
 
 def floor_nth_root(n: int, k: int) -> int:
@@ -87,20 +65,21 @@ def floor_nth_root(n: int, k: int) -> int:
     return x
 
 
-def _root_bounds(x: Fraction, k: int, digits: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds on x**(1/k) for x > 0, k >= 1."""
+def _root_bounds(x: Fraction, k: int) -> tuple[Fraction, Fraction]:
+    """Certified bounds on x**(1/k) for x >= 0, k >= 1, with ROOT_DIGITS
+    decimals; exact when numerator and denominator are perfect k-th powers."""
     n, d = x.numerator, x.denominator
     rn, rd = floor_nth_root(n, k), floor_nth_root(d, k)
     if rn ** k == n and rd ** k == d:
         exact = Fraction(rn, rd)
         return exact, exact
-    scale = 10 ** digits
+    scale = 10 ** ROOT_DIGITS
     # x**(1/k) = (n * d**(k-1))**(1/k) / d
     root = floor_nth_root(n * d ** (k - 1) * scale ** k, k)
     return Fraction(root, d * scale), Fraction(root + 1, d * scale)
 
 
-def pow_bounds(x: Fraction, e: Fraction, digits: int = DEFAULT_SQRT_DIGITS) -> tuple[Fraction, Fraction]:
+def pow_bounds(x: Fraction, e: Fraction) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo <= x**e <= hi for x > 0 and rational e.
 
     The direction of rounding is handled uniformly: callers pick the side
@@ -113,21 +92,21 @@ def pow_bounds(x: Fraction, e: Fraction, digits: int = DEFAULT_SQRT_DIGITS) -> t
     if p == 0:
         return Fraction(1), Fraction(1)
     if p < 0:
-        lo, hi = pow_bounds(x, -e, digits)
+        lo, hi = pow_bounds(x, -e)
         # reciprocal flips the bounds; lo > 0 is guaranteed by construction
         return 1 / hi, 1 / lo
     y = x ** p  # exact rational
     if q == 1:
         return y, y
-    return _root_bounds(y, q, digits)
+    return _root_bounds(y, q)
 
 
-def pow_lower(x: Fraction, e: Fraction, digits: int = DEFAULT_SQRT_DIGITS) -> Fraction:
-    return pow_bounds(x, e, digits)[0]
+def pow_lower(x: Fraction, e: Fraction) -> Fraction:
+    return pow_bounds(x, e)[0]
 
 
-def pow_upper(x: Fraction, e: Fraction, digits: int = DEFAULT_SQRT_DIGITS) -> Fraction:
-    return pow_bounds(x, e, digits)[1]
+def pow_upper(x: Fraction, e: Fraction) -> Fraction:
+    return pow_bounds(x, e)[1]
 
 
 # -- quadratic surds -------------------------------------------------------

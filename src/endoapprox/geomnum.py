@@ -15,18 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import (
-    GeneratorSet,
-    ModelPoint,
-    SlotValue,
-    _free_inner,
-    _slot_add,
-    _slot_neg,
-    _slot_ring_act,
-    rank_of_point,
-    slot_orbit,
-)
-from .rings import RingElement, RingSpec, norm_equivalence_constants, submultiplicativity_sq
+from .model import GeneratorSet, ModelPoint, apply_morphism, free_inner, rank_of_point, slot_orbit
+from .morphisms import BlockMorphism
+from .rings import RingElement, norm_equivalence_constants, submultiplicativity_sq
 
 
 class GeomNumError(ValueError):
@@ -56,7 +47,7 @@ def point_lower_constants(p: ModelPoint, factor: int) -> PointConstants:
         raise GeomNumError("point is not of full rank in the requested factor")
 
     orbit = [acted for slot in slots for acted in slot_orbit(spec, slot)]
-    gram = [[_free_inner(spec, a, b) for b in orbit] for a in orbit]
+    gram = [[free_inner(spec, a, b) for b in orbit] for a in orbit]
     lam_low = linalg.min_eigenvalue_lower(gram)
     if lam_low <= 0:
         raise GeomNumError("orbit Gram matrix is not positive-definite")
@@ -87,17 +78,6 @@ def point_constants_all(p: ModelPoint) -> PointConstants | None:
     )
 
 
-def combine_slot(spec: RingSpec, coeffs, slots) -> SlotValue:
-    """sum_i b_i * slot_i for ring elements b_i."""
-    acc = None
-    for b, slot in zip(coeffs, slots):
-        term = _slot_ring_act(spec, b, slot)
-        acc = term if acc is None else _slot_add(acc, term)
-    if acc is None:
-        raise GeomNumError("empty combination")
-    return acc
-
-
 def morphism_lower_bound_check(
     p: ModelPoint,
     factor: int,
@@ -106,8 +86,10 @@ def morphism_lower_bound_check(
     consts: PointConstants,
 ) -> bool:
     """Check c_sq * min_i h(p_i) * |row|^2 <= h(row(p - xi)) for a
-    perturbation inside the eps0 ball (precondition violations raise)."""
-    spec = p.space.product.factors[factor]
+    perturbation inside the eps0 ball (precondition violations raise).
+    row(p - xi) is the image of p - xi under the one-row morphism with
+    zero rows on the other factors."""
+    product = p.space.product
     slots = p.slots[factor]
     xi_slots = xi.slots[factor]
     if len(row) != len(slots) or len(xi_slots) != len(slots):
@@ -119,9 +101,10 @@ def morphism_lower_bound_check(
             raise GeomNumError("perturbation outside the certified ball")
     row_norm_sq = max(e.norm_sq() for e in row)
     min_h = min(p.slot_height(factor, j) for j in range(len(slots)))
-    diff = [_slot_add(a, _slot_neg(b)) for a, b in zip(slots, xi_slots)]
-    image = combine_slot(spec, row, diff)
-    image_h = _free_inner(spec, image.free, image.free)
+    target = tuple(int(k == factor) for k in range(product.n_factors))
+    blocks = [[row] if k == factor else [] for k in range(product.n_factors)]
+    row_morphism = BlockMorphism(product, p.space.counts, target, blocks)
+    image_h = apply_morphism(row_morphism, p - xi).height()
     return consts.c_sq * min_h * row_norm_sq <= image_h
 
 

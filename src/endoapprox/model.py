@@ -20,7 +20,7 @@ from math import lcm
 
 from .linalg import clear_denominators
 from .morphisms import AmbientSpec, BlockMorphism, MorphismError
-from .rings import RingSpec, _fr
+from .rings import RingSpec, as_fraction
 
 
 class ModelError(ValueError):
@@ -55,18 +55,8 @@ class ModelSpace:
     def with_counts(self, counts) -> "ModelSpace":
         return ModelSpace(self.ambient.with_counts(tuple(counts)), self.free_ranks)
 
-    def zero_slot(self, factor: int) -> "SlotValue":
-        spec = self.product.factors[factor]
-        nu = self.free_ranks[factor]
-        return SlotValue(
-            torsion=tuple(Fraction(0) for _ in range(2 * spec.dimension)),
-            free=tuple(tuple(Fraction(0) for _ in range(spec.rank)) for _ in range(nu)),
-        )
-
     def zero(self) -> "ModelPoint":
-        slots = tuple(
-            tuple(self.zero_slot(i) for _ in range(c)) for i, c in enumerate(self.counts)
-        )
+        slots = tuple(tuple(self.slot(i) for _ in range(c)) for i, c in enumerate(self.counts))
         return ModelPoint(self, slots)
 
     def point(self, slots) -> "ModelPoint":
@@ -77,11 +67,11 @@ class ModelSpace:
         nu = self.free_ranks[factor]
         tors = [Fraction(0)] * (2 * spec.dimension)
         for idx, v in enumerate(torsion):
-            tors[idx] = _fr(v) % 1
+            tors[idx] = as_fraction(v) % 1
         fr = [[Fraction(0)] * spec.rank for _ in range(nu)]
         for k, coeff in enumerate(free):
             for l, v in enumerate(coeff):
-                fr[k][l] = _fr(v)
+                fr[k][l] = as_fraction(v)
         return SlotValue(tuple(tors), tuple(tuple(row) for row in fr))
 
 
@@ -145,7 +135,7 @@ class ModelPoint:
 
     def slot_height(self, factor: int, index: int) -> Fraction:
         free = self.slots[factor][index].free
-        return _free_inner(self.space.product.factors[factor], free, free)
+        return free_inner(self.space.product.factors[factor], free, free)
 
     def height(self) -> Fraction:
         best = Fraction(0)
@@ -157,7 +147,7 @@ class ModelPoint:
         return best
 
 
-def _free_inner(spec: RingSpec, a, b) -> Fraction:
+def free_inner(spec: RingSpec, a, b) -> Fraction:
     """The ring's Gram form summed over two slots' free coefficients; the
     height of a slot is its free part's inner product with itself."""
     return sum((spec.form(x, y) for x, y in zip(a, b)), Fraction(0))
@@ -239,16 +229,6 @@ def _slot_from_nums(acc_tors, tden: int, acc_free, fden: int) -> SlotValue:
     )
 
 
-def _slot_ring_act(spec: RingSpec, e, slot: SlotValue) -> SlotValue:
-    """Action of a ring element: lattice representation on torsion,
-    module multiplication on free coefficients."""
-    (tors,), tden, (free,), fden = _slot_nums([slot])
-    acc_tors = [0] * (2 * spec.dimension)
-    acc_free = [[0] * spec.rank for _ in free]
-    _act_into(spec, e, tors, free, acc_tors, acc_free)
-    return _slot_from_nums(acc_tors, tden, acc_free, fden)
-
-
 def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
     """Evaluate a block morphism on a point; exact and additive.
 
@@ -319,6 +299,7 @@ def torsion_enum(space: ModelSpace, n: int, budget: int = 100_000):
     if total > budget:
         raise ResourceError(f"torsion enumeration of {total} points exceeds budget {budget}")
     values = [Fraction(k, n) for k in range(n)]
+    zero_free = [space.slot(i).free for i in range(space.product.n_factors)]
     for assignment in itertools.product(values, repeat=coord_count):
         at = 0
         slots = []
@@ -326,8 +307,7 @@ def torsion_enum(space: ModelSpace, n: int, budget: int = 100_000):
             two_d = 2 * spec.dimension
             fac = []
             for _ in range(space.counts[i]):
-                zero = space.zero_slot(i)
-                fac.append(SlotValue(tuple(assignment[at : at + two_d]), zero.free))
+                fac.append(SlotValue(tuple(assignment[at : at + two_d]), zero_free[i]))
                 at += two_d
             slots.append(tuple(fac))
         yield ModelPoint(space, tuple(slots))

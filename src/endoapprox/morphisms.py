@@ -291,7 +291,7 @@ class SpecialCertificate:
             raise MorphismError("norm exceeds the certified special slack")
 
 
-def is_weighted(phi: BlockMorphism, slack_cap_sq: Fraction | None = None) -> WeightedCertificate | None:
+def is_weighted(phi: BlockMorphism) -> WeightedCertificate | None:
     """Search for a common positive integer scale on an identity pattern.
 
     Only column selection (no physical reordering) is performed.  Among the
@@ -336,8 +336,6 @@ def is_weighted(phi: BlockMorphism, slack_cap_sq: Fraction | None = None) -> Wei
         if not ok:
             continue
         slack_sq = max(Fraction(1), norm_sq / Fraction(a * a))
-        if slack_cap_sq is not None and slack_sq > slack_cap_sq:
-            continue
         cert = WeightedCertificate(scale=a, columns=tuple(cols), slack_sq=slack_sq)
         cert.verify(phi)
         return cert

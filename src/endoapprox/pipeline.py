@@ -9,6 +9,7 @@ bytes.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from .approx import (
     approx_vector,
     approx_weighted,
     derive_ledger,
+    special_moduli,
 )
 from .exact import le_linear_sqrt
 from .geomnum import (
@@ -212,23 +214,17 @@ def run_pipeline(scenario: Scenario) -> dict:
 def _moduli_table(scenario: Scenario, ledger, p_height: Fraction) -> list[dict]:
     """Q and M = Q^m for every admissible target rank, independent of the
     witness list (the bounded-family modulus exists before any witness)."""
-    from itertools import product as iproduct
-
-    from .exact import ceil_sqrt
-
-    q0 = int(ledger.value("Q0"))
-    q = max(q0, ceil_sqrt(2 * (scenario.k0_sq + p_height) / scenario.eps_sq), 2)
-    t = scenario.product.rank
-    n_factors = scenario.product.n_factors
-    g_total = scenario.ambient.total
-    s_total = scenario.gamma.space.ambient.total
+    source_total = scenario.ambient.total + scenario.gamma.space.ambient.total
     table = []
     ranges = [range(0, c + 1) for c in scenario.ambient.counts]
-    for target in iproduct(*ranges):
+    for target in itertools.product(*ranges):
         r_total = sum(target)
         if r_total == 0:
             continue
-        m = t * (r_total * (g_total + s_total) - r_total**2 + n_factors)
+        q, m = special_moduli(
+            scenario.product, ledger, scenario.eps_sq, scenario.k0_sq, p_height,
+            r_total, source_total,
+        )
         table.append({"target": list(target), "Q": q, "m": m, "M": q**m})
     return table
 
@@ -244,27 +240,28 @@ def _rand_element(rng, spec: RingSpec, limit: int = 9):
     return spec.element(_rand_coords(rng, spec.rank, limit))
 
 
-def _rand_full_rank(rng, spec: RingSpec, n: int, limit: int = 4):
+def _rand_full_rank(rng, spec: RingSpec, n: int):
     from .linalg import det
     from .morphisms import rationalize_block
 
     while True:
-        block = [[_rand_element(rng, spec, limit) for _ in range(n)] for _ in range(n)]
+        block = [[_rand_element(rng, spec, 4) for _ in range(n)] for _ in range(n)]
         if det(rationalize_block(spec, block)) != 0:
             return block
 
 
-def _rand_point(rng, space: ModelSpace, limit: int = 3, torsion_den: int = 4) -> ModelPoint:
+def _rand_point(rng, space: ModelSpace) -> ModelPoint:
+    """Torsion on the (1/4)-grid and integral free coefficients in [-3, 3]."""
     slots = []
     for i, spec in enumerate(space.product.factors):
         fac = []
         for _ in range(space.counts[i]):
             torsion = [
-                Fraction(rng.randrange(torsion_den), torsion_den)
+                Fraction(rng.randrange(4), 4)
                 for _ in range(2 * spec.dimension)
             ]
             free = [
-                [Fraction(rng.randint(-limit, limit)) for _ in range(spec.rank)]
+                [Fraction(rng.randint(-3, 3)) for _ in range(spec.rank)]
                 for _ in range(space.free_ranks[i])
             ]
             fac.append(space.slot(i, torsion=torsion, free=free))
@@ -353,10 +350,12 @@ def suite_morphisms(product: ProductRingSpec, trials: int, rng: random.Random) -
     return _suite("morphisms", count, failures)
 
 
-def suite_weightify_torsion(
-    scenario: Scenario, trials: int, rng: random.Random, torsion_level: int = 4
-) -> dict:
-    """Kernel inclusion through weightify, checked by torsion enumeration."""
+TORSION_LEVEL = 4  # highest torsion level the weightify suite enumerates
+
+
+def suite_weightify_torsion(scenario: Scenario, trials: int, rng: random.Random) -> dict:
+    """Kernel inclusion through weightify, checked by torsion enumeration at
+    levels 1 to TORSION_LEVEL."""
     failures: list[str] = []
     count = 0
     space = scenario.space
@@ -364,7 +363,7 @@ def suite_weightify_torsion(
         2 * spec.dimension * c
         for spec, c in zip(space.product.factors, space.counts)
     )
-    if torsion_level**hom_dim > scenario.torsion_budget:
+    if TORSION_LEVEL**hom_dim > scenario.torsion_budget:
         return _suite("weightify_torsion", 0, [])
     targets = tuple(min(c, 1) for c in space.counts)
     for _ in range(trials):
@@ -383,7 +382,7 @@ def suite_weightify_torsion(
             delta, phi, cert = weightify(psi, scenario.ambient)
         except MorphismError:
             continue
-        for level in range(1, torsion_level + 1):
+        for level in range(1, TORSION_LEVEL + 1):
             for z in torsion_enum(space, level, budget=scenario.torsion_budget):
                 if apply_morphism(psi, z).is_zero() and not apply_morphism(phi, z).is_zero():
                     failures.append(f"kernel escaped at torsion level {level}")

@@ -23,7 +23,7 @@ class RingError(ValueError):
     """Domain error raised for ill-formed ring data or mismatched elements."""
 
 
-def _fr(x) -> Fraction:
+def as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
@@ -69,7 +69,7 @@ class RingSpec:
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> "RingElement":
-        coords = tuple(_fr(c) for c in coords)
+        coords = tuple(as_fraction(c) for c in coords)
         if len(coords) != self.rank:
             raise RingError(f"element of {self.tag} needs {self.rank} coordinates")
         return RingElement(self, coords)
@@ -219,7 +219,7 @@ class RingElement:
         return RingElement(self.ring, tuple(Fraction(x, den) for x in self.ring.mul_int(a, b)))
 
     def scale(self, c) -> "RingElement":
-        c = _fr(c)
+        c = as_fraction(c)
         return RingElement(self.ring, tuple(c * a for a in self.coords))
 
     def conj(self) -> "RingElement":

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from endoapprox.exact import (
     ceil_sqrt,
-    exact_sqrt,
     floor_mul_sqrt,
     floor_nth_root,
     floor_sqrt,
@@ -26,7 +27,11 @@ def test_floor_ceil_sqrt():
 def test_sqrt_bounds_exact_for_squares():
     lo, hi = sqrt_bounds(F(49, 9))
     assert lo == hi == F(7, 3)
-    assert exact_sqrt(F(2)) is None
+    assert sqrt_bounds(F(0)) == (F(0), F(0))
+    lo, hi = sqrt_bounds(F(2))
+    assert lo < hi
+    with pytest.raises(ValueError):
+        sqrt_bounds(F(-1))
 
 
 def test_sqrt_bounds_bracket():

@@ -9,7 +9,6 @@ from fractions import Fraction as F
 import pytest
 
 from endoapprox import linalg
-from endoapprox.geomnum import combine_slot
 from endoapprox.model import ModelError, ModelSpace, apply_morphism, divide
 from endoapprox.morphisms import AmbientSpec, BlockMorphism
 from endoapprox.rings import ProductRingSpec, eisenstein_ring, quaternion_ring
@@ -186,6 +185,14 @@ def test_apply_morphism_matches_fraction_reference(rings, two_factor, mixed, den
             assert all(0 <= t < 1 for fac in y.slots for s in fac for t in s.torsion)
 
 
+def _row_morphism(space, factor, row):
+    """One row on `factor`, zero rows on the other factors."""
+    n = space.product.n_factors
+    target = tuple(int(k == factor) for k in range(n))
+    blocks = [[row] if k == factor else [] for k in range(n)]
+    return BlockMorphism(space.product, space.counts, target, blocks)
+
+
 @pytest.mark.parametrize("dens", [(5, 7, 9, 11), (4, 6, 8, 12)])
 def test_point_group_ops_and_combine_match_fraction_reference(rings, two_factor, mixed, dens):
     rng = random.Random(71)
@@ -213,7 +220,9 @@ def test_point_group_ops_and_combine_match_fraction_reference(rings, two_factor,
             assert _slot_fractions(scaled)
             for i, spec in enumerate(product.factors):
                 coeffs = [spec.element(_coords(rng, "integral", spec.rank)) for _ in x.slots[i]]
-                got = combine_slot(spec, coeffs, x.slots[i])
+                image = apply_morphism(_row_morphism(space, i, coeffs), x)
+                assert [len(fac) for fac in image.slots] == [int(k == i) for k in range(n)]
+                (got,) = image.slots[i]
                 tors, free = [F(0)] * (2 * spec.dimension), [F(0)] * spec.rank
                 for e, slot in zip(coeffs, x.slots[i]):
                     t, (f,) = ref_act(spec, e.coords, slot)

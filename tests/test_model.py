@@ -18,7 +18,7 @@ from endoapprox.model import (
     torsion_enum,
 )
 from endoapprox.morphisms import AmbientSpec, BlockMorphism
-from endoapprox.rings import ProductRingSpec, integer_ring
+from endoapprox.rings import ProductRingSpec, gaussian_ring, integer_ring
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +71,19 @@ def test_torsion_enum_counts(zspace):
     assert len(list(torsion_enum(zspace, 3))) == 81
     with pytest.raises(ResourceError):
         list(torsion_enum(zspace, 100, budget=1000))
+    # two factors with free ranks >= 1: zero free parts, torsion on the grid
+    product = ProductRingSpec((integer_ring(), gaussian_ring()))
+    space = ModelSpace(AmbientSpec(product, (2, 1)), (1, 2))
+    for n in (1, 2, 3):
+        points = list(torsion_enum(space, n))
+        assert len(points) == n ** (2 * (1 * 2 + 1 * 1))  # n^(2 sum d_i g_i)
+        assert len(set(points)) == len(points)
+        for z in points:
+            assert z.space == space
+            for i, fac in enumerate(z.slots):
+                for slot in fac:
+                    assert slot.free == space.slot(i).free
+                    assert all(0 <= t < 1 and (n * t).denominator == 1 for t in slot.torsion)
 
 
 def test_rank_of_point(zspace):

@@ -132,9 +132,11 @@ def test_finiteness_boundary_both_cases():
     assert case.ball_radius_sq == thr.eps1_lower**2 / thr.m_upper ** 2
     # case-2 inequality at the boundary: K0^2 = eps2^2 * m^(2(1/codV - eta)),
     # here m^(1/2) = 16 exactly
-    from endoapprox.exact import exact_sqrt
+    from endoapprox.exact import sqrt_bounds
 
-    assert k0_sq == thr.eps2_lower**2 * exact_sqrt(thr.m_upper)
+    lo, hi = sqrt_bounds(thr.m_upper)
+    assert lo == hi
+    assert k0_sq == thr.eps2_lower**2 * lo
     assert thr.radius_large_sq == k0_sq
 
 
