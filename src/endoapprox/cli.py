@@ -26,7 +26,7 @@ from .scenario import (
     report_envelope,
     witness_to_json,
 )
-from .thresholds import ThresholdError, finiteness_thresholds, mu_lower_bounds
+from .thresholds import ThresholdError, mu_lower_bounds
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -113,14 +113,7 @@ def cmd_thresholds(scenario: Scenario) -> dict:
             "diagnostic": "scenario lacks a variety card, an oracle, or targets",
         }
     try:
-        thr = finiteness_thresholds(
-            scenario.card,
-            scenario.oracle,
-            scenario.eta,
-            scenario.k0_sq,
-            scenario.ambient.total,
-            scenario.targets,
-        )
+        thr = scenario.thresholds()
         summary = {
             "m_upper": rat_to_json(thr.m_upper),
             "eps1_star_sq": rat_to_json(thr.eps1_star_sq),

@@ -26,12 +26,15 @@ from .approx import (
 from .exact import le_linear_sqrt
 from .geomnum import (
     GeomNumError,
+    PointConstants,
     inflate_generators,
     morphism_lower_bound_check,
     point_lower_constants,
 )
 from .ledger import op_constant_sq
+from .linalg import det, mat_mul
 from .model import (
+    GeneratorSet,
     ModelPoint,
     ModelSpace,
     apply_morphism,
@@ -47,6 +50,7 @@ from .morphisms import (
     is_weighted,
     isogeny_extension,
     rank_and_codim,
+    rationalize_block,
     weightify,
 )
 from .reduction import (
@@ -59,6 +63,7 @@ from .reduction import (
 )
 from .rings import (
     ProductRingSpec,
+    RingElement,
     RingSpec,
     lambda_min_nonzero,
     norm_equivalence_constants,
@@ -71,7 +76,7 @@ from .scenario import (
     report_envelope,
     witness_to_json,
 )
-from .thresholds import ThresholdError, finiteness_thresholds, kernel_degree
+from .thresholds import ThresholdError, kernel_degree
 
 PipelineErrors = (
     ApproxError,
@@ -162,14 +167,7 @@ def run_pipeline(scenario: Scenario) -> dict:
                     raise ThresholdError(
                         f"codimension {codim} below dim V + 1 = {scenario.card.dim_d + 1}"
                     )
-                thr = finiteness_thresholds(
-                    scenario.card,
-                    scenario.oracle,
-                    scenario.eta,
-                    scenario.k0_sq,
-                    scenario.ambient.total,
-                    scenario.targets,
-                )
+                thr = scenario.thresholds()
                 case = thr.classify(psi_left.norm_sq())
                 row["stages"].append(
                     {
@@ -232,22 +230,58 @@ def _moduli_table(scenario: Scenario, ledger, p_height: Fraction) -> list[dict]:
 # -- random data for the suites ---------------------------------------------
 
 
-def _rand_coords(rng: random.Random, rank: int, limit: int) -> list[int]:
-    return [rng.randint(-limit, limit) for _ in range(rank)]
+def _rand_element(rng, spec: RingSpec, limit: int):
+    return spec.element([rng.randint(-limit, limit) for _ in range(spec.rank)])
 
 
-def _rand_element(rng, spec: RingSpec, limit: int = 9):
-    return spec.element(_rand_coords(rng, spec.rank, limit))
-
-
-def _rand_full_rank(rng, spec: RingSpec, n: int):
-    from .linalg import det
-    from .morphisms import rationalize_block
-
+def rand_full_rank(rng, spec: RingSpec) -> list[list]:
+    """A full-rank square block of size 1 to 3 with entries in [-4, 4]."""
+    n = rng.randint(1, 3)
     while True:
         block = [[_rand_element(rng, spec, 4) for _ in range(n)] for _ in range(n)]
         if det(rationalize_block(spec, block)) != 0:
             return block
+
+
+def rand_row_morphism(rng, space: ModelSpace) -> BlockMorphism:
+    """One row on each factor that has slots, entries in [-3, 3]."""
+    targets = tuple(min(c, 1) for c in space.counts)
+    blocks = [
+        [[_rand_element(rng, spec, 3) for _ in range(space.counts[i])] for _ in range(targets[i])]
+        for i, spec in enumerate(space.product.factors)
+    ]
+    return BlockMorphism(space.product, space.counts, targets, blocks)
+
+
+def rand_dirichlet_target(rng, limit: int) -> tuple[list[Fraction], int]:
+    """1 to 3 targets, numerators in [-limit, limit] over 1 to 100, and q in 2 to 8."""
+    m = rng.randint(1, 3)
+    q = rng.randint(2, 8)
+    return [Fraction(rng.randint(-limit, limit), rng.randint(1, 100)) for _ in range(m)], q
+
+
+def rand_lower_bound_case(rng, gamma: GeneratorSet, factor: int, consts: PointConstants):
+    """A row in [-20, 20] on one factor's generators and a perturbation xi on
+    a rational grid; None for a zero row or an xi outside the eps0 ball."""
+    space = gamma.space
+    spec = space.product.factors[factor]
+    row = [_rand_element(rng, spec, 20) for _ in gamma.point.slots[factor]]
+    if all(e.is_zero() for e in row):
+        return None
+    den = rng.randint(2, 6)
+    xi_slots: list = [[] for _ in space.counts]
+    for k, spec_k in enumerate(space.product.factors):
+        for _ in range(space.counts[k]):
+            free = []
+            for _ in range(space.free_ranks[k]):
+                coeff = [Fraction(0)] * spec_k.rank
+                coeff[rng.randrange(spec_k.rank)] = Fraction(rng.randint(-den, den), den * den)
+                free.append(coeff)
+            xi_slots[k].append(space.slot(k, free=free))
+    xi = space.point(xi_slots)
+    if any(xi.slot_height(k, j) > consts.eps0_sq for k, c in enumerate(space.counts) for j in range(c)):
+        return None
+    return row, xi
 
 
 def _rand_point(rng, space: ModelSpace) -> ModelPoint:
@@ -267,6 +301,86 @@ def _rand_point(rng, space: ModelSpace) -> ModelPoint:
             fac.append(space.slot(i, torsion=torsion, free=free))
         slots.append(fac)
     return space.point(slots)
+
+
+# -- shared properties -------------------------------------------------------
+# Each check judges one case and returns a failure message, or None when the
+# case holds.  The suites below and the tests call the same checks, each with
+# its own seeds, trial counts and budgets.
+
+
+def check_norm_sandwich(a: RingElement, c0_sq: Fraction, c1_sq: Fraction) -> str | None:
+    """c0^2 |a|_inf^2 <= |a|^2 <= c1^2 |a|_inf^2, and the involution keeps |a|^2."""
+    sup = a.sup_coord()
+    n = a.norm_sq()
+    if not c0_sq * sup * sup <= n <= c1_sq * sup * sup:
+        return f"{a.ring.tag}: norm equivalence failed at {a.coords}"
+    if a.conj().norm_sq() != n:
+        return f"{a.ring.tag}: involution changed the norm at {a.coords}"
+    return None
+
+
+def check_gauss_identity(spec: RingSpec, block) -> str | None:
+    """gauss_reduce of a full-rank block gives a scale a >= 1 and a reduced
+    block with reduced * block = a I."""
+    try:
+        reduced, a = gauss_reduce(spec, block)
+    except MorphismError as err:
+        return f"{spec.tag}: gauss failed: {err}"
+    if a < 1:
+        return f"{spec.tag}: non-positive scale"
+    n = len(block)
+    for i in range(n):
+        for j in range(n):
+            acc = sum((reduced[i][p] * block[p][j] for p in range(n)), spec.zero())
+            if acc != spec.integer(a if i == j else 0):
+                return f"{spec.tag}: reduced * block != {a} I at ({i}, {j})"
+    return None
+
+
+TORSION_LEVEL = 4  # highest torsion level the kernel-inclusion check enumerates
+
+
+def check_kernel_inclusion(
+    psi: BlockMorphism, phi: BlockMorphism, space: ModelSpace, budget: int
+) -> str | None:
+    """Every torsion point of level 1 to TORSION_LEVEL that psi kills, phi kills too."""
+    for level in range(1, TORSION_LEVEL + 1):
+        for z in torsion_enum(space, level, budget=budget):
+            if apply_morphism(psi, z).is_zero() and not apply_morphism(phi, z).is_zero():
+                return f"kernel escaped at torsion level {level}"
+    return None
+
+
+def check_dirichlet(alpha: list[Fraction], q: int, budget: int) -> str | None:
+    """dirichlet_approx against the exhaustive oracle: b in [1, q^m), every
+    |alpha_i b - beta_i| <= 1/q, the least feasible b and the oracle's error at b."""
+    res = dirichlet.dirichlet_approx(alpha, q, budget=budget)
+    b, tol = res.denominator, Fraction(1, q)
+    if not 1 <= b < q ** len(alpha) or res.error > tol or any(
+        abs(a * b - beta) > tol for a, beta in zip(alpha, res.numerators)
+    ):
+        return f"contract failed at alpha={alpha} q={q}"
+    table = dirichlet.feasibility_oracle(alpha, q, budget=budget)
+    feasible = [c for c, err in table if err <= tol]
+    if not feasible or b != feasible[0]:
+        return f"not the minimal feasible denominator at alpha={alpha} q={q}"
+    if res.error != dict(table)[b]:
+        return f"error differs from the oracle's at alpha={alpha} q={q}"
+    return None
+
+
+def check_kernel_degree(spec: RingSpec, a: int, budget: int) -> str | None:
+    """kernel_degree(a) against the count of level-a torsion points that [a]
+    kills on one slot of a dimension-1 factor."""
+    single = ProductRingSpec((spec,))
+    space = ModelSpace(AmbientSpec(single, (1,)), (1,))
+    mult = BlockMorphism.scalar(single, (1,), a)
+    expected = kernel_degree(a, (1,), (1,))
+    seen = sum(1 for z in torsion_enum(space, a, budget=budget) if apply_morphism(mult, z).is_zero())
+    if expected != seen:
+        return f"kernel degree {expected} != enumerated {seen} at a={a}"
+    return None
 
 
 def _suite(name: str, trials: int, failures: list[str]) -> dict:
@@ -291,18 +405,12 @@ def suite_rings(product: ProductRingSpec, trials: int, rng: random.Random) -> di
             failures.append(f"{spec.tag}: lambda witness does not attain the minimum")
         for _ in range(trials):
             count += 1
-            a = _rand_element(rng, spec)
-            sup = a.sup_coord()
-            n = a.norm_sq()
-            if not (c0_sq * sup * sup <= n <= c1_sq * sup * sup):
-                failures.append(f"{spec.tag}: norm equivalence failed at {a.coords}")
+            a = _rand_element(rng, spec, 9)
+            failure = check_norm_sandwich(a, c0_sq, c1_sq)
+            if failure:
+                failures.append(failure)
                 continue
-            if a.conj().norm_sq() != n:
-                failures.append(f"{spec.tag}: involution changed the norm at {a.coords}")
-                continue
-            b = _rand_element(rng, spec)
-            from .linalg import mat_mul
-
+            b = _rand_element(rng, spec, 9)
             if mat_mul(spec.rho(a), spec.rho(b)) != spec.rho(a * b):
                 failures.append(f"{spec.tag}: lattice representation broke on a product")
     return _suite("rings", count, failures)
@@ -314,16 +422,9 @@ def suite_morphisms(product: ProductRingSpec, trials: int, rng: random.Random) -
     for spec in product.factors:
         for _ in range(trials):
             count += 1
-            n = rng.randint(1, 3)
-            block = _rand_full_rank(rng, spec, n)
-            try:
-                reduced, a = gauss_reduce(spec, block)
-            except MorphismError as err:
-                failures.append(f"{spec.tag}: gauss failed: {err}")
-                continue
-            # identity check is internal to gauss_reduce; re-check the scale
-            if a < 1:
-                failures.append(f"{spec.tag}: non-positive scale")
+            failure = check_gauss_identity(spec, rand_full_rank(rng, spec))
+            if failure:
+                failures.append(failure)
     # embedding + extension identities on random weighted morphisms
     for _ in range(trials):
         count += 1
@@ -350,9 +451,6 @@ def suite_morphisms(product: ProductRingSpec, trials: int, rng: random.Random) -
     return _suite("morphisms", count, failures)
 
 
-TORSION_LEVEL = 4  # highest torsion level the weightify suite enumerates
-
-
 def suite_weightify_torsion(scenario: Scenario, trials: int, rng: random.Random) -> dict:
     """Kernel inclusion through weightify, checked by torsion enumeration at
     levels 1 to TORSION_LEVEL."""
@@ -365,28 +463,19 @@ def suite_weightify_torsion(scenario: Scenario, trials: int, rng: random.Random)
     )
     if TORSION_LEVEL**hom_dim > scenario.torsion_budget:
         return _suite("weightify_torsion", 0, [])
-    targets = tuple(min(c, 1) for c in space.counts)
     for _ in range(trials):
         count += 1
-        blocks = []
-        for i, spec in enumerate(space.product.factors):
-            rows = []
-            for _ in range(targets[i]):
-                rows.append([_rand_element(rng, spec, 3) for _ in range(space.counts[i])])
-            blocks.append(rows)
-        psi = BlockMorphism(space.product, space.counts, targets, blocks)
+        psi = rand_row_morphism(rng, space)
         try:
             ranks, _ = rank_and_codim(psi, scenario.ambient)
-            if ranks != targets:
+            if ranks != psi.target:
                 continue
-            delta, phi, cert = weightify(psi, scenario.ambient)
+            _, phi, _ = weightify(psi, scenario.ambient)
         except MorphismError:
             continue
-        for level in range(1, TORSION_LEVEL + 1):
-            for z in torsion_enum(space, level, budget=scenario.torsion_budget):
-                if apply_morphism(psi, z).is_zero() and not apply_morphism(phi, z).is_zero():
-                    failures.append(f"kernel escaped at torsion level {level}")
-                    break
+        failure = check_kernel_inclusion(psi, phi, space, scenario.torsion_budget)
+        if failure:
+            failures.append(failure)
     return _suite("weightify_torsion", count, failures)
 
 
@@ -416,14 +505,7 @@ def suite_model(scenario: Scenario, trials: int, rng: random.Random) -> dict:
         if divide(x, b).int_mul(b) != x:
             failures.append("divide/multiply identity failed")
             continue
-        blocks = []
-        targets = tuple(min(c, 1) for c in space.counts)
-        for i, spec in enumerate(space.product.factors):
-            rows = []
-            for _ in range(targets[i]):
-                rows.append([_rand_element(rng, spec, 3) for _ in range(space.counts[i])])
-            blocks.append(rows)
-        phi = BlockMorphism(space.product, space.counts, targets, blocks)
+        phi = rand_row_morphism(rng, space)
         if apply_morphism(phi, x + y) != apply_morphism(phi, x) + apply_morphism(phi, y):
             failures.append("morphism additivity failed")
             continue
@@ -443,22 +525,13 @@ def suite_dirichlet(trials: int, rng: random.Random, budget: int) -> dict:
     count = 0
     for _ in range(trials):
         count += 1
-        m = rng.randint(1, 3)
-        q = rng.randint(2, 8)
-        alpha = [
-            Fraction(rng.randint(-300, 300), rng.randint(1, 100)) for _ in range(m)
-        ]
+        alpha, q = rand_dirichlet_target(rng, 300)
         try:
-            res = dirichlet.dirichlet_approx(alpha, q, budget=budget)
+            failure = check_dirichlet(alpha, q, budget)
         except dirichlet.BudgetError:
             continue
-        if not (1 <= res.denominator < q**m) or res.error > Fraction(1, q):
-            failures.append(f"contract failed at alpha={alpha} q={q}")
-            continue
-        table = dirichlet.feasibility_oracle(alpha, q, budget=budget)
-        feasible = [b for b, err in table if err <= Fraction(1, q)]
-        if not feasible or res.denominator != feasible[0]:
-            failures.append(f"not the minimal feasible denominator at alpha={alpha} q={q}")
+        if failure:
+            failures.append(failure)
     return _suite("dirichlet", count, failures)
 
 
@@ -472,8 +545,7 @@ def suite_approx(product: ProductRingSpec, trials: int, rng: random.Random, budg
         n = rng.randint(1, 2) if product.rank <= 2 else 1
         vec = []
         for _ in range(n):
-            coords = _rand_coords(rng, product.rank, 9)
-            vec.append(product.from_coords([Fraction(c) for c in coords]))
+            vec.append(product.from_coords([Fraction(rng.randint(-9, 9)) for _ in range(product.rank)]))
         if all(e.is_zero() for e in vec):
             continue
         q = q0 + rng.randint(0, 3)
@@ -514,37 +586,16 @@ def suite_geomnum(scenario: Scenario, trials: int, rng: random.Random) -> dict:
     count = 0
     if gamma.point.space.ambient.total == 0:
         return _suite("geomnum", 0, [])
-    for i, spec in enumerate(gamma.point.space.product.factors):
-        s_i = len(gamma.point.slots[i])
-        if s_i == 0:
+    for i, slots in enumerate(gamma.point.slots):
+        if not slots:
             continue
         consts = point_lower_constants(gamma.point, i)
-        space_s = gamma.space
         for _ in range(trials):
             count += 1
-            row = [_rand_element(rng, spec, 20) for _ in range(s_i)]
-            if all(e.is_zero() for e in row):
+            case = rand_lower_bound_case(rng, gamma, i, consts)
+            if case is None:
                 continue
-            # xi on a rational grid inside the eps0 ball
-            xi_slots: list = [[] for _ in space_s.counts]
-            den = rng.randint(2, 6)
-            for k, spec2 in enumerate(space_s.product.factors):
-                for _ in range(space_s.counts[k]):
-                    free = []
-                    for _ in range(space_s.free_ranks[k]):
-                        coeff = [Fraction(0)] * spec2.rank
-                        coeff[rng.randrange(spec2.rank)] = Fraction(
-                            rng.randint(-den, den), den * den
-                        )
-                        free.append(coeff)
-                    xi_slots[k].append(space_s.slot(k, free=free))
-            xi = space_s.point(xi_slots)
-            if any(
-                xi.slot_height(k, j) > consts.eps0_sq
-                for k in range(len(space_s.counts))
-                for j in range(space_s.counts[k])
-            ):
-                continue
+            row, xi = case
             try:
                 ok = morphism_lower_bound_check(gamma.point, i, row, xi, consts)
             except GeomNumError:
@@ -561,31 +612,16 @@ def suite_thresholds(scenario: Scenario) -> dict:
     for spec, g_i in zip(scenario.product.factors, scenario.space.counts):
         if spec.dimension != 1 or g_i < 1:
             continue
-        single = ProductRingSpec((spec,))
-        amb = AmbientSpec(single, (1,))
-        sp = ModelSpace(amb, (1,))
         for a in (1, 2, 3):
             count += 1
-            expected = kernel_degree(a, (1,), (1,))
-            seen = sum(
-                1
-                for z in torsion_enum(sp, a, budget=scenario.torsion_budget)
-                if apply_morphism(BlockMorphism.scalar(single, (1,), a), z).is_zero()
-            )
-            if expected != seen:
-                failures.append(f"kernel degree {expected} != enumerated {seen} at a={a}")
+            failure = check_kernel_degree(spec, a, scenario.torsion_budget)
+            if failure:
+                failures.append(failure)
         break
     if scenario.card and scenario.oracle and scenario.targets:
         count += 1
         try:
-            thr = finiteness_thresholds(
-                scenario.card,
-                scenario.oracle,
-                scenario.eta,
-                scenario.k0_sq,
-                scenario.ambient.total,
-                scenario.targets,
-            )
+            thr = scenario.thresholds()
             boundary = thr.m_upper * thr.m_upper
             case = thr.classify(boundary)
             if not case.at_boundary:

@@ -14,7 +14,7 @@ from .model import GeneratorSet, ModelPoint, ModelSpace
 from .morphisms import AmbientSpec, BlockMorphism
 from .reduction import InclusionWitness
 from .rings import ProductRingSpec, RingSpec
-from .thresholds import ConjecturalOracle, VarietyCard
+from .thresholds import ConjecturalOracle, FinitenessThresholds, VarietyCard, finiteness_thresholds
 
 SCHEMA = "endoapprox/scenario/1"
 REPORT_SCHEMA = "endoapprox/report/1"
@@ -164,8 +164,16 @@ class Scenario:
     targets: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self):
+        if self.eps_sq <= 0:
+            raise ScenarioError(f"scenario requires eps_sq > 0, got {self.eps_sq}")
         if self.k0_sq < self.eps_sq:
             raise ScenarioError("scenario requires K0^2 >= eps^2")
+
+    def thresholds(self) -> FinitenessThresholds:
+        """finiteness_thresholds at this scenario's card, oracle, eta, K0^2, ambient total and targets."""
+        return finiteness_thresholds(
+            self.card, self.oracle, self.eta, self.k0_sq, self.ambient.total, self.targets
+        )
 
     def witness(self, spec: WitnessSpec) -> InclusionWitness:
         phi = self.morphisms[spec.morphism]

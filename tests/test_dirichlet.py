@@ -4,11 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from endoapprox.dirichlet import (
+    DEFAULT_BUDGET,
     BudgetError,
     DirichletError,
     dirichlet_approx,
     feasibility_oracle,
 )
+from endoapprox.pipeline import check_dirichlet, rand_dirichlet_target
 
 
 def test_boundary_case():
@@ -60,14 +62,5 @@ def test_ties_round_to_even():
 def test_contract_against_oracle_random():
     rng = random.Random(41)
     for _ in range(150):
-        m = rng.randint(1, 3)
-        q = rng.randint(2, 8)
-        alpha = [F(rng.randint(-300, 300), rng.randint(1, 100)) for _ in range(m)]
-        res = dirichlet_approx(alpha, q)
-        assert 1 <= res.denominator < q**m
-        assert res.error <= F(1, q)
-        for a, beta in zip(alpha, res.numerators):
-            assert abs(a * res.denominator - beta) <= F(1, q)
-        table = feasibility_oracle(alpha, q)
-        feasible = [b for b, err in table if err <= F(1, q)]
-        assert feasible and res.denominator == feasible[0]
+        alpha, q = rand_dirichlet_target(rng, 300)
+        assert check_dirichlet(alpha, q, DEFAULT_BUDGET) is None

@@ -13,6 +13,7 @@ from endoapprox.geomnum import (
     point_lower_constants,
 )
 from endoapprox.model import AmbientSpec, GeneratorSet, ModelSpace
+from endoapprox.pipeline import rand_lower_bound_case
 from endoapprox.rings import ProductRingSpec, gaussian_ring, integer_ring
 
 
@@ -59,19 +60,13 @@ def test_row_check_examples(zs):
 
 
 def test_falsification_search(zs):
-    spec = zs.product.factors[0]
-    p = zs.point([[zs.slot(0, free=[[2]])]])
-    pc = point_lower_constants(p, 0)
+    gamma = GeneratorSet(zs, zs.point([[zs.slot(0, free=[[2]])]]))
+    pc = point_lower_constants(gamma.point, 0)
     rng = random.Random(53)
     for _ in range(500):
-        row = [spec.integer(rng.randint(-20, 20))]
-        if row[0].is_zero():
-            continue
-        den = rng.randint(2, 8)
-        xi = zs.point([[zs.slot(0, free=[[F(rng.randint(-den, den), den * den)]])]])
-        if xi.slot_height(0, 0) > pc.eps0_sq:
-            continue
-        assert morphism_lower_bound_check(p, 0, row, xi, pc)
+        case = rand_lower_bound_case(rng, gamma, 0, pc)
+        if case is not None:
+            assert morphism_lower_bound_check(gamma.point, 0, *case, pc)
 
 
 def test_gaussian_point_constants():

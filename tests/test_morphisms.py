@@ -17,6 +17,7 @@ from endoapprox.morphisms import (
     solve_ax_eq_by,
     weightify,
 )
+from endoapprox.pipeline import check_gauss_identity, rand_full_rank
 from endoapprox.rings import ProductRingSpec
 
 
@@ -143,22 +144,7 @@ def test_gauss_identity_random(rings, tag):
     spec = rings[tag]
     rng = random.Random(17)
     for _ in range(40):
-        n = rng.randint(1, 3)
-        while True:
-            block = [
-                [spec.element([rng.randint(-4, 4) for _ in range(spec.rank)]) for _ in range(n)]
-                for _ in range(n)
-            ]
-            if det(rationalize_block(spec, block)) != 0:
-                break
-        reduced, a = gauss_reduce(spec, block)
-        assert a >= 1
-        for i in range(n):
-            for j in range(n):
-                acc = spec.zero()
-                for p in range(n):
-                    acc = acc + reduced[i][p] * block[p][j]
-                assert acc == (spec.integer(a) if i == j else spec.zero())
+        assert check_gauss_identity(spec, rand_full_rank(rng, spec)) is None
 
 
 def test_weightify_examples(products):

@@ -45,6 +45,16 @@ def test_schema_rejected():
         scenario_from_json({"schema": "something/else"})
 
 
+@pytest.mark.parametrize("eps_sq", ["0", "-1"])
+def test_nonpositive_eps_rejected(tmp_path, scenario_paths, eps_sq):
+    data = json.loads(next(p for p in scenario_paths if p.stem == "z-basic").read_text())
+    data["parameters"]["eps_sq"] = {"num": eps_sq, "den": "1"}
+    copy = tmp_path / "z-basic.json"
+    copy.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="eps_sq"):
+        load_scenario(copy)
+
+
 def test_pipeline_ok_on_pack(scenario_paths):
     for path in scenario_paths:
         scenario = load_scenario(path)

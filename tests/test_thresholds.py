@@ -2,9 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from endoapprox.model import AmbientSpec, ModelSpace, apply_morphism, torsion_enum
-from endoapprox.morphisms import BlockMorphism
-from endoapprox.rings import ProductRingSpec, integer_ring
 from endoapprox.thresholds import (
     ConjecturalOracle,
     ThresholdError,
@@ -57,17 +54,6 @@ def test_kernel_degree_examples():
     assert kernel_degree(3, (1,), (1,)) == 9
     with pytest.raises(ThresholdError):
         kernel_degree(0, (1,), (1,))
-
-
-def test_kernel_degree_vs_enumeration():
-    pz = ProductRingSpec((integer_ring(),))
-    space = ModelSpace(AmbientSpec(pz, (1,)), (1,))
-    for a in (1, 2, 3):
-        mult = BlockMorphism.scalar(pz, (1,), a)
-        count = sum(
-            1 for z in torsion_enum(space, a) if apply_morphism(mult, z).is_zero()
-        )
-        assert count == kernel_degree(a, (1,), (1,))
 
 
 def test_mu_bounds_examples():
