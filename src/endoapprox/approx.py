@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from . import dirichlet
-from .exact import ceil_sqrt, le_linear_sqrt, round_mul_sqrt, sqrt_lower, sqrt_upper
+from .exact import ceil_sqrt, le_linear_sqrt, sqrt_lower, sqrt_upper
 from .ledger import ConstantLedger, op_constant_sq
+from .linalg import clear_denominators
 from .model import ModelPoint, apply_morphism, concat_points, divide
 from .morphisms import (
     BlockMorphism,
@@ -93,6 +95,18 @@ def _product_inner(x: ProductElement, y: ProductElement) -> Fraction:
     )
 
 
+def _round_sqrt_within(num: int, den: int, q: int) -> int | None:
+    """The nearest integer k to w = sqrt(num/den), exact ties to even, or
+    None when |w - k| > 1/q; every comparison is made on squares."""
+    f = isqrt(num // den)  # floor(w)
+    half = den * (2 * f + 1) ** 2  # 4 w^2 against (2f + 1)^2
+    if 4 * num > half or (4 * num == half and f % 2):
+        k = f + 1  # w < k: w >= k - 1/q
+        return k if num * q * q >= den * (k * q - 1) ** 2 else None
+    # f <= w: w <= f + 1/q
+    return f if num * q * q <= den * (f * q + 1) ** 2 else None
+
+
 def approx_vector(
     product: ProductRingSpec,
     elements,
@@ -104,7 +118,7 @@ def approx_vector(
 
     Scans denominators in increasing order; feasibility of each candidate
     is the per-coordinate Dirichlet bound for the target alpha/|a_bar|,
-    decided exactly by cross-multiplied comparisons against sqrt(|a_bar|^2).
+    decided exactly by integer comparisons of squares against |a_bar|^2.
     Candidates whose rounded vector is zero are skipped (the lower
     comparability conclusion needs a nonzero approximation; with the
     normalized lattices configured here the guarantee is unaffected).
@@ -125,29 +139,26 @@ def approx_vector(
     if bound - 1 > budget:
         raise dirichlet.BudgetError(f"scan of {bound - 1} denominators exceeds budget {budget}")
 
-    coords = [c for e in elements for c in e.coords()]
-    tol_sq = s / Fraction(q * q)  # (sqrt(s)/Q)^2
+    # w = c*b/sqrt(s) has w^2 = (cn^2 sd) b^2 / (cd^2 sn) over the common
+    # denominator cd of the coordinates, so beta = round(w) and the tolerance
+    # |c*b - beta*sqrt(s)| <= sqrt(s)/q, i.e. |w - beta| <= 1/q, are decided
+    # on integers
+    nums, cd = clear_denominators([c for e in elements for c in e.coords()])
+    w_den = cd * cd * s.numerator
+    w_nums = [n * n * s.denominator for n in nums]
 
     chosen = None
     for b in range(1, bound):
         betas = []
-        ok = True
-        for c in coords:
-            beta = round_mul_sqrt(Fraction(c, 1) * b / s, s) if c else 0
-            # |c*b - beta*sqrt(s)|^2 <= s/q^2, i.e.
-            # c^2 b^2 + beta^2 s - s/q^2 <= 2 c b beta sqrt(s)
-            u = c * c * b * b + Fraction(beta * beta) * s - tol_sq
-            v = 2 * c * b * Fraction(beta)
-            if not le_linear_sqrt(u, v, s):
-                ok = False
+        for n, w_num in zip(nums, w_nums):
+            k = _round_sqrt_within(w_num * b * b, w_den, q) if n else 0
+            if k is None:
                 break
-            betas.append(beta)
-        if not ok:
-            continue
-        if all(x == 0 for x in betas):
-            continue
-        chosen = (b, betas)
-        break
+            betas.append(k if n > 0 else -k)
+        else:
+            if any(betas):
+                chosen = (b, betas)
+                break
     if chosen is None:
         raise ApproxError("no feasible denominator with nonzero approximation below Q^(nt)")
 

@@ -19,6 +19,7 @@ from .pipeline import PipelineErrors, run_pipeline, run_property_suites
 from .reduction import gamma_embed, point_project, translate_witness
 from .scenario import (
     Scenario,
+    ScenarioError,
     dump_report,
     load_scenario,
     morphism_to_json,
@@ -183,7 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    scenario = load_scenario(args.scenario)
+    try:
+        scenario = load_scenario(args.scenario)
+    except (ScenarioError, FileNotFoundError) as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     if args.budget is not None:
         scenario.budget = args.budget
     if args.seed is not None:

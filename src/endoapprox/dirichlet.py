@@ -5,12 +5,20 @@ For rational targets alpha and an integer Q >= 2 the classical box
 argument guarantees some denominator 1 <= b < Q**m with every
 |alpha_i * b - beta_i| <= 1/Q; the exhaustive scan returns the smallest
 such b.  Rounding ties (alpha_i * b exactly half-integral) go to even.
+
+Both scans run on integers: the targets are cleared to numerators n_i over
+one common denominator D, so alpha_i * b lies within r/D of an integer,
+r = min(n_i * b mod D, D - (n_i * b mod D)), and b = D is always exact.
+The least feasible b is therefore at most D, and the scan stops at
+min(Q**m - 1, D).  `Fraction` appears only in the returned errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .linalg import clear_denominators
 
 
 class DirichletError(ValueError):
@@ -36,43 +44,49 @@ class ApproxResult:
             raise DirichletError("denominator outside the guaranteed range")
 
 
-def _round_half_even(x: Fraction) -> int:
-    # Fraction.__round__ implements round-half-to-even
-    return round(x)
-
-
-def _attempt(alpha: list[Fraction], b: int, tol: Fraction) -> tuple[tuple[int, ...], Fraction] | None:
-    nums = []
-    worst = Fraction(0)
-    for a in alpha:
-        scaled = a * b
-        beta = _round_half_even(scaled)
-        err = abs(scaled - beta)
-        if err > tol:
-            return None
-        if err > worst:
-            worst = err
-        nums.append(beta)
-    return tuple(nums), worst
-
-
-def dirichlet_approx(alpha, q: int, budget: int = DEFAULT_BUDGET) -> ApproxResult:
-    """Smallest denominator b with max_i |alpha_i*b - beta_i| <= 1/q."""
+def _cleared(alpha, q: int) -> tuple[list[int], int]:
+    """The targets as (numerators, common denominator D)."""
     alpha = [Fraction(a) for a in alpha]
     if not alpha:
         raise DirichletError("empty target vector")
     if q < 2:
         raise DirichletError("modulus must be at least 2")
-    m = len(alpha)
-    bound = q**m
-    if bound - 1 > budget:
-        raise BudgetError(f"scan of {bound - 1} denominators exceeds budget {budget}")
-    tol = Fraction(1, q)
-    for b in range(1, bound):
-        hit = _attempt(alpha, b, tol)
-        if hit is not None:
-            nums, err = hit
-            return ApproxResult(denominator=b, numerators=nums, error=err, bound=bound)
+    return clear_denominators(alpha)
+
+
+def _round_div(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer for d > 0; exact ties go to even."""
+    t, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and t % 2):
+        t += 1
+    return t
+
+
+def dirichlet_approx(alpha, q: int, budget: int = DEFAULT_BUDGET) -> ApproxResult:
+    """Smallest denominator b with max_i |alpha_i*b - beta_i| <= 1/q."""
+    nums, den = _cleared(alpha, q)
+    bound = q ** len(nums)
+    last = min(bound - 1, den)
+    if last > budget:
+        raise BudgetError(f"scan of {last} denominators exceeds budget {budget}")
+    # integral targets meet every tolerance; the others are kept as residues
+    active = [n % den for n in nums if n % den]
+    # q * min(r, D - r) <= D  <=>  r <= D // q  or  r >= D - D // q
+    lo = den // q
+    hi = den - lo
+    for b in range(1, last + 1):
+        for n in active:
+            if lo < n * b % den < hi:
+                break
+        else:
+            residues = [n * b % den for n in active]
+            worst = max((min(r, den - r) for r in residues), default=0)
+            return ApproxResult(
+                denominator=b,
+                numerators=tuple(_round_div(n * b, den) for n in nums),
+                error=Fraction(worst, den),
+                bound=bound,
+            )
     raise AssertionError("box principle violated; unreachable for q >= 2")
 
 
@@ -82,21 +96,12 @@ def feasibility_oracle(alpha, q: int, budget: int = DEFAULT_BUDGET) -> list[tupl
     Independent provenance source: best error per b is computed directly,
     with no reference to the tolerance test used by dirichlet_approx.
     """
-    alpha = [Fraction(a) for a in alpha]
-    if not alpha:
-        raise DirichletError("empty target vector")
-    if q < 2:
-        raise DirichletError("modulus must be at least 2")
-    bound = q ** len(alpha)
+    nums, den = _cleared(alpha, q)
+    bound = q ** len(nums)
     if bound - 1 > budget:
         raise BudgetError(f"table of {bound - 1} rows exceeds budget {budget}")
     table = []
     for b in range(1, bound):
-        worst = Fraction(0)
-        for a in alpha:
-            scaled = a * b
-            err = abs(scaled - _round_half_even(scaled))
-            if err > worst:
-                worst = err
-        table.append((b, worst))
+        worst = max(min(r, den - r) for r in (n * b % den for n in nums))
+        table.append((b, Fraction(worst, den)))
     return table

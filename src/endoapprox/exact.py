@@ -111,8 +111,8 @@ def pow_upper(x: Fraction, e: Fraction) -> Fraction:
 
 # -- quadratic surds -------------------------------------------------------
 #
-# All comparisons below decide predicates about u + v*sqrt(s) exactly,
-# with u, v, s rational and s >= 0.
+# u <= v*sqrt(s) is decided exactly, with u, v, s rational and s >= 0,
+# by sign analysis and squaring.
 
 
 def le_linear_sqrt(u: Fraction, v: Fraction, s: Fraction) -> bool:
@@ -127,39 +127,3 @@ def le_linear_sqrt(u: Fraction, v: Fraction, s: Fraction) -> bool:
     if u > 0:
         return False
     return u * u >= v * v * s
-
-
-def floor_mul_sqrt(c: Fraction, s: Fraction) -> int:
-    """floor(c*sqrt(s)) for rational c and s >= 0."""
-    if s < 0:
-        raise ValueError("negative radicand")
-    if c == 0 or s == 0:
-        return 0
-    if c > 0:
-        return floor_sqrt(c * c * s)
-    # floor(-x) = -ceil(x)
-    return -ceil_sqrt(c * c * s)
-
-
-def round_mul_sqrt(c: Fraction, s: Fraction) -> int:
-    """Nearest integer to c*sqrt(s); exact half-integer ties go to even."""
-    f = floor_mul_sqrt(c, s)
-    # compare c*sqrt(s) - f against 1/2, i.e. 2*c*sqrt(s) against 2f + 1
-    half = Fraction(2 * f + 1)
-    if surd_eq(half, -2 * c, s):
-        # exact tie: round to even
-        return f if f % 2 == 0 else f + 1
-    # round up iff 2c*sqrt(s) > 2f + 1; ties were handled above
-    return f + 1 if le_linear_sqrt(half, 2 * c, s) else f
-
-
-def surd_eq(u: Fraction, v: Fraction, s: Fraction) -> bool:
-    """Decide u + v*sqrt(s) == 0 exactly."""
-    if v == 0:
-        return u == 0
-    if s == 0:
-        return u == 0
-    # u = -v*sqrt(s) forces opposite signs and u^2 == v^2 s
-    if (u > 0) == (v > 0):
-        return False
-    return u * u == v * v * s

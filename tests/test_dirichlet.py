@@ -48,8 +48,25 @@ def test_oracle_table_examples():
 
 
 def test_budget_error():
+    # both scan limits exceed the budget: D - 1 = 1009 * 1013 - 1 and q^m - 1 = 9999
     with pytest.raises(BudgetError):
-        dirichlet_approx([F(1, 3)] * 3, 8, budget=100)
+        dirichlet_approx([F(1, 1009), F(2, 1013)], 100, budget=100)
+
+
+def test_scan_bounded_by_common_denominator():
+    # q^m = 46^6 is about 9.5e9 candidates, but b = D = 10007 is exact, so
+    # the scan stops at D; minimality and tolerance are checked on integers
+    rng = random.Random(10007)
+    den, q = 10007, 46
+    nums = [rng.randint(1, den - 1) for _ in range(6)]
+    res = dirichlet_approx([F(n, den) for n in nums], q, budget=500_000)
+    b = res.denominator
+    assert 1 <= b <= den and res.bound == q**6
+    for n, beta in zip(nums, res.numerators):
+        assert q * abs(n * b - beta * den) <= den
+    assert res.error == max(abs(F(n * b, den) - beta) for n, beta in zip(nums, res.numerators))
+    for c in range(1, b):
+        assert any(q * min(n * c % den, den - n * c % den) > den for n in nums)
 
 
 def test_ties_round_to_even():

@@ -5,14 +5,11 @@ import pytest
 
 from endoapprox.exact import (
     ceil_sqrt,
-    floor_mul_sqrt,
     floor_nth_root,
     floor_sqrt,
     le_linear_sqrt,
     pow_bounds,
-    round_mul_sqrt,
     sqrt_bounds,
-    surd_eq,
 )
 
 
@@ -80,29 +77,15 @@ def test_surd_comparisons():
     assert not le_linear_sqrt(F(3, 2), F(1), F(2))  # 1.5 > sqrt(2)
     assert le_linear_sqrt(F(-5), F(-3), F(2))  # -5 <= -3 sqrt(2)
     assert not le_linear_sqrt(F(1), F(-1), F(2))
-    assert surd_eq(F(-2), F(1), F(4))
-    assert not surd_eq(F(-2), F(1), F(5))
 
 
-def test_floor_round_mul_sqrt():
-    # floor(3 sqrt(2)) = 4, round(3 sqrt(2)) = 4
-    assert floor_mul_sqrt(F(3), F(2)) == 4
-    assert round_mul_sqrt(F(3), F(2)) == 4
-    # floor(-3 sqrt(2)) = -5
-    assert floor_mul_sqrt(F(-3), F(2)) == -5
-    assert round_mul_sqrt(F(-3), F(2)) == -4
-    # rational square root: ties round to even
-    assert round_mul_sqrt(F(1, 2), F(1)) == 0
-    assert round_mul_sqrt(F(3, 2), F(1)) == 2
-    assert round_mul_sqrt(F(5, 2), F(9)) == 8  # 7.5 -> 8
-
-
-def test_round_mul_sqrt_against_floats():
+def test_le_linear_sqrt_sandwich():
     rng = random.Random(3)
     for _ in range(300):
         c = F(rng.randint(-400, 400), rng.randint(1, 40))
         s = F(rng.randint(0, 400), rng.randint(1, 40))
-        got = floor_mul_sqrt(c, s)
+        # floor(c sqrt(s)) from the integer square roots of c^2 s
+        got = floor_sqrt(c * c * s) if c >= 0 else -ceil_sqrt(c * c * s)
         x = float(c) * float(s) ** 0.5
         assert abs(got - x) < 1.001  # floor is within 1 of the real value
         # exact sandwich: got <= c sqrt(s) < got + 1

@@ -1,0 +1,153 @@
+"""Differential tests: the integer-residue scans of `dirichlet_approx`,
+`feasibility_oracle` and `approx_vector` against Fraction references
+written here. The references round and compare as the Fraction scans did:
+round-half-even of alpha_i * b with the tolerance |alpha_i b - beta_i| <= 1/q,
+and, for the direction scan, the nearest integer to c*b/sqrt(s) with the
+tolerance decided on u <= v*sqrt(s)."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from endoapprox.approx import approx_vector, derive_ledger
+from endoapprox.dirichlet import dirichlet_approx, feasibility_oracle
+from endoapprox.exact import ceil_sqrt, floor_sqrt, le_linear_sqrt
+from endoapprox.rings import ProductRingSpec
+
+
+def ref_dirichlet(alpha, q):
+    """(b, numerators, error) at the least feasible b < q^m."""
+    tol = F(1, q)
+    for b in range(1, q ** len(alpha)):
+        nums, worst = [], F(0)
+        for a in alpha:
+            scaled = a * b
+            beta = round(scaled)  # Fraction rounds exact halves to even
+            err = abs(scaled - beta)
+            if err > tol:
+                break
+            worst = max(worst, err)
+            nums.append(beta)
+        else:
+            return b, tuple(nums), worst
+    return None
+
+
+def ref_oracle(alpha, q):
+    return [(b, max(abs(a * b - round(a * b)) for a in alpha)) for b in range(1, q ** len(alpha))]
+
+
+def ref_round_mul_sqrt(c, s):
+    """Nearest integer to c*sqrt(s), exact ties to even, decided on surds."""
+    if c == 0 or s == 0:
+        return 0
+    f = floor_sqrt(c * c * s) if c > 0 else -ceil_sqrt(c * c * s)
+    half = F(2 * f + 1)
+    # a tie is 2f + 1 == 2c*sqrt(s): equal signs and equal squares
+    if (half > 0) == (c > 0) and half * half == 4 * c * c * s:
+        return f if f % 2 == 0 else f + 1
+    return f + 1 if le_linear_sqrt(half, 2 * c, s) else f
+
+
+def ref_vector_scan(elements, q, bound):
+    """(b, betas) at the least b < bound whose nonzero betas meet
+    |c*b - beta*sqrt(s)| <= sqrt(s)/q in every coordinate."""
+    s = max(e.norm_sq() for e in elements)
+    coords = [c for e in elements for c in e.coords()]
+    for b in range(1, bound):
+        betas = []
+        for c in coords:
+            beta = ref_round_mul_sqrt(c * b / s, s) if c else 0
+            # c^2 b^2 + beta^2 s - s/q^2 <= 2 c b beta sqrt(s)
+            u = c * c * b * b + beta * beta * s - s / (q * q)
+            if not le_linear_sqrt(u, 2 * c * b * beta, s):
+                break
+            betas.append(beta)
+        else:
+            if any(betas):
+                return b, betas
+    return None
+
+
+def _rand_target(rng):
+    """1 to 3 coordinates, each integral, an exact half or a rational, signs mixed."""
+    alpha = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            alpha.append(F(rng.randint(-20, 20)))
+        elif kind == 1:
+            alpha.append(F(2 * rng.randint(-10, 10) + 1, 2))
+        else:
+            alpha.append(F(rng.randint(-500, 500), rng.randint(2, 120)))
+    return alpha, rng.randint(2, 8)
+
+
+def _got(res):
+    return res.denominator, res.numerators, res.error
+
+
+def test_rational_scan_and_oracle_match_reference():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        alpha, q = _rand_target(rng)
+        res = dirichlet_approx(alpha, q)
+        assert _got(res) == ref_dirichlet(alpha, q), (alpha, q)
+        assert res.bound == q ** len(alpha)
+        assert feasibility_oracle(alpha, q) == ref_oracle(alpha, q), (alpha, q)
+
+
+@pytest.mark.parametrize("alpha, expected", [
+    ([F(3, 2), F(5, 2)], (1, (2, 2), F(1, 2))),
+    ([F(-3, 2), F(5, 2)], (1, (-2, 2), F(1, 2))),
+    ([F(1, 2), F(7)], (1, (0, 7), F(1, 2))),
+])
+def test_rational_half_ties(alpha, expected):
+    # at q = 2 an exact half is within the closed tolerance, and rounds to even
+    assert _got(dirichlet_approx(alpha, 2)) == expected == ref_dirichlet(alpha, 2)
+    assert feasibility_oracle(alpha, 2) == ref_oracle(alpha, 2)
+
+
+def _vector_case(rings, tag, coords):
+    spec = rings[tag]
+    product = ProductRingSpec((spec,))
+    elements = [product.from_coords([F(c) for c in part]) for part in coords]
+    return product, elements
+
+
+def _check_vector(product, elements, q, ledger=None):
+    va = approx_vector(product, elements, q, ledger=ledger)
+    got = (va.denominator, [int(c) for e in va.approximation for c in e.coords()])
+    assert got == tuple(ref_vector_scan(elements, q, va.bound)), (elements, q)
+    return got
+
+
+@pytest.mark.parametrize("coords", [[[1], [2]], [[-1], [2]], [[F(1, 2)], [-1]]])
+def test_vector_half_tie_on_square_norm(rings, coords):
+    # over Z, s = max c_i^2 is a square and c_1 b / sqrt(s) = +-1/2 at b = 1:
+    # the tie rounds to 0 (even), within 1/2 of it at q = 2
+    product, elements = _vector_case(rings, "Z", coords)
+    b, betas = _check_vector(product, elements, 2)
+    assert b == 1 and betas[0] == 0 and abs(betas[1]) == 1
+
+
+@pytest.mark.parametrize("tag", ["Z", "Zi", "Zw", "Hq"])
+def test_vector_scan_matches_reference(rings, tag):
+    spec = rings[tag]
+    product = ProductRingSpec((spec,))
+    ledger = derive_ledger(product)
+    q0 = int(ledger.value("Q0"))
+    rng = random.Random("vector-" + tag)
+    checked = 0
+    for k in range(60):
+        n = 1 if spec.rank > 2 else rng.randint(1, 2)
+        elements = [
+            product.from_coords([F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3))) for _ in range(spec.rank)])
+            for _ in range(n)
+        ]
+        if all(e.is_zero() for e in elements):
+            continue
+        _check_vector(product, elements, q0 + k % 4, ledger)
+        checked += 1
+    assert checked >= 50

@@ -133,3 +133,33 @@ def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths):
     report = json.loads(out.read_text())
     assert not report["ok"]
     assert any("diagnostic" in row for row in report["witnesses"])
+
+
+def _z_basic_copy(tmp_path, scenario_paths, **params):
+    data = json.loads(next(p for p in scenario_paths if p.stem == "z-basic").read_text())
+    data["parameters"].update(params)
+    copy = tmp_path / "z-basic.json"
+    copy.write_text(json.dumps(data))
+    return copy
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"eps_sq": {"num": "0", "den": "1"}}, "ScenarioError: scenario requires eps_sq > 0"),
+    ({"eps_sq": {"num": "2", "den": "1"}, "k0_sq": {"num": "1", "den": "1"}},
+     "ScenarioError: scenario requires K0^2 >= eps^2"),
+], ids=["eps-zero", "k0-below-eps"])
+def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, params, message):
+    path = _z_basic_copy(tmp_path, scenario_paths, **params)
+    assert main(["pipeline", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+def test_cli_names_missing_scenario(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert main(["pipeline", "--scenario", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("FileNotFoundError: ") and str(missing) in captured.err
+    assert captured.err.count("\n") == 1
