@@ -2,7 +2,8 @@
 
 Matrices are lists of lists of Fraction.  Everything here is dense and
 small (ranks up to a few dozen), so plain Gaussian elimination is plenty;
-determinants clear denominators and run fraction-free in integers.
+determinants and definiteness tests clear denominators and run
+fraction-free in integers.
 """
 
 from __future__ import annotations
@@ -148,83 +149,43 @@ def adjugate_int(a: list[list[int]]) -> tuple[list[list[int]], int]:
     return adj, _det_int(a)
 
 
-def charpoly(a: Matrix) -> list[Fraction]:
-    """Characteristic polynomial of a square matrix, coefficients low->high.
+def _definite(a: list[list[int]], strict: bool) -> bool:
+    """Whether the symmetric integer matrix a is positive-definite (strict)
+    or positive-semidefinite.
 
-    Faddeev-LeVerrier: exact over the rationals, monic of degree n.
+    Fraction-free symmetric elimination without row swaps: each pivot is a
+    leading principal minor of the rows kept so far, so every division is
+    exact (Bareiss).  A negative pivot means no; a zero pivot is allowed only
+    when not strict and the rest of its column is zero, and that row and
+    column are then dropped.
     """
+    m = [list(row) for row in a]
+    n, prev = len(m), 1
+    for c in range(n):
+        p, pivot_row = m[c][c], m[c]
+        if p == 0 and not strict and not any(pivot_row[c + 1 :]):
+            continue
+        if p <= 0:
+            return False
+        for i in range(c + 1, n):
+            row, f = m[i], m[i][c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+        prev = p
+    return True
+
+
+def _integer_matrix(a: Matrix) -> tuple[list[list[int]], int]:
+    """(A, L) with A == L * a an integer square matrix, L the lcm of the
+    entry denominators."""
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        tr = sum((m[i][i] for i in range(n)), Fraction(0))
-        c = -tr / k
-        coeffs[n - k] = c
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
+    nums, den = clear_denominators([x for row in a for x in row])
+    return [nums[i * n : (i + 1) * n] for i in range(n)], den
 
 
-# -- polynomial helpers for Sturm root isolation ---------------------------
-
-
-def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
-def poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [c * k for k, c in enumerate(p)][1:] or [Fraction(0)]
-
-
-def poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """(q, r) with a == q*b + r and deg r < deg b, for nonzero b."""
-    b = poly_trim(b)
-    r = poly_trim(a[:])
-    q = [Fraction(0)] * max(len(r) - len(b) + 1, 1)
-    while len(r) >= len(b) and r[-1] != 0:
-        k = len(r) - len(b)
-        f = r[-1] / b[-1]
-        q[k] = f
-        for i, c in enumerate(b):
-            r[k + i] -= f * c
-        r = poly_trim(r[:-1]) if len(r) > 1 else [Fraction(0)]
-    return q, r
-
-
-def poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = poly_trim(a), poly_trim(b)
-    while any(c != 0 for c in b):
-        a, b = b, poly_divmod(a, b)[1]
-    if a[-1] != 0:
-        a = [c / a[-1] for c in a]
-    return a
-
-
-def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [poly_trim(p), poly_trim(poly_deriv(p))]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        r = poly_divmod(chain[-2], chain[-1])[1]
-        if all(c == 0 for c in r):
-            break
-        chain.append([-c for c in r])
-    return chain
-
-
-def _sign_changes(values) -> int:
-    signs = [v > 0 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def positive_definite(g: Matrix) -> bool:
+    """Whether the symmetric rational matrix g is positive-definite."""
+    return _definite(_integer_matrix(g)[0], True)
 
 
 _BISECTION_STEPS = 64
@@ -235,43 +196,40 @@ def min_eigenvalue_lower(g: Matrix) -> Fraction:
     positive-definite rational matrix; ArithmeticError if it is not
     positive-definite.
 
-    One Sturm chain of the square-free characteristic polynomial drives a
-    bisection of (0, min diagonal] that keeps no root in (0, lo] and at
-    least one in (lo, hi].  Every rational root is a multiple of 1/L, L the
-    lcm of the coefficient denominators, so once hi - lo < 1/L the only
-    possible rational least eigenvalue is floor(hi*L)/L; it is returned when
-    it is one, else lo after at least 64 steps and lo > 0.
+    A bisection of (0, min diagonal] keeps G - lo*I positive-definite and
+    G - hi*I not.  L*G is an integer matrix, L the lcm of the entry
+    denominators, so every rational eigenvalue is a multiple of 1/L; once
+    hi - lo < 1/L the only possible rational least eigenvalue is
+    floor(hi*L)/L.  It is returned when it is one, else lo after at least 64
+    steps and lo > 0.
     """
     n = len(g)
     if n == 0:
         raise ValueError("empty matrix")
-    p = charpoly(g)
-    den = lcm(*(c.denominator for c in p))
-    chain = sturm_chain(poly_divmod(p, poly_gcd(p, poly_deriv(p)))[0])
-    at_zero = _sign_changes(q[0] for q in chain)
+    a, den = _integer_matrix(g)
 
-    def roots_upto(x: Fraction) -> int:
-        """Distinct roots in (0, x]."""
-        return at_zero - _sign_changes(poly_eval(q, x) for q in chain)
+    def shifted(x: Fraction) -> list[list[int]]:
+        """q*L*(G - x*I) for x = p/q."""
+        p, q = x.numerator * den, x.denominator
+        return [[q * v - p if i == j else q * v for j, v in enumerate(row)] for i, row in enumerate(a)]
 
-    lo, hi = Fraction(0), min(g[i][i] for i in range(n))  # lambda_min <= min diagonal
-    # no root in (-inf, 0], and the root the bisection converges to in (0, hi]
-    at_minus_inf = _sign_changes(q[-1] if len(q) % 2 else -q[-1] for q in chain)
-    if at_minus_inf != at_zero or roots_upto(hi) == 0:
+    if not _definite(a, True):
         raise ArithmeticError("matrix is not positive-definite")
+    lo, hi = Fraction(0), min(g[i][i] for i in range(n))  # lambda_min <= min diagonal
     steps, lo_stop, tested = 0, None, False
     while lo_stop is None or not tested:
         if not tested and (hi - lo) * den < 1:
             tested = True
             k = Fraction(floor(hi * den), den)
-            if k > lo and poly_eval(p, k) == 0 and roots_upto(k) == 1:
+            at_k = shifted(k)
+            if _definite(at_k, False) and not _definite(at_k, True):
                 return k
             continue
         mid = (lo + hi) / 2
-        if roots_upto(mid) >= 1:
-            hi = mid
-        else:
+        if _definite(shifted(mid), True):
             lo = mid
+        else:
+            hi = mid
         steps += 1
         if lo_stop is None and lo > 0 and steps >= _BISECTION_STEPS:
             lo_stop = lo

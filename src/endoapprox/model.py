@@ -278,12 +278,6 @@ def divide(y: ModelPoint, b: int) -> ModelPoint:
     return ModelPoint(y.space, slots)
 
 
-def in_ball(x: ModelPoint, eps_sq: Fraction) -> bool:
-    if eps_sq < 0:
-        raise ModelError("ball radius must be non-negative")
-    return x.height() <= eps_sq
-
-
 def torsion_enum(space: ModelSpace, n: int, budget: int = 100_000):
     """All points with zero free part and torsion coordinates in (1/n)Z mod 1.
 

@@ -111,10 +111,8 @@ class RingSpec:
             for j in range(t):
                 if g[i][j] != g[j][i]:
                     raise RingError(f"{self.tag}: gram form is not symmetric")
-        for k in range(1, t + 1):
-            minor = [row[:k] for row in g[:k]]
-            if linalg.det(minor) <= 0:
-                raise RingError(f"{self.tag}: gram form is not positive-definite")
+        if not linalg.positive_definite(g):
+            raise RingError(f"{self.tag}: gram form is not positive-definite")
         # lattice representation: unital ring homomorphism, faithful
         rho = [self.rho(b) for b in basis]
         if self.rho(one) != linalg.identity(2 * self.dimension):
@@ -366,9 +364,6 @@ class ProductRingSpec:
         parts = [f.zero() for f in self.factors]
         parts[index] = a
         return ProductElement(self, tuple(parts))
-
-    def diagonal_int(self, n: int) -> "ProductElement":
-        return ProductElement(self, tuple(f.integer(n) for f in self.factors))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .model import GeneratorSet, ModelPoint, ModelSpace
+from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators
 from .morphisms import AmbientSpec, BlockMorphism
 from .reduction import InclusionWitness
 from .rings import ProductRingSpec, RingSpec
@@ -210,9 +210,7 @@ def scenario_from_json(data) -> Scenario:
 
     gamma_obj = data.get("gamma")
     if gamma_obj is None:
-        gamma_counts = tuple(0 for _ in counts)
-        gspace = space.with_counts(gamma_counts)
-        gamma = GeneratorSet(gspace, gspace.zero())
+        gamma = empty_generators(space)
     else:
         gpoint = point_from_json(space, gamma_obj)
         gamma = GeneratorSet(gpoint.space, gpoint)

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from endoapprox import linalg
+from endoapprox import linalg, model, morphisms, rings
 
 
 def test_rank_det_solve():
@@ -25,11 +26,8 @@ def test_adjugate_int():
     assert prod == [[F(5), F(0)], [F(0), F(5)]]
 
 
-def test_charpoly_and_eigen_lower():
+def test_eigen_lower():
     eye = linalg.identity(3)
-    p = linalg.charpoly(eye)
-    # (x-1)^3 = -1 + 3x - 3x^2 + x^3
-    assert p == [F(-1), F(3), F(-3), F(1)]
     assert linalg.min_eigenvalue_lower(eye) == 1
     assert linalg.min_eigenvalue_lower(linalg.mat([[2, 0], [0, 3]])) == 2
     assert linalg.min_eigenvalue_lower(linalg.mat([[7]])) == 7
@@ -74,3 +72,72 @@ def test_eigen_lower_is_valid_quadratic_bound():
             quad = sum(v[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
             norm2 = sum(x * x for x in v)
             assert quad >= lb * norm2
+
+
+def test_definite_zero_pivots():
+    # [[3,1,1],[1,3,1],[1,1,3]] has eigenvalues 2, 2, 5: G - 2I is all ones,
+    # whose second and third pivots are zero with zero columns
+    g = linalg.mat([[3, 1, 1], [1, 3, 1], [1, 1, 3]])
+    ones = [[1] * 3 for _ in range(3)]
+    assert linalg._definite(ones, False) and not linalg._definite(ones, True)
+    assert linalg.min_eigenvalue_lower(g) == 2
+    # [[2,1],[1,2]] shifted by 2: a zero pivot with a nonzero column
+    assert not linalg._definite([[0, 1], [1, 0]], False)
+    assert linalg.min_eigenvalue_lower(linalg.mat([[2, 1], [1, 2]])) == 1
+
+
+def _orbit_grams(tag: str, count: int, seed: int):
+    """Orbit Gram matrices of random 2-slot free generator points over one
+    reference ring, drawn as the benchmark's generators workload draws them."""
+    rng = random.Random(seed)
+    spec = rings.reference_rings()[tag]
+    space = model.ModelSpace(morphisms.AmbientSpec(rings.ProductRingSpec((spec,)), (2,)), (2,))
+    out = []
+    while len(out) < count:
+        free = [[[rng.randint(-2, 2) for _ in range(spec.rank)] for _ in range(2)] for _ in range(2)]
+        point = space.point([[space.slot(0, free=f) for f in free]])
+        try:
+            model.GeneratorSet(space, point)
+        except model.ModelError:
+            continue  # not free: draw again
+        orbit = [v for slot in point.slots[0] for v in model.slot_orbit(spec, slot)]
+        out.append([[model.free_inner(spec, u, v) for v in orbit] for u in orbit])
+    return out
+
+
+def _pinned_matrices():
+    """Seeded symmetric positive-definite matrices of sizes 1-8: integer
+    B^T B + I, rational B^T B + D, aI + cJ (least eigenvalue a, repeated)
+    and 8x8 orbit Gram matrices over Hq."""
+    rng = random.Random(2024)
+    out = []
+    for n in range(1, 9):
+        for _ in range(13):
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            out.append(
+                [[F(sum(b[k][i] * b[k][j] for k in range(n)) + (i == j)) for j in range(n)] for i in range(n)]
+            )
+            b = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            d = [F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)]
+            out.append(
+                [
+                    [sum((b[k][i] * b[k][j] for k in range(n)), F(0)) + (d[i] if i == j else 0) for j in range(n)]
+                    for i in range(n)
+                ]
+            )
+            a, c = F(rng.randint(1, 30), rng.randint(1, 7)), F(rng.randint(0, 30), rng.randint(1, 7))
+            out.append([[a * (i == j) + c for j in range(n)] for i in range(n)])
+    return out + _orbit_grams("Hq", 3, 7)
+
+
+# sha256 of repr() of the bounds on _pinned_matrices(); recorded from the
+# characteristic-polynomial (Sturm chain) search, which the definiteness
+# bisection must match exactly
+PINNED_BOUNDS_DIGEST = "6202da2f39789425966e3f3e30df5152acb7393f3e2b2ac8f1e16bca11d852c3"
+
+
+def test_eigen_lower_pinned_outputs():
+    mats = _pinned_matrices()
+    assert len(mats) >= 300 and {len(g) for g in mats} == set(range(1, 9))
+    bounds = [linalg.min_eigenvalue_lower(g) for g in mats]
+    assert hashlib.sha256(repr(bounds).encode()).hexdigest() == PINNED_BOUNDS_DIGEST

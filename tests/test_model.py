@@ -13,7 +13,6 @@ from endoapprox.model import (
     apply_morphism,
     concat_points,
     divide,
-    in_ball,
     rank_of_point,
     torsion_enum,
 )
@@ -95,14 +94,6 @@ def test_rank_of_point(zspace):
     assert rank_of_point(unit) == (1,)
     dependent = concat_points(unit, unit.int_mul(2))
     assert rank_of_point(dependent) == (1,)
-
-
-def test_in_ball(zspace):
-    t = zspace.point([[zspace.slot(0, torsion=[F(1, 2), 0]), zspace.slot(0)]])
-    assert in_ball(t, F(0))
-    x = zspace.point([[zspace.slot(0, free=[[1]]), zspace.slot(0, free=[[1]])]])
-    assert not in_ball(x.int_mul(2), F(1))  # h = 4 > 1
-    assert in_ball(x, F(1))  # boundary: closed ball
 
 
 def test_group_laws_and_triangle(zspace):

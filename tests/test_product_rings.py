@@ -34,7 +34,6 @@ def test_product_element_arithmetic(mixed):
     assert x.sup_coord() == 3
     y = mixed.embed(1, mixed.factors[1].element([0, 1]))
     assert (x + y).coords() == [F(3), F(1), F(3)]
-    assert mixed.diagonal_int(2).coords() == [F(2), F(2), F(0)]
 
 
 def test_product_vector_approximation(mixed):

@@ -110,8 +110,9 @@ def test_invalid_mul_table_rejected():
 
 
 def test_gram_must_be_positive_definite():
-    with pytest.raises(RingError):
-        _scaled_gram_ring("neg", [[1, 2], [2, 1]])
+    for bad in ([[1, 2], [2, 1]], [[1, 1], [1, 1]]):  # indefinite, singular
+        with pytest.raises(RingError):
+            _scaled_gram_ring("neg", bad)
 
 
 @pytest.mark.parametrize("tag", ["Z", "Zi", "Zw", "Hq"])
