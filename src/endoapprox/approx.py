@@ -25,7 +25,7 @@ from . import dirichlet
 from .exact import ceil_sqrt, le_linear_sqrt, sqrt_lower, sqrt_upper
 from .ledger import ConstantLedger, op_constant_sq
 from .linalg import clear_denominators
-from .model import ModelPoint, apply_morphism, concat_points, divide
+from .model import apply_morphism, concat_points, divide
 from .morphisms import (
     BlockMorphism,
     SpecialCertificate,
@@ -362,7 +362,7 @@ class SpecialApprox:
     eps_prime_sq_cap: Fraction  # epsilon'^2 <= C_eps^2 * eps^2, this is the cap
     family_bound_sq: Fraction   # |psi_tilde|^2 <= family_bound_sq * M^2
     approximated: bool
-    transform: Callable[[ModelPoint, ModelPoint, ModelPoint], InclusionWitness]
+    transform: Callable[[InclusionWitness], InclusionWitness]
 
 
 def special_moduli(
@@ -393,9 +393,10 @@ def approx_special(
     budget: int = dirichlet.DEFAULT_BUDGET,
 ) -> SpecialApprox:
     """A bounded special morphism plus the transformer carrying witnesses
-    from the input kernel to the output kernel: transform(x, p, xi) checks
-    the input witness and returns the transported witness, verified, with
-    xi_bound_sq = eps_prime_sq_cap / |psi_tilde|^2.
+    from the input kernel to the output kernel: transform(w) takes a pair
+    witness (already verified on construction) for phi_tilde, checks the
+    eps/M ball and the K0 height bound, and returns the transported
+    witness with xi_bound_sq = eps_prime_sq_cap / |psi_tilde|^2.
 
     Q and m come from `special_moduli`; the morphism family emitted over
     any scenario is finite because |psi_tilde|^2 <= C^2 M^2 with M = Q^m.
@@ -457,29 +458,28 @@ def approx_special(
     )
     eps_prime_sq_cap = c_eps_sq * eps_sq
 
-    def transform(x: ModelPoint, p: ModelPoint, xi: ModelPoint) -> InclusionWitness:
-        pair = concat_points(x, p)
-        if not apply_morphism(phi_tilde, pair + xi).is_zero():
-            raise ApproxError("input witness equation does not hold")
-        if xi.height() * Fraction(modulus) ** 2 > eps_sq:
+    def transform(w: InclusionWitness) -> InclusionWitness:
+        if w.p is None or w.y is not None or w.morphism != phi_tilde:
+            raise ApproxError("input witness is not a pair witness for this special morphism")
+        if w.xi.height() * Fraction(modulus) ** 2 > eps_sq:
             raise ApproxError("input perturbation is not inside the eps/M ball")
-        if x.height() > k0_sq:
+        if w.x.height() > k0_sq:
             raise ApproxError("witness point exceeds the configured height bound")
-        xi_prime = xi
+        xi_prime = w.xi
         if approximated:
-            xi_left = apply_morphism(section, divide(-apply_morphism(psi_tilde, pair), b))
-            xi_prime = concat_points(xi_left, p.space.zero())
-        out = InclusionWitness(
+            image = apply_morphism(psi_tilde, concat_points(w.x, w.p))
+            xi_prime = concat_points(
+                apply_morphism(section, divide(-image, b)), w.p.space.zero()
+            )
+        return InclusionWitness(
             morphism=psi_tilde,
-            x=x,
-            p=p,
+            x=w.x,
+            p=w.p,
             xi=xi_prime,
             xi_bound_sq=eps_prime_sq_cap / psi_tilde.norm_sq(),
             weighted=out_cert.weighted,
             special=out_cert,
         )
-        out.verify()
-        return out
 
     return SpecialApprox(
         morphism=psi_tilde,

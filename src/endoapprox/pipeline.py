@@ -96,17 +96,16 @@ PipelineErrors = (
 def run_pipeline(scenario: Scenario) -> dict:
     ledger = derive_ledger(scenario.product)
     gamma, inflation = inflate_generators(scenario.gamma, scenario.k0_sq, scenario.k0_sq)
-    p_point = gamma.point
-    p_height = p_point.height()
+    p_height = gamma.point.height()
     moduli = _moduli_table(scenario, ledger, p_height)
 
     family: dict = {}
     rows = []
     ok = True
-    for name, witness in scenario.witnesses():
-        row = {"witness": name, "stages": []}
+    for spec in scenario.witness_specs:
+        row = {"witness": spec.name, "stages": []}
         try:
-            witness.verify()
+            witness = scenario.witness(spec)
             row["stages"].append({"stage": "input", "checked": True})
 
             witness, weightified = weighted_witness(witness, scenario.ambient)
@@ -133,7 +132,7 @@ def run_pipeline(scenario: Scenario) -> dict:
                 ledger,
                 budget=scenario.budget,
             )
-            transported = sa.transform(pair.x, p_point, pair.xi)
+            transported = sa.transform(pair)
             row["stages"].append(
                 {
                     "stage": "approx_special",
@@ -638,13 +637,14 @@ def suite_reduction(scenario: Scenario, rng: random.Random) -> dict:
     ledger = derive_ledger(scenario.product)
     count = 0
     embedded = {}
-    for name, w in scenario.witnesses():
+    for spec in scenario.witness_specs:
         count += 1
         try:
+            w = scenario.witness(spec)
             pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
-            embedded[name] = (w, pw)
+            embedded[spec.name] = (w, pw)
         except PipelineErrors as err:
-            failures.append(f"{name}: embed failed: {err}")
+            failures.append(f"{spec.name}: embed failed: {err}")
     keys = list(embedded)
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):

@@ -2,9 +2,11 @@
 translation through the section, the pair embedding/projection pair, and
 the rank consistency check for special morphisms.
 
-A witness is never trusted: every transformer re-verifies the defining
-kernel equation exactly and re-derives the height bound it claims for the
-output perturbation.
+A witness checks itself when it is built: `InclusionWitness` verifies its
+kernel equation, height bound and certificates in `__post_init__`, so no
+unchecked witness exists and `dataclasses.replace` re-checks every changed
+copy.  The transformers take verified witnesses, re-derive the height
+bound they claim for the output perturbation, and build verified outputs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class InclusionWitness:
     xi_bound_sq is the certified bound on h(xi); group_data optionally
     records (N, G) with N*y == G*gamma from specialization, so that a
     special morphism (N phi | phi G) has right block * N == left block o G.
+    A pair witness carries the special certificate's weighted certificate
+    as its own.  Construction verifies all of this; a false witness raises.
     """
 
     morphism: BlockMorphism
@@ -71,19 +75,21 @@ class InclusionWitness:
             base = base + self.y
         return base + self.xi
 
+    def __post_init__(self):
+        self.verify()
+
     def verify(self) -> None:
         if self.xi.height() > self.xi_bound_sq:
             raise WitnessError("perturbation height exceeds the recorded bound")
         image = apply_morphism(self.morphism, self.argument())
         if not image.is_zero():
             raise WitnessError("witness equation does not hold")
-        if self.weighted is not None:
-            phi = self.morphism
-            if self.special is not None:
-                phi, _ = self.morphism.split_columns(self.special.left_counts)
-            self.weighted.verify(phi)
         if self.special is not None:
+            if self.weighted != self.special.weighted:
+                raise WitnessError("weighted certificate differs from the special certificate's")
             self.special.verify(self.morphism)
+        elif self.weighted is not None:
+            self.weighted.verify(self.morphism)
         if self.group_data is not None:
             n, g_mor = self.group_data
             if n < 1:
@@ -129,9 +135,8 @@ def _solve_in_span(gamma: GeneratorSet, y: ModelPoint) -> list[list[list[Fractio
 
 def weighted_witness(w: InclusionWitness, ambient: AmbientSpec) -> tuple[InclusionWitness, bool]:
     """w with a weighted certificate: unchanged when it carries one, else
-    with its morphism in weighted normal form.  The flag says whether
-    weightify ran.  The result is unverified: `specialize`, which every
-    caller hands it to, verifies it on entry."""
+    with its morphism in weighted normal form, verified against that
+    morphism on construction.  The flag says whether weightify ran."""
     if w.weighted is not None:
         return w, False
     phi, cert, weightified = weighted_normal_form(w.morphism, ambient)
@@ -156,7 +161,6 @@ def specialize(
         raise WitnessError("specialize needs a weighted morphism")
     if w.xi_bound_sq > k0_sq:
         raise WitnessError("specialize needs eps <= K0")
-    w.verify()
     phi = w.morphism
     y = w.y if w.y is not None else w.x.space.zero()
 
@@ -202,19 +206,16 @@ def specialize(
         weighted=n_weighted,
         slack_sq=max(Fraction(1), phi_tilde.norm_sq() / left_norm_sq) if left_norm_sq else Fraction(1),
     )
-    xi_pair = concat_points(w.xi, gamma.space.zero())
-    out = InclusionWitness(
+    return InclusionWitness(
         morphism=phi_tilde,
         x=w.x,
         p=gamma.point,
-        xi=xi_pair,
+        xi=concat_points(w.xi, gamma.space.zero()),
         xi_bound_sq=w.xi_bound_sq,
         weighted=n_weighted,
         special=special,
         group_data=(n, g_mor),
     )
-    out.verify()
-    return out
 
 
 def translate_witness(w: InclusionWitness, ledger: ConstantLedger) -> InclusionWitness:
@@ -222,7 +223,6 @@ def translate_witness(w: InclusionWitness, ledger: ConstantLedger) -> InclusionW
     of the section: phi(x + y + xi') == 0 with y = i_r(phi'(p) / a)."""
     if w.p is None or w.special is None:
         raise WitnessError("translate needs a pair witness with a special certificate")
-    w.verify()
     phi_tilde = w.morphism
     cert = w.special
     phi, phi_prime = phi_tilde.split_columns(cert.left_counts)
@@ -235,7 +235,7 @@ def translate_witness(w: InclusionWitness, ledger: ConstantLedger) -> InclusionW
 
     c_op_sq = op_constant_sq(ledger, sum(phi_tilde.source))
     bound = c_op_sq * phi_tilde.norm_sq() * w.xi_bound_sq / Fraction(a * a)
-    out = InclusionWitness(
+    return InclusionWitness(
         morphism=phi,
         x=w.x,
         y=y,
@@ -243,8 +243,6 @@ def translate_witness(w: InclusionWitness, ledger: ConstantLedger) -> InclusionW
         xi_bound_sq=bound,
         weighted=cert.weighted,
     )
-    out.verify()
-    return out
 
 
 def gamma_embed(
@@ -264,23 +262,21 @@ def gamma_embed(
 
 
 def rank_check_special(
-    phi_tilde: BlockMorphism,
-    left_counts,
-    p: ModelPoint,
-    w: InclusionWitness,
-    ambient: AmbientSpec,
+    w: InclusionWitness, ambient: AmbientSpec
 ) -> tuple[tuple[int, ...], BlockMorphism, SpecialCertificate]:
-    """Assert the left block has full rank (impossible to fail for a valid
-    witness within the eps0 ball), and produce Delta phi_tilde with the
-    left part weighted.  Delta phi_tilde is the exact composite and the
-    model action is a module action, so ker(phi_tilde) lies in
-    ker(Delta phi_tilde) at every point.
+    """Assert the left block of the pair witness w has full rank (impossible
+    to fail for a valid witness within the eps0 ball), and produce
+    Delta phi_tilde with the left part weighted.  Delta phi_tilde is the
+    exact composite and the model action is a module action, so
+    ker(phi_tilde) lies in ker(Delta phi_tilde) at every point.
     """
-    consts = point_constants_all(p)
+    if w.p is None or w.special is None:
+        raise WitnessError("rank check expects a pair witness with a special certificate")
+    consts = point_constants_all(w.p)
     if consts is not None and w.xi_bound_sq > consts.eps0_sq:
         raise WitnessError("witness perturbation exceeds eps0(p); rank guarantee not applicable")
-    w.verify()
-    phi, _ = phi_tilde.split_columns(left_counts)
+    phi_tilde = w.morphism
+    phi, _ = phi_tilde.split_columns(w.special.left_counts)
     ranks, _ = rank_and_codim(phi, ambient)
     if ranks != phi.target:
         raise ConsistencyError(
@@ -289,7 +285,7 @@ def rank_check_special(
     delta, phi_w, cert_left = weightify(phi, ambient)
     psi_tilde = delta.compose(phi_tilde)
     special = SpecialCertificate(
-        left_counts=tuple(left_counts),
+        left_counts=w.special.left_counts,
         weighted=cert_left,
         slack_sq=max(Fraction(1), psi_tilde.norm_sq() / phi_w.norm_sq()),
     )
@@ -305,14 +301,9 @@ def point_project(
 ) -> InclusionWitness:
     """The injection (x, p) -> x: rank-check, weightify, then translate into
     the saturated orbit of p with a controlled perturbation."""
-    if w.p is None or w.special is None:
-        raise WitnessError("point projection expects a pair witness")
     if w.x.height() > k0_sq:
         raise WitnessError("witness point exceeds the configured height bound")
-    left_counts = w.special.left_counts
-    _, psi_tilde, special = rank_check_special(
-        w.morphism, left_counts, w.p, w, ambient
-    )
+    _, psi_tilde, special = rank_check_special(w, ambient)
     return translate_witness(
         replace(w, morphism=psi_tilde, weighted=special.weighted, special=special), ledger
     )

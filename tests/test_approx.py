@@ -20,6 +20,7 @@ from endoapprox.morphisms import (
     embedding_ir,
     is_weighted,
 )
+from endoapprox.reduction import InclusionWitness, WitnessError
 from endoapprox.rings import ProductRingSpec, integer_ring
 
 
@@ -168,6 +169,11 @@ def _special_setup():
     return pz, led, space_g, space_s, phi_tilde, cert
 
 
+def _pair_witness(phi_tilde, cert, x, p, xi, bound=F(0)):
+    return InclusionWitness(morphism=phi_tilde, x=x, p=p, xi=xi, xi_bound_sq=bound,
+                            weighted=cert.weighted, special=cert)
+
+
 def test_special_identity_branch():
     pz, led, space_g, space_s, phi_tilde, cert = _special_setup()
     p = space_s.point([[space_s.slot(0, free=[[1]])]])
@@ -176,7 +182,7 @@ def test_special_identity_branch():
     assert sa.morphism == phi_tilde
     x = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[1]])]])
     xi = concat_points(space_g.zero(), space_s.zero())
-    out = sa.transform(x, p, xi)
+    out = sa.transform(_pair_witness(phi_tilde, cert, x, p, xi))
     assert out.xi == xi
     assert sa.eps_prime_sq_cap >= F(1)  # eps'^2 cap dominates eps^2
 
@@ -187,21 +193,35 @@ def test_special_transform_checks_input_and_returns_verified_witness():
     sa = approx_special(phi_tilde, cert, F(1), F(25), p.height(), led)
     x = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[1]])]])
     xi = concat_points(space_g.zero(), space_s.zero())
-    out = sa.transform(x, p, xi)
+    out = sa.transform(_pair_witness(phi_tilde, cert, x, p, xi))
     out.verify()
     assert out.morphism == sa.morphism and out.special == sa.certificate
     assert out.xi_bound_sq == sa.eps_prime_sq_cap / sa.morphism.norm_sq()
-    # 2*(-4) + 5*2 + 3 != 0: the kernel equation fails on the input
+    # 2*(-4) + 5*2 + 3 != 0: the kernel equation fails, so no input witness exists
     off_kernel = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[2]])]])
-    with pytest.raises(ApproxError, match="equation"):
-        sa.transform(off_kernel, p, xi)
+    with pytest.raises(WitnessError, match="equation"):
+        _pair_witness(phi_tilde, cert, off_kernel, p, xi)
+    # a true witness for another special morphism (phi | 8): 2*(-4) + 8 = 0
+    phi, _ = phi_tilde.split_columns(cert.left_counts)
+    other = phi.hstack(BlockMorphism.from_coords(pz, (1,), (1,), [[[[8]]]]))
+    other_cert = SpecialCertificate(
+        left_counts=(2,), weighted=cert.weighted,
+        slack_sq=max(F(1), other.norm_sq() / phi.norm_sq()),
+    )
+    x_other = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0)]])
+    with pytest.raises(ApproxError, match="not a pair witness for this special morphism"):
+        sa.transform(_pair_witness(other, other_cert, x_other, p, xi))
     # (5, -2, 0) lies in the kernel but has height 25 > eps^2 / M^2
     big_xi = concat_points(
         space_g.point([[space_g.slot(0, free=[[5]]), space_g.slot(0, free=[[-2]])]]),
         space_s.zero(),
     )
     with pytest.raises(ApproxError, match="eps/M ball"):
-        sa.transform(x, p, big_xi)
+        sa.transform(_pair_witness(phi_tilde, cert, x, p, big_xi, bound=F(25)))
+    # 2*(-9) + 5*3 + 3 = 0, but h(x) = 90 > K0^2 = 25
+    far = space_g.point([[space_g.slot(0, free=[[-9]]), space_g.slot(0, free=[[3]])]])
+    with pytest.raises(ApproxError, match="height bound"):
+        sa.transform(_pair_witness(phi_tilde, cert, far, p, xi))
 
 
 def test_special_rejects_zero_radius():
@@ -232,7 +252,7 @@ def test_special_transport_exact_and_divide_height():
     sa = approx_special(phi_tilde, cert, F(25), F(49), p.height(), led)
     assert sa.approximated
     xi = concat_points(space_g.zero(), space_s.zero())
-    out = sa.transform(x, p, xi)
+    out = sa.transform(_pair_witness(phi_tilde, cert, x, p, xi))
     xi_prime, cap = out.xi, sa.eps_prime_sq_cap
     assert apply_morphism(sa.morphism, pair + xi_prime).is_zero()
     assert xi_prime.height() * sa.morphism.norm_sq() <= cap

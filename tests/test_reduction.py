@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from endoapprox.approx import derive_ledger
+from endoapprox.cli import cmd_reduce
 from endoapprox.model import (
     AmbientSpec,
     GeneratorSet,
@@ -12,9 +13,9 @@ from endoapprox.model import (
     concat_points,
     empty_generators,
 )
-from endoapprox.morphisms import BlockMorphism, is_weighted
+from endoapprox.morphisms import BlockMorphism, MorphismError, SpecialCertificate, is_weighted
+from endoapprox.pipeline import run_pipeline
 from endoapprox.reduction import (
-    ConsistencyError,
     InclusionWitness,
     WitnessError,
     gamma_embed,
@@ -50,14 +51,13 @@ def _kernel_witness(space_g, phi, y=None, xi=None, bound=F(0)):
 
 def test_witness_verify_rejects_bad_equation(zsetup):
     pz, ledger, amb, space_g, space_s, gamma, phi = zsetup
-    bad = InclusionWitness(
-        morphism=phi,
-        x=space_g.point([[space_g.slot(0, free=[[1]]), space_g.slot(0)]]),
-        xi=space_g.zero(),
-        xi_bound_sq=F(0),
-    )
-    with pytest.raises(WitnessError):
-        bad.verify()
+    with pytest.raises(WitnessError, match="equation"):
+        InclusionWitness(
+            morphism=phi,
+            x=space_g.point([[space_g.slot(0, free=[[1]]), space_g.slot(0)]]),
+            xi=space_g.zero(),
+            xi_bound_sq=F(0),
+        )
 
 
 def test_specialize_examples(zsetup):
@@ -184,8 +184,6 @@ def test_point_project_bound_scales_with_eps(zsetup):
     p = gamma.point
     phi_prime = BlockMorphism.from_coords(pz, (1,), (1,), [[[[5]]]])
     phi_tilde = phi.hstack(phi_prime)
-    from endoapprox.morphisms import SpecialCertificate
-
     cert = SpecialCertificate(
         left_counts=(2,), weighted=is_weighted(phi),
         slack_sq=max(F(1), phi_tilde.norm_sq() / phi.norm_sq()),
@@ -214,27 +212,37 @@ def test_point_project_bound_scales_with_eps(zsetup):
 
 def test_rank_check_negative(zsetup):
     pz, ledger, amb, space_g, space_s, gamma, phi = zsetup
-    # rank-deficient left block with a fabricated witness that violates the
-    # eps0 precondition: the precondition check fires first, documenting why
-    # the rank guarantee needs it
+    p = gamma.point  # eps0(p)^2 = 1/4
+    # a rank-deficient left block cannot carry the weighted certificate a
+    # special certificate needs, so no pair witness reaches the rank alarm
     zero_left = BlockMorphism.zero(pz, (2,), (1,))
-    phi_prime = BlockMorphism.from_coords(pz, (1,), (1,), [[[[1]]]])
-    phi_tilde = zero_left.hstack(phi_prime)
-    p = gamma.point
+    deficient = zero_left.hstack(BlockMorphism.from_coords(pz, (1,), (1,), [[[[1]]]]))
     huge = concat_points(
         space_g.zero(),
         space_s.point([[space_s.slot(0, free=[[-1]])]]),
     )
-    w = InclusionWitness(morphism=phi_tilde, x=space_g.zero(), p=p, xi=huge,
-                         xi_bound_sq=F(1))
-    w.verify()  # the equation does hold: phi'(p - p) = 0
-    with pytest.raises(WitnessError):
-        rank_check_special(phi_tilde, (2,), p, w, amb)
-    # inside the admissible ball the rank deficiency is a consistency alarm
-    small = InclusionWitness(morphism=phi_tilde, x=space_g.zero(), p=p,
-                             xi=huge, xi_bound_sq=F(1, 100))
-    with pytest.raises((ConsistencyError, WitnessError)):
-        rank_check_special(phi_tilde, (2,), p, small, amb)
+    cert = SpecialCertificate(left_counts=(2,), weighted=is_weighted(phi), slack_sq=F(1))
+    with pytest.raises(MorphismError):
+        InclusionWitness(morphism=deficient, x=space_g.zero(), p=p, xi=huge,
+                         xi_bound_sq=F(1), weighted=cert.weighted, special=cert)
+    # the equation does hold, phi'(p - p) = 0, but h(xi) = 1 exceeds the
+    # recorded bound 1/100 that would put the witness inside the eps0 ball
+    with pytest.raises(WitnessError, match="recorded bound"):
+        InclusionWitness(morphism=deficient, x=space_g.zero(), p=p,
+                         xi=huge, xi_bound_sq=F(1, 100))
+    # a true pair witness whose recorded bound exceeds eps0(p)^2: the rank
+    # guarantee does not apply, and the precondition check says so
+    phi_tilde = phi.hstack(BlockMorphism.from_coords(pz, (1,), (1,), [[[[5]]]]))
+    cert = SpecialCertificate(left_counts=(2,), weighted=is_weighted(phi),
+                              slack_sq=max(F(1), phi_tilde.norm_sq() / phi.norm_sq()))
+    x = space_g.point([[space_g.slot(0, free=[[-5]]), space_g.slot(0, free=[[1]])]])
+    xi = concat_points(space_g.zero(), space_s.zero())
+    w = InclusionWitness(morphism=phi_tilde, x=x, p=p, xi=xi, xi_bound_sq=F(1),
+                         weighted=cert.weighted, special=cert)
+    with pytest.raises(WitnessError, match="eps0"):
+        rank_check_special(w, amb)
+    with pytest.raises(WitnessError, match="pair witness"):
+        rank_check_special(_kernel_witness(space_g, phi, y=space_g.zero()), amb)
 
 
 def test_pair_witness_rejects_tampered_group_data(scenario_paths):
@@ -244,8 +252,43 @@ def test_pair_witness_rejects_tampered_group_data(scenario_paths):
     ledger = derive_ledger(scenario.product)
     for _, w in scenario.witnesses():
         pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
-        pw.verify()
         n, g_mor = pw.group_data
-        tampered = replace(pw, group_data=(n + 1, g_mor.scale_int(7)))
-        with pytest.raises(WitnessError):
-            tampered.verify()
+        with pytest.raises(WitnessError, match="group datum"):
+            replace(pw, group_data=(n + 1, g_mor.scale_int(7)))
+
+
+def test_pair_witness_rejects_mismatched_weighted(scenario_paths):
+    # a pair witness's weighted certificate is its special certificate's;
+    # a looser slack on the outer copy alone is rejected
+    scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
+    ledger = derive_ledger(scenario.product)
+    for _, w in scenario.witnesses():
+        pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
+        looser = replace(pw.weighted, slack_sq=pw.weighted.slack_sq + 1)
+        with pytest.raises(WitnessError, match="weighted certificate differs"):
+            replace(pw, weighted=looser)
+
+
+@pytest.mark.parametrize("command, count", [(cmd_reduce, 18), (run_pipeline, 12)],
+                         ids=["reduce", "pipeline"])
+def test_each_witness_verified_once(monkeypatch, scenario_paths, command, count):
+    # every InclusionWitness a command creates is verified exactly once, on
+    # construction; the objects are kept alive so that their ids stay distinct
+    created, verified = [], []
+    init, verify = InclusionWitness.__init__, InclusionWitness.verify
+
+    def recording_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    def recording_verify(self):
+        verified.append(self)
+        verify(self)
+
+    monkeypatch.setattr(InclusionWitness, "__init__", recording_init)
+    monkeypatch.setattr(InclusionWitness, "verify", recording_verify)
+    scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
+    assert command(scenario)["ok"]
+    assert len(created) == count
+    assert sorted(map(id, verified)) == sorted(map(id, created))
+    assert len(set(map(id, created))) == len(created)

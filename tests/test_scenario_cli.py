@@ -117,22 +117,47 @@ def test_cli_commands_run(tmp_path, scenario_paths):
         assert data["ok"] is True
 
 
-def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths):
-    data = json.loads(scenario_paths[0].read_text())
-    # corrupt the first witness: move its base point off the kernel
+def _corrupt_free_part(data):
+    # move the first witness's base point off the kernel
     bad_point = data["witnesses"][0]["x"]
     slot = data["points"][bad_point]["slots"][0][0]
     assert slot["free"], "expected a free part to corrupt"
     for coord in slot["free"][0]:
         coord["num"] = "999"
+
+
+def _corrupt_hidden_torsion(data):
+    # x = (0, 0 | 0, 1/2) against psi_c = [[1, 1], [0, 2]] with y = xi = 0:
+    # psi_c(x) = (0, 1/2 | 0, 0) != 0, but the weightified Delta psi_c kills it
+    zero = {"num": "0", "den": "1"}
+    x = json.loads(json.dumps(data["points"]["zero_g"]))
+    x["slots"][0][1]["torsion"] = [zero, {"num": "1", "den": "2"}]
+    data["points"]["x_hidden"] = x
+    row = next(w for w in data["witnesses"] if w["morphism"] == "psi_c")
+    row.update(x="x_hidden", y="zero_g", xi="zero_g")
+
+
+@pytest.mark.parametrize("stem, corrupt", [
+    ("eisenstein", _corrupt_free_part),
+    ("z-basic", _corrupt_hidden_torsion),
+], ids=["free-part", "hidden-torsion"])
+@pytest.mark.parametrize("command", ["pipeline", "reduce", "verify"])
+def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths, command, stem, corrupt):
+    data = json.loads(next(p for p in scenario_paths if p.stem == stem).read_text())
+    corrupt(data)
     bad_path = tmp_path / "bad.json"
     bad_path.write_text(json.dumps(data))
     out = tmp_path / "out.json"
-    code = main(["pipeline", "--scenario", str(bad_path), "--out", str(out)])
+    code = main([command, "--scenario", str(bad_path), "--out", str(out)])
     assert code == 1
     report = json.loads(out.read_text())
     assert not report["ok"]
-    assert any("diagnostic" in row for row in report["witnesses"])
+    if command == "verify":
+        failed = [s["suite"] for s in report["suites"] if s["failures"]]
+        assert failed == ["reduction"]
+    else:
+        diagnostics = [row["diagnostic"] for row in report["witnesses"] if not row["ok"]]
+        assert len(diagnostics) == 1 and diagnostics[0].startswith("WitnessError: ")
 
 
 def _z_basic_copy(tmp_path, scenario_paths, **params):
