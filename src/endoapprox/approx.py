@@ -1,10 +1,11 @@
 """The approximation chain: ring vectors, weighted morphisms, special
 morphisms with witness transport.
 
-Every output is self-certifying: the stated inequalities are re-verified
-by exact arithmetic (rational, or rational plus a single square root
+Every output is self-certifying: the stated inequalities are checked by
+exact arithmetic (rational, or rational plus a single square root
 handled by cross-multiplication) before the result is returned, with all
-multiplicative constants drawn from a ConstantLedger.
+multiplicative constants drawn from a ConstantLedger.  Certificates
+check themselves when they are built, so each is checked once.
 
 One deliberate normalization choice, recorded in the ledger: for weighted
 morphisms the closeness conclusion is checked against phi/a (a the
@@ -236,7 +237,8 @@ def approx_weighted(
     the entries divided by a, and the identity pattern of psi carries the
     Dirichlet denominator itself, so psi o i_r = [b] holds exactly.
     """
-    cert.verify(phi)
+    if cert.morphism != phi:
+        raise ApproxError("weighted certificate is for another morphism")
     q0 = int(ledger.value("Q0"))
     if q < max(q0, 2):
         raise ApproxError(f"modulus {q} below the ring threshold Q0={q0}")
@@ -298,7 +300,10 @@ def approx_weighted(
         at += spec.rank
     psi = BlockMorphism(phi.product, phi.source, phi.target, blocks)
 
+    # (iv) the section identity psi o i_r = [b] is psi_cert's a*I column
+    # check, made when psi_cert is built
     psi_cert = WeightedCertificate(
+        morphism=psi,
         scale=b,
         columns=cert.columns,
         slack_sq=max(Fraction(1), psi.norm_sq() / Fraction(b * b)),
@@ -326,10 +331,6 @@ def approx_weighted(
                 diff = e.scale(a) - phi.blocks[i][r][c].scale(b)
                 if diff.norm_sq() > rhs:
                     raise CertificationError("direction error exceeds the certified constant")
-
-    # (iv) the section identity psi o i_r = [b]: embedding_ir verifies
-    # psi_cert on psi and raises unless the identity holds
-    embedding_ir(psi, psi_cert)
 
     checks = {
         "branch": "approximated",
@@ -384,7 +385,6 @@ def special_moduli(
 
 
 def approx_special(
-    phi_tilde: BlockMorphism,
     cert: SpecialCertificate,
     eps_sq: Fraction,
     k0_sq: Fraction,
@@ -393,8 +393,8 @@ def approx_special(
     budget: int = dirichlet.DEFAULT_BUDGET,
 ) -> SpecialApprox:
     """A bounded special morphism plus the transformer carrying witnesses
-    from the input kernel to the output kernel: transform(w) takes a pair
-    witness (already verified on construction) for phi_tilde, checks the
+    from the kernel of phi_tilde = cert.morphism to the output kernel:
+    transform(w) takes a pair witness for phi_tilde, checks the
     eps/M ball and the K0 height bound, and returns the transported
     witness with xi_bound_sq = eps_prime_sq_cap / |psi_tilde|^2.
 
@@ -403,7 +403,7 @@ def approx_special(
     """
     if eps_sq <= 0:
         raise ApproxError("positive ball radius required")
-    cert.verify(phi_tilde)
+    phi_tilde = cert.morphism
     q, m = special_moduli(
         phi_tilde.product, ledger, eps_sq, k0_sq, p_height_sq,
         sum(phi_tilde.target), sum(phi_tilde.source),
@@ -425,6 +425,7 @@ def approx_special(
         family_bound_sq = Fraction(1)
     else:
         wide_cert = WeightedCertificate(
+            morphism=phi_tilde,
             scale=cert.weighted.scale,
             columns=cert.weighted.columns,
             slack_sq=max(Fraction(1), phi_tilde.norm_sq() / Fraction(cert.weighted.scale ** 2)),
@@ -434,17 +435,17 @@ def approx_special(
         b = wa.denominator
         psi_left, _ = psi_tilde.split_columns(cert.left_counts)
         left_cert = WeightedCertificate(
+            morphism=psi_left,
             scale=b,
             columns=cert.weighted.columns,
             slack_sq=max(Fraction(1), psi_left.norm_sq() / Fraction(b * b)),
         )
         out_cert = SpecialCertificate(
-            left_counts=cert.left_counts,
+            morphism=psi_tilde,
             weighted=left_cert,
             slack_sq=max(Fraction(1), psi_tilde.norm_sq() / psi_left.norm_sq()),
         )
-        out_cert.verify(psi_tilde)
-        section = embedding_ir(psi_left, left_cert)
+        section = embedding_ir(left_cert)
         approximated = True
         c_psi_sq = wa.checks["c_psi_sq"]
         family_bound_sq = c_psi_sq

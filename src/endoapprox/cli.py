@@ -48,10 +48,10 @@ def cmd_approx(scenario: Scenario) -> dict:
         phi = scenario.morphisms[name]
         row: dict = {"morphism": name}
         try:
-            phi, cert, weightified = weighted_normal_form(phi, scenario.ambient)
+            cert, weightified = weighted_normal_form(phi, scenario.ambient)
             if weightified:
                 row["weightified"] = True
-            wa = approx_weighted(phi, cert, q0, ledger, budget=scenario.budget)
+            wa = approx_weighted(cert.morphism, cert, q0, ledger, budget=scenario.budget)
             row.update(
                 {
                     "Q": q0,
@@ -85,7 +85,7 @@ def cmd_reduce(scenario: Scenario) -> dict:
         row: dict = {"witness": spec.name}
         try:
             w = scenario.witness(spec)
-            pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
+            pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
             row["embedded"] = witness_to_json(pw)
             tw = translate_witness(pw, ledger)
             row["translated"] = witness_to_json(tw)

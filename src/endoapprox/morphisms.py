@@ -194,11 +194,6 @@ class BlockMorphism:
             tuple(tuple(e.coords for e in row) for row in block) for block in self.blocks
         )))
 
-    def coords_key(self):
-        return tuple(
-            tuple(tuple(e.coords for e in row) for row in block) for block in self.blocks
-        )
-
     def __repr__(self):
         return f"BlockMorphism({self.source}->{self.target}, |.|^2={self.norm_sq()})"
 
@@ -244,17 +239,20 @@ def rank_and_codim(phi: BlockMorphism, ambient: AmbientSpec) -> tuple[MultiIndex
 
 @dataclass(frozen=True)
 class WeightedCertificate:
-    """Scale a with per-factor column selections realizing a*I inside phi.
+    """Scale a with per-factor column selections realizing a*I inside the
+    morphism it certifies; construction checks it, so a false one raises.
 
     columns[i][j] is the source column of factor i whose image is a times
     the j-th target basis vector; slack_sq certifies |phi|^2 <= slack_sq*a^2.
     """
 
+    morphism: BlockMorphism
     scale: int
     columns: tuple[tuple[int, ...], ...]
     slack_sq: Fraction
 
-    def verify(self, phi: BlockMorphism) -> None:
+    def __post_init__(self):
+        phi = self.morphism
         if self.scale < 1:
             raise MorphismError("weighted scale must be a positive integer")
         for i, (spec, block) in enumerate(zip(phi.product.factors, phi.blocks)):
@@ -274,20 +272,25 @@ class WeightedCertificate:
 
 @dataclass(frozen=True)
 class SpecialCertificate:
-    """(phi|phi') split with a weighted certificate for phi.
+    """A special morphism phi_tilde = (phi|phi') with a weighted certificate
+    for its left block phi; construction checks it, so a false one raises.
 
-    left_counts is phi's source multi-index; slack_sq certifies
-    |phi_tilde|^2 <= slack_sq * |phi|^2.
+    slack_sq certifies |phi_tilde|^2 <= slack_sq * |phi|^2.
     """
 
-    left_counts: MultiIndex
+    morphism: BlockMorphism
     weighted: WeightedCertificate
     slack_sq: Fraction
 
-    def verify(self, phi_tilde: BlockMorphism) -> None:
-        phi, _ = phi_tilde.split_columns(self.left_counts)
-        self.weighted.verify(phi)
-        if phi_tilde.norm_sq() > self.slack_sq * phi.norm_sq():
+    @property
+    def left_counts(self) -> MultiIndex:
+        return self.weighted.morphism.source
+
+    def __post_init__(self):
+        phi = self.weighted.morphism
+        if self.morphism.split_columns(phi.source)[0] != phi:
+            raise MorphismError("weighted certificate is not for the left block")
+        if self.morphism.norm_sq() > self.slack_sq * phi.norm_sq():
             raise MorphismError("norm exceeds the certified special slack")
 
 
@@ -336,15 +339,13 @@ def is_weighted(phi: BlockMorphism) -> WeightedCertificate | None:
         if not ok:
             continue
         slack_sq = max(Fraction(1), norm_sq / Fraction(a * a))
-        cert = WeightedCertificate(scale=a, columns=tuple(cols), slack_sq=slack_sq)
-        cert.verify(phi)
-        return cert
+        return WeightedCertificate(morphism=phi, scale=a, columns=tuple(cols), slack_sq=slack_sq)
     return None
 
 
-def embedding_ir(phi: BlockMorphism, cert: WeightedCertificate) -> BlockMorphism:
-    """The section i_r with phi o i_r = [a], inserting into the selected columns."""
-    cert.verify(phi)
+def embedding_ir(cert: WeightedCertificate) -> BlockMorphism:
+    """The section i_r with phi o i_r = [a] (the certificate's a*I columns)."""
+    phi = cert.morphism
     blocks = []
     for i, spec in enumerate(phi.product.factors):
         g_i, r_i = phi.source[i], phi.target[i]
@@ -352,18 +353,14 @@ def embedding_ir(phi: BlockMorphism, cert: WeightedCertificate) -> BlockMorphism
         for j, c in enumerate(cert.columns[i]):
             block[c][j] = spec.one()
         blocks.append(block)
-    ir = BlockMorphism(phi.product, phi.target, phi.source, blocks)
-    composed = phi.compose(ir)
-    if composed != BlockMorphism.scalar(phi.product, phi.target, cert.scale):
-        raise MorphismError("embedding does not compose to multiplication by a")
-    return ir
+    return BlockMorphism(phi.product, phi.target, phi.source, blocks)
 
 
-def isogeny_extension(phi: BlockMorphism, cert: WeightedCertificate) -> BlockMorphism:
+def isogeny_extension(cert: WeightedCertificate) -> BlockMorphism:
     """The square extension keeping phi on the first rows and the identity
     on the non-selected coordinates; invertible after rationalization.
     """
-    cert.verify(phi)
+    phi = cert.morphism
     blocks = []
     for i, spec in enumerate(phi.product.factors):
         g_i, r_i = phi.source[i], phi.target[i]
@@ -481,8 +478,9 @@ def gauss_reduce(spec: RingSpec, delta0) -> tuple[list[list[RingElement]], int]:
     return out_rows, m
 
 
-def weightify(psi: BlockMorphism, ambient: AmbientSpec) -> tuple[BlockMorphism, BlockMorphism, WeightedCertificate]:
-    """An isogeny Delta of the target with phi = Delta o psi weighted.
+def weightify(psi: BlockMorphism, ambient: AmbientSpec) -> tuple[BlockMorphism, WeightedCertificate]:
+    """An isogeny Delta of the target with phi = Delta o psi weighted, and
+    the certificate whose morphism is phi.
 
     Pivot columns per factor maximize the norm of the rationalized
     determinant (ties broken by lexicographic column order).
@@ -524,17 +522,14 @@ def weightify(psi: BlockMorphism, ambient: AmbientSpec) -> tuple[BlockMorphism, 
     phi = delta.compose(psi)
     columns = tuple(per_factor[i][0] for i in range(len(psi.blocks)))
     slack_sq = max(Fraction(1), phi.norm_sq() / Fraction(m * m))
-    cert = WeightedCertificate(scale=m, columns=columns, slack_sq=slack_sq)
-    cert.verify(phi)
-    return delta, phi, cert
+    return delta, WeightedCertificate(morphism=phi, scale=m, columns=columns, slack_sq=slack_sq)
 
 
-def weighted_normal_form(phi: BlockMorphism, ambient: AmbientSpec) -> tuple[BlockMorphism, WeightedCertificate, bool]:
-    """phi in weighted normal form with its certificate: phi itself when
-    is_weighted certifies it, else Delta o phi from weightify.  The flag
+def weighted_normal_form(phi: BlockMorphism, ambient: AmbientSpec) -> tuple[WeightedCertificate, bool]:
+    """A certificate for phi in weighted normal form: for phi itself when
+    is_weighted finds one, else for Delta o phi from weightify.  The flag
     says whether weightify ran."""
     cert = is_weighted(phi)
     if cert is not None:
-        return phi, cert, False
-    _, phi_w, cert = weightify(phi, ambient)
-    return phi_w, cert, True
+        return cert, False
+    return weightify(phi, ambient)[1], True

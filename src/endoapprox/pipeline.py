@@ -117,14 +117,13 @@ def run_pipeline(scenario: Scenario) -> dict:
             else:
                 row["stages"].append({"stage": "weighted", "scale": witness.weighted.scale})
 
-            pair = specialize(witness, gamma, scenario.k0_sq, ledger)
+            pair = specialize(witness, gamma, scenario.k0_sq)
             row["stages"].append(
                 {"stage": "specialize", "N": pair.group_data[0],
                  "morphism": morphism_to_json(pair.morphism)}
             )
 
             sa = approx_special(
-                pair.morphism,
                 pair.special,
                 scenario.eps_sq,
                 scenario.k0_sq,
@@ -148,9 +147,8 @@ def run_pipeline(scenario: Scenario) -> dict:
                     "witness": witness_to_json(transported),
                 }
             )
-            key = (sa.morphism.coords_key(), sa.morphism.source, sa.morphism.target)
             entry = family.setdefault(
-                key,
+                sa.morphism,
                 {
                     "norm_sq": sa.morphism.norm_sq(),
                     "bound_sq": sa.family_bound_sq * Fraction(sa.modulus) ** 2,
@@ -159,7 +157,7 @@ def run_pipeline(scenario: Scenario) -> dict:
             if sa.morphism.norm_sq() > entry["bound_sq"]:
                 raise CertificationError("family norm bound violated")
 
-            psi_left, _ = sa.morphism.split_columns(pair.special.left_counts)
+            psi_left = sa.certificate.weighted.morphism
             _, codim = rank_and_codim(psi_left, scenario.ambient)
             if scenario.card and scenario.oracle and scenario.targets:
                 if codim < scenario.card.dim_d + 1:
@@ -439,11 +437,11 @@ def suite_morphisms(product: ProductRingSpec, trials: int, rng: random.Random) -
         if cert is None:
             failures.append("weighted pattern not found on (aI|L)")
             continue
-        ir = embedding_ir(phi, cert)
+        ir = embedding_ir(cert)
         if phi.compose(ir) != BlockMorphism.scalar(single, (r,), cert.scale):
             failures.append("embedding identity failed")
             continue
-        ext = isogeny_extension(phi, cert)
+        ext = isogeny_extension(cert)
         top = BlockMorphism(single, ext.source, phi.target, [ext.blocks[0][:r]])
         if top != phi:
             failures.append("extension does not preserve the first rows")
@@ -469,7 +467,7 @@ def suite_weightify_torsion(scenario: Scenario, trials: int, rng: random.Random)
             ranks, _ = rank_and_codim(psi, scenario.ambient)
             if ranks != psi.target:
                 continue
-            _, phi, _ = weightify(psi, scenario.ambient)
+            phi = weightify(psi, scenario.ambient)[1].morphism
         except MorphismError:
             continue
         failure = check_kernel_inclusion(psi, phi, space, scenario.torsion_budget)
@@ -572,7 +570,7 @@ def suite_approx(product: ProductRingSpec, trials: int, rng: random.Random, budg
         except (ApproxError, CertificationError) as err:
             failures.append(f"weighted approx failed: {err}")
             continue
-        ir = embedding_ir(wa.morphism, wa.certificate)
+        ir = embedding_ir(wa.certificate)
         if wa.morphism.compose(ir) != BlockMorphism.scalar(single, (1,), wa.denominator):
             failures.append("psi o i_r != [b]")
     return _suite("approx", count, failures)
@@ -632,7 +630,7 @@ def suite_thresholds(scenario: Scenario) -> dict:
     return _suite("thresholds", count, failures)
 
 
-def suite_reduction(scenario: Scenario, rng: random.Random) -> dict:
+def suite_reduction(scenario: Scenario) -> dict:
     failures: list[str] = []
     ledger = derive_ledger(scenario.product)
     count = 0
@@ -641,7 +639,11 @@ def suite_reduction(scenario: Scenario, rng: random.Random) -> dict:
         count += 1
         try:
             w = scenario.witness(spec)
-            pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
+        except PipelineErrors as err:
+            failures.append(f"{spec.name}: witness failed: {err}")
+            continue
+        try:
+            pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
             embedded[spec.name] = (w, pw)
         except PipelineErrors as err:
             failures.append(f"{spec.name}: embed failed: {err}")
@@ -678,7 +680,7 @@ def run_property_suites(scenario: Scenario, trials: int = 60) -> dict:
         suite_approx(scenario.product, max(trials // 4, 5), rng, scenario.budget),
         suite_geomnum(scenario, trials, rng),
         suite_thresholds(scenario),
-        suite_reduction(scenario, rng),
+        suite_reduction(scenario),
     ]
     ok = all(s["failures"] == 0 for s in suites)
     return {

@@ -3,7 +3,8 @@ translation through the section, the pair embedding/projection pair, and
 the rank consistency check for special morphisms.
 
 A witness checks itself when it is built: `InclusionWitness` verifies its
-kernel equation, height bound and certificates in `__post_init__`, so no
+kernel equation and height bound in `__post_init__`, and that its
+certificates (which check themselves) are for its morphism.  So no
 unchecked witness exists and `dataclasses.replace` re-checks every changed
 copy.  The transformers take verified witnesses, re-derive the height
 bound they claim for the output perturbation, and build verified outputs.
@@ -56,7 +57,8 @@ class InclusionWitness:
     records (N, G) with N*y == G*gamma from specialization, so that a
     special morphism (N phi | phi G) has right block * N == left block o G.
     A pair witness carries the special certificate's weighted certificate
-    as its own.  Construction verifies all of this; a false witness raises.
+    as its own; its special (pair) or weighted (plain) certificate is for
+    its morphism.  Construction verifies all of this; a false witness raises.
     """
 
     morphism: BlockMorphism
@@ -84,12 +86,11 @@ class InclusionWitness:
         image = apply_morphism(self.morphism, self.argument())
         if not image.is_zero():
             raise WitnessError("witness equation does not hold")
-        if self.special is not None:
-            if self.weighted != self.special.weighted:
-                raise WitnessError("weighted certificate differs from the special certificate's")
-            self.special.verify(self.morphism)
-        elif self.weighted is not None:
-            self.weighted.verify(self.morphism)
+        if self.special is not None and self.weighted != self.special.weighted:
+            raise WitnessError("weighted certificate differs from the special certificate's")
+        cert = self.special or self.weighted
+        if cert is not None and cert.morphism != self.morphism:
+            raise WitnessError("certificate is for another morphism")
         if self.group_data is not None:
             n, g_mor = self.group_data
             if n < 1:
@@ -139,15 +140,14 @@ def weighted_witness(w: InclusionWitness, ambient: AmbientSpec) -> tuple[Inclusi
     morphism on construction.  The flag says whether weightify ran."""
     if w.weighted is not None:
         return w, False
-    phi, cert, weightified = weighted_normal_form(w.morphism, ambient)
-    return replace(w, morphism=phi, weighted=cert), weightified
+    cert, weightified = weighted_normal_form(w.morphism, ambient)
+    return replace(w, morphism=cert.morphism, weighted=cert), weightified
 
 
 def specialize(
     w: InclusionWitness,
     gamma: GeneratorSet,
     k0_sq: Fraction,
-    ledger: ConstantLedger,
 ) -> InclusionWitness:
     """Turn a witness against the generator-translated kernel into a pair
     witness against the kernel of the special morphism (N phi | phi G).
@@ -194,15 +194,17 @@ def specialize(
     if y.int_mul(n) != apply_morphism(g_mor, gamma.point):
         raise ConsistencyError("N*y == G(gamma) failed after denominator clearing")
 
-    phi_tilde = phi.scale_int(n).hstack(phi.compose(g_mor))
+    phi_n = phi.scale_int(n)
+    phi_tilde = phi_n.hstack(phi.compose(g_mor))
     n_weighted = WeightedCertificate(
+        morphism=phi_n,
         scale=n * w.weighted.scale,
         columns=w.weighted.columns,
         slack_sq=w.weighted.slack_sq,
     )
-    left_norm_sq = phi.scale_int(n).norm_sq()
+    left_norm_sq = phi_n.norm_sq()
     special = SpecialCertificate(
-        left_counts=phi.source,
+        morphism=phi_tilde,
         weighted=n_weighted,
         slack_sq=max(Fraction(1), phi_tilde.norm_sq() / left_norm_sq) if left_norm_sq else Fraction(1),
     )
@@ -225,9 +227,10 @@ def translate_witness(w: InclusionWitness, ledger: ConstantLedger) -> InclusionW
         raise WitnessError("translate needs a pair witness with a special certificate")
     phi_tilde = w.morphism
     cert = w.special
-    phi, phi_prime = phi_tilde.split_columns(cert.left_counts)
+    phi = cert.weighted.morphism
+    phi_prime = phi_tilde.split_columns(cert.left_counts)[1]
     a = cert.weighted.scale
-    ir = embedding_ir(phi, cert.weighted)
+    ir = embedding_ir(cert.weighted)
 
     y = apply_morphism(ir, divide(apply_morphism(phi_prime, w.p), a))
     xi_img = apply_morphism(phi_tilde, w.xi)
@@ -250,7 +253,6 @@ def gamma_embed(
     gamma: GeneratorSet,
     k0_sq: Fraction,
     ambient: AmbientSpec,
-    ledger: ConstantLedger,
 ) -> InclusionWitness:
     """The injection x -> (x, gamma): weightify if necessary, then
     specialize.  x is recoverable by projection, so distinct witnesses map
@@ -258,39 +260,36 @@ def gamma_embed(
     if w.p is not None:
         raise WitnessError("gamma_embed expects a plain witness")
     witness, _ = weighted_witness(w, ambient)
-    return specialize(witness, gamma, k0_sq, ledger)
+    return specialize(witness, gamma, k0_sq)
 
 
 def rank_check_special(
     w: InclusionWitness, ambient: AmbientSpec
-) -> tuple[tuple[int, ...], BlockMorphism, SpecialCertificate]:
+) -> tuple[tuple[int, ...], SpecialCertificate]:
     """Assert the left block of the pair witness w has full rank (impossible
-    to fail for a valid witness within the eps0 ball), and produce
-    Delta phi_tilde with the left part weighted.  Delta phi_tilde is the
-    exact composite and the model action is a module action, so
-    ker(phi_tilde) lies in ker(Delta phi_tilde) at every point.
+    to fail for a valid witness within the eps0 ball), and certify Delta
+    phi_tilde with the left part weighted.  Delta phi_tilde is the exact
+    composite and the model action is a module action, so ker(phi_tilde)
+    lies in ker(Delta phi_tilde) at every point.
     """
     if w.p is None or w.special is None:
         raise WitnessError("rank check expects a pair witness with a special certificate")
     consts = point_constants_all(w.p)
     if consts is not None and w.xi_bound_sq > consts.eps0_sq:
         raise WitnessError("witness perturbation exceeds eps0(p); rank guarantee not applicable")
-    phi_tilde = w.morphism
-    phi, _ = phi_tilde.split_columns(w.special.left_counts)
+    phi = w.special.weighted.morphism
     ranks, _ = rank_and_codim(phi, ambient)
     if ranks != phi.target:
         raise ConsistencyError(
             "left block rank-deficient despite a valid witness inside eps0(p)"
         )
-    delta, phi_w, cert_left = weightify(phi, ambient)
-    psi_tilde = delta.compose(phi_tilde)
-    special = SpecialCertificate(
-        left_counts=w.special.left_counts,
+    delta, cert_left = weightify(phi, ambient)
+    psi_tilde = delta.compose(w.morphism)
+    return ranks, SpecialCertificate(
+        morphism=psi_tilde,
         weighted=cert_left,
-        slack_sq=max(Fraction(1), psi_tilde.norm_sq() / phi_w.norm_sq()),
+        slack_sq=max(Fraction(1), psi_tilde.norm_sq() / cert_left.morphism.norm_sq()),
     )
-    special.verify(psi_tilde)
-    return ranks, psi_tilde, special
 
 
 def point_project(
@@ -303,7 +302,7 @@ def point_project(
     the saturated orbit of p with a controlled perturbation."""
     if w.x.height() > k0_sq:
         raise WitnessError("witness point exceeds the configured height bound")
-    _, psi_tilde, special = rank_check_special(w, ambient)
+    _, special = rank_check_special(w, ambient)
     return translate_witness(
-        replace(w, morphism=psi_tilde, weighted=special.weighted, special=special), ledger
+        replace(w, morphism=special.morphism, weighted=special.weighted, special=special), ledger
     )

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators
-from .morphisms import AmbientSpec, BlockMorphism
+from .morphisms import AmbientSpec, BlockMorphism, SpecialCertificate, WeightedCertificate
 from .reduction import InclusionWitness
 from .rings import ProductRingSpec, RingSpec
 from .thresholds import ConjecturalOracle, FinitenessThresholds, VarietyCard, finiteness_thresholds
@@ -274,40 +274,40 @@ def scenario_from_json(data) -> Scenario:
 
 
 def witness_from_json(product: ProductRingSpec, space: ModelSpace, obj) -> InclusionWitness:
-    """Rebuild a witness from the report format (inverse of witness_to_json)."""
-    from .morphisms import SpecialCertificate
-
-    weighted = _weighted_from_json(obj.get("weighted"))
+    """Rebuild a witness from the report format (inverse of witness_to_json);
+    a pair witness's certificates are for the left block of its morphism."""
+    morphism = morphism_from_json(product, obj["morphism"])
+    certified = morphism
     special = None
     if "special" in obj:
         sd = obj["special"]
+        certified = morphism.split_columns(tuple(int(c) for c in sd["left_counts"]))[0]
         special = SpecialCertificate(
-            left_counts=tuple(int(c) for c in sd["left_counts"]),
-            weighted=_weighted_from_json(sd["weighted"]),
+            morphism=morphism,
+            weighted=_weighted_from_json(certified, sd["weighted"]),
             slack_sq=rat_from_json(sd["slack_sq"]),
         )
     group = None
     if "group" in obj:
         group = (int(obj["group"]["N"]), morphism_from_json(product, obj["group"]["G"]))
     return InclusionWitness(
-        morphism=morphism_from_json(product, obj["morphism"]),
+        morphism=morphism,
         x=point_from_json(space, obj["x"]),
         xi=point_from_json(space, obj["xi"]),
         xi_bound_sq=rat_from_json(obj["xi_bound_sq"]),
         p=point_from_json(space, obj["p"]) if "p" in obj else None,
         y=point_from_json(space, obj["y"]) if "y" in obj else None,
-        weighted=weighted,
+        weighted=_weighted_from_json(certified, obj.get("weighted")),
         special=special,
         group_data=group,
     )
 
 
-def _weighted_from_json(wd):
+def _weighted_from_json(morphism, wd):
     if wd is None:
         return None
-    from .morphisms import WeightedCertificate
-
     return WeightedCertificate(
+        morphism=morphism,
         scale=int(wd["scale"]),
         columns=tuple(tuple(int(c) for c in col) for col in wd["columns"]),
         slack_sq=rat_from_json(wd["slack_sq"]),

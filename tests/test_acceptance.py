@@ -114,7 +114,7 @@ def test_criterion_3_vector_and_weighted_conclusions(rings):
                 diff = wa.morphism.blocks[0][0][col].scale(a_used) - phi.blocks[0][0][col].scale(b)
                 assert diff.norm_sq() <= c_prime_sq * F(a_used * a_used, q * q)
             # section identity: psi o i_r - [b] is entrywise zero
-            ir = embedding_ir(wa.morphism, wa.certificate)
+            ir = embedding_ir(wa.certificate)
             difference = wa.morphism.compose(ir).sub(
                 BlockMorphism.scalar(product, (1,), b)
             )
@@ -151,7 +151,7 @@ def test_criterion_4_gauss_and_weightify_torsion(rings):
             ranks, _ = rank_and_codim(psi, amb)
             if ranks != (1,):
                 continue
-            _, phi, _ = weightify(psi, amb)
+            phi = weightify(psi, amb)[1].morphism
             done += 1
             assert check_kernel_inclusion(psi, phi, space, enum_budget + 1) is None
     _done(4, "gauss identity on 1000 random blocks per ring + torsion inclusion", t0, 120)
@@ -240,7 +240,7 @@ def test_criterion_8_round_trip():
     )
     w.verify()
     empty = empty_generators(space_g)
-    pair = gamma_embed(w, empty, F(29), amb, ledger)
+    pair = gamma_embed(w, empty, F(29), amb)
     back = point_project(pair, F(29), amb, ledger)
     assert back.x == x
     assert back.y.is_zero()

@@ -113,6 +113,16 @@ def test_weighted_identity_branch(products, ledgers):
     assert wa.denominator == cert.scale
 
 
+def test_weighted_rejects_certificate_for_another_morphism(products, ledgers):
+    # a certificate is proof about its own morphism only: (2|3) is weighted
+    # too, but its certificate does not certify (2|5)
+    pz = products["Z"]
+    phi = BlockMorphism.from_coords(pz, (2,), (1,), [[[[2], [5]]]])
+    other = is_weighted(BlockMorphism.from_coords(pz, (2,), (1,), [[[[2], [3]]]]))
+    with pytest.raises(ApproxError, match="another morphism"):
+        approx_weighted(phi, other, 3, ledgers["Z"])
+
+
 def test_weighted_approximation_preserves_pattern(products, ledgers):
     # |phi|^2 = 49 > Q^(2m) for Q = 2, m = 2, so the approximation runs;
     # the rebuilt pattern carries the Dirichlet denominator exactly
@@ -127,7 +137,7 @@ def test_weighted_approximation_preserves_pattern(products, ledgers):
     assert 1 <= b < 4
     spec = pz.factors[0]
     assert wa.morphism.blocks[0][0][0] == spec.integer(b)
-    ir = embedding_ir(wa.morphism, wa.certificate)
+    ir = embedding_ir(wa.certificate)
     assert wa.morphism.compose(ir) == BlockMorphism.scalar(pz, (1,), b)
     # scale-normalized closeness: ||a psi_e - b phi_e||^2 <= C'^2 a^2 / q^2
     c_prime_sq = led.value("C_c_sq")
@@ -149,7 +159,7 @@ def test_weighted_composition_random(products, ledgers):
         )
         cert = is_weighted(phi)
         wa = approx_weighted(phi, cert, 2 + rng.randrange(3), led, exponent=2)
-        ir = embedding_ir(wa.morphism, wa.certificate)
+        ir = embedding_ir(wa.certificate)
         assert wa.morphism.compose(ir) == BlockMorphism.scalar(pz, (1,), wa.denominator)
 
 
@@ -162,7 +172,7 @@ def _special_setup():
     phi_prime = BlockMorphism.from_coords(pz, (1,), (1,), [[[[3]]]])
     phi_tilde = phi.hstack(phi_prime)
     cert = SpecialCertificate(
-        left_counts=(2,),
+        morphism=phi_tilde,
         weighted=is_weighted(phi),
         slack_sq=max(F(1), phi_tilde.norm_sq() / phi.norm_sq()),
     )
@@ -177,7 +187,7 @@ def _pair_witness(phi_tilde, cert, x, p, xi, bound=F(0)):
 def test_special_identity_branch():
     pz, led, space_g, space_s, phi_tilde, cert = _special_setup()
     p = space_s.point([[space_s.slot(0, free=[[1]])]])
-    sa = approx_special(phi_tilde, cert, F(1), F(25), p.height(), led)
+    sa = approx_special(cert, F(1), F(25), p.height(), led)
     assert not sa.approximated
     assert sa.morphism == phi_tilde
     x = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[1]])]])
@@ -190,7 +200,7 @@ def test_special_identity_branch():
 def test_special_transform_checks_input_and_returns_verified_witness():
     pz, led, space_g, space_s, phi_tilde, cert = _special_setup()
     p = space_s.point([[space_s.slot(0, free=[[1]])]])
-    sa = approx_special(phi_tilde, cert, F(1), F(25), p.height(), led)
+    sa = approx_special(cert, F(1), F(25), p.height(), led)
     x = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0, free=[[1]])]])
     xi = concat_points(space_g.zero(), space_s.zero())
     out = sa.transform(_pair_witness(phi_tilde, cert, x, p, xi))
@@ -202,10 +212,10 @@ def test_special_transform_checks_input_and_returns_verified_witness():
     with pytest.raises(WitnessError, match="equation"):
         _pair_witness(phi_tilde, cert, off_kernel, p, xi)
     # a true witness for another special morphism (phi | 8): 2*(-4) + 8 = 0
-    phi, _ = phi_tilde.split_columns(cert.left_counts)
+    phi = cert.weighted.morphism
     other = phi.hstack(BlockMorphism.from_coords(pz, (1,), (1,), [[[[8]]]]))
     other_cert = SpecialCertificate(
-        left_counts=(2,), weighted=cert.weighted,
+        morphism=other, weighted=cert.weighted,
         slack_sq=max(F(1), other.norm_sq() / phi.norm_sq()),
     )
     x_other = space_g.point([[space_g.slot(0, free=[[-4]]), space_g.slot(0)]])
@@ -228,7 +238,7 @@ def test_special_rejects_zero_radius():
     pz, led, *_rest = _special_setup()
     phi_tilde, cert = _rest[2], _rest[3]
     with pytest.raises(ApproxError):
-        approx_special(phi_tilde, cert, F(0), F(1), F(1), led)
+        approx_special(cert, F(0), F(1), F(1), led)
 
 
 def test_special_transport_exact_and_divide_height():
@@ -241,7 +251,7 @@ def test_special_transport_exact_and_divide_height():
     phi_prime = BlockMorphism.from_coords(pz, (1,), (1,), [[[[259]]]])
     phi_tilde = phi.hstack(phi_prime)
     cert = SpecialCertificate(
-        left_counts=(2,),
+        morphism=phi_tilde,
         weighted=is_weighted(phi),
         slack_sq=max(F(1), phi_tilde.norm_sq() / phi.norm_sq()),
     )
@@ -249,7 +259,7 @@ def test_special_transport_exact_and_divide_height():
     x = space_g.point([[space_g.slot(0, free=[[-7]]), space_g.slot(0, free=[[0]])]])
     pair = concat_points(x, p)
     assert apply_morphism(phi_tilde, pair).is_zero()
-    sa = approx_special(phi_tilde, cert, F(25), F(49), p.height(), led)
+    sa = approx_special(cert, F(25), F(49), p.height(), led)
     assert sa.approximated
     xi = concat_points(space_g.zero(), space_s.zero())
     out = sa.transform(_pair_witness(phi_tilde, cert, x, p, xi))

@@ -1,8 +1,10 @@
-"""No module of the package imports another module's private names.
+"""No module of the package imports another module's private names, and
+no function takes a parameter it never reads.
 
 A `from .x import _name` couples two layers through a helper that `x` does
 not offer as part of its interface; a helper another layer needs gets a
-public name instead. Modules are parsed with `ast`, not imported.
+public name instead. A parameter nothing reads is an input every caller
+must supply for nothing. Modules are parsed with `ast`, not imported.
 """
 
 import ast
@@ -35,3 +37,73 @@ def test_no_cross_module_private_imports():
         for name in private_imports(path.read_text())
     ]
     assert not offenders, f"private names imported across modules: {offenders}"
+
+
+
+def _params(fn) -> list[str]:
+    a = fn.args
+    every = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+    return [p.arg for p in every if p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+
+
+def unused_parameters(sources: dict[str, str]) -> list[str]:
+    """Parameters (other than self, cls and `_`-prefixed names) that the
+    body of their function never reads, or reads only to pass on by name to
+    a module-level function's parameter that is itself unused.  A nested
+    function's reads count as its parent's."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    top: dict = {}
+    for tree in trees.values():
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef):
+                top[fn.name] = None if fn.name in top else fn  # ambiguous names resolve to nothing
+    reads = {}  # (function, parameter) -> per read, None or the (callee, parameter) it feeds
+    where = {}
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where[fn] = module
+            nodes = [n for stmt in fn.body for n in ast.walk(stmt)]
+            passed = {}
+            for call in nodes:
+                callee = isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and top.get(call.func.id)
+                if callee:
+                    positional = [p.arg for p in callee.args.posonlyargs + callee.args.args]
+                    pairs = list(zip(call.args, positional)) + [(k.value, k.arg) for k in call.keywords]
+                    passed.update({id(v): (callee, p) for v, p in pairs if isinstance(v, ast.Name) and p})
+            for p in _params(fn):
+                reads[(fn, p)] = [
+                    passed.get(id(n)) for n in nodes
+                    if isinstance(n, ast.Name) and n.id == p and not isinstance(n.ctx, ast.Store)
+                ] + [None for n in nodes if isinstance(n, ast.AugAssign) and getattr(n.target, "id", None) == p]
+    unused = {key for key, rs in reads.items() if None not in rs}
+    changed = True
+    while changed:  # a parameter passed on to a parameter that is read is read
+        changed = False
+        for key in list(unused):
+            if any(r not in unused for r in reads[key]):
+                unused.discard(key)
+                changed = True
+    return sorted(f"{where[fn]}: {fn.name}({p})" for fn, p in unused)
+
+
+def test_unused_parameter_detector():
+    source = (
+        "def f(a, b, *args, c, _d, **kw):\n    return a + kw['x']\n"
+        "class K:\n    def m(self, x):\n        def inner():\n            return x\n"
+        "        return inner\n"
+        "def g(n, m):\n    n += 1\n"
+        "def h(led, y):\n    return g(y, m=led)\n"
+        "def k(z):\n    return h(1, z)\n"
+    )
+    assert unused_parameters({"m": source}) == [
+        "m: f(args)", "m: f(b)", "m: f(c)", "m: g(m)", "m: h(led)",
+    ]
+
+
+def test_no_unused_parameters():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sources
+    offenders = unused_parameters(sources)
+    assert not offenders, f"parameters their function never reads: {offenders}"

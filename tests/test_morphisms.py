@@ -8,6 +8,8 @@ from endoapprox.morphisms import (
     AmbientSpec,
     BlockMorphism,
     MorphismError,
+    SpecialCertificate,
+    WeightedCertificate,
     embedding_ir,
     gauss_reduce,
     is_weighted,
@@ -71,33 +73,61 @@ def test_embedding_examples(products):
     pz = products["Z"]
     phi = _mor(pz, (3,), (2,), [[[[2], [0], [5]], [[0], [2], [7]]]])
     cert = is_weighted(phi)
-    ir = embedding_ir(phi, cert)
+    ir = embedding_ir(cert)
     assert phi.compose(ir) == BlockMorphism.scalar(pz, (2,), 2)
     # r = g: i_r is the identity
     full = BlockMorphism.scalar(pz, (2,), 4)
     cert_full = is_weighted(full)
-    ir_full = embedding_ir(full, cert_full)
+    ir_full = embedding_ir(cert_full)
     assert ir_full == BlockMorphism.identity(pz, (2,))
 
 
 def test_isogeny_extension_examples(products):
-    from endoapprox.morphisms import WeightedCertificate
-
     pz = products["Z"]
     phi = _mor(pz, (2,), (1,), [[[[2], [5]]]])
-    cert = WeightedCertificate(scale=2, columns=((0,),), slack_sq=F(25, 4))
-    ext = isogeny_extension(phi, cert)
+    cert = WeightedCertificate(morphism=phi, scale=2, columns=((0,),), slack_sq=F(25, 4))
+    ext = isogeny_extension(cert)
     rows = [[e.coords[0] for e in row] for row in ext.blocks[0]]
     assert rows == [[2, 5], [0, 1]]
     spec = pz.factors[0]
     assert det(rationalize_block(spec, ext.blocks[0])) != 0
     # r = g: extension is multiplication by a
     full = BlockMorphism.scalar(pz, (2,), 3)
-    ext_full = isogeny_extension(full, is_weighted(full))
+    ext_full = isogeny_extension(is_weighted(full))
     assert ext_full == full
     # projection onto the first rows recovers phi
     top = BlockMorphism(pz, ext.source, phi.target, [ext.blocks[0][:1]])
     assert top == phi
+
+
+def _bad_weighted(pz, scale, columns, slack_sq, block=None):
+    block = block or [[[2], [5]]]
+    phi = _mor(pz, (len(block[0]),), (len(block),), [block])
+    return WeightedCertificate(morphism=phi, scale=scale, columns=columns, slack_sq=slack_sq)
+
+
+def _bad_special(pz, left, right, slack_sq):
+    phi = _mor(pz, (2,), (1,), [[[[2], [5]]]])
+    phi_tilde = phi.hstack(_mor(pz, (1,), (1,), [[[[right]]]]))
+    weighted = is_weighted(_mor(pz, (2,), (1,), [[[[2], [left]]]]))
+    return SpecialCertificate(morphism=phi_tilde, weighted=weighted, slack_sq=slack_sq)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda pz: _bad_weighted(pz, 0, ((0,),), F(25)), "positive integer"),
+    (lambda pz: _bad_weighted(pz, 2, ((),), F(25)), "one column per target row"),
+    (lambda pz: _bad_weighted(pz, 2, ((0, 0),), F(25), block=[[[2], [0], [5]], [[0], [2], [7]]]),
+     "distinct"),
+    (lambda pz: _bad_weighted(pz, 2, ((1,),), F(25)), r"a\*I"),
+    (lambda pz: _bad_weighted(pz, 2, ((0,),), F(6)), "weighted slack"),
+    (lambda pz: _bad_special(pz, 5, 7, F(1)), "special slack"),
+    (lambda pz: _bad_special(pz, 3, 7, F(4)), "left block"),
+], ids=["scale-0", "missing-column", "repeated-column", "not-aI", "weighted-slack",
+        "special-slack", "other-left-block"])
+def test_certificate_rejected_on_construction(products, build, match):
+    # |(2|5)|^2 = 25 needs slack 25/4 at a = 2; |(2|5|7)|^2 = 49 needs 49/25
+    with pytest.raises(MorphismError, match=match):
+        build(products["Z"])
 
 
 def test_solve_ax_eq_by_examples(ring_z, ring_zi, ring_hq):
@@ -151,21 +181,22 @@ def test_weightify_examples(products):
     pz, pzi = products["Z"], products["Zi"]
     amb = AmbientSpec(pz, (2,))
     already = _mor(pz, (2,), (1,), [[[[3], [1]]]])
-    delta, phi, cert = weightify(already, amb)
-    assert phi == already and cert.scale == 3
+    delta, cert = weightify(already, amb)
+    assert cert.morphism == already and cert.scale == 3
     assert delta == BlockMorphism.identity(pz, (1,))
 
     psi = _mor(pz, (2,), (2,), [[[[1], [1]], [[0], [2]]]])
-    delta, phi, cert = weightify(psi, amb)
-    assert phi == BlockMorphism.scalar(pz, (2,), 2)
+    delta, cert = weightify(psi, amb)
+    assert cert.morphism == BlockMorphism.scalar(pz, (2,), 2)
     assert cert.scale == 2
-    assert delta.compose(psi) == phi
+    assert delta.compose(psi) == cert.morphism
 
     psi_i = _mor(pzi, (2,), (1,), [[[[1, 1], [1, 0]]]])
-    delta, phi, cert = weightify(psi_i, AmbientSpec(pzi, (2,)))
-    # a I_r is a genuine submatrix and the slack bound holds
-    cert.verify(phi)
-    assert cert.scale ** 2 * cert.slack_sq >= phi.norm_sq()
+    delta, cert = weightify(psi_i, AmbientSpec(pzi, (2,)))
+    # the certificate is for Delta o psi, so construction checked that a I_r
+    # is a genuine submatrix of it and that the slack bound holds
+    assert cert.morphism == delta.compose(psi_i)
+    assert cert.scale ** 2 * cert.slack_sq >= cert.morphism.norm_sq()
 
 
 def test_weightify_requires_surjective(products):

@@ -92,9 +92,10 @@ def test_weightify_zero_rank_factor(mixed):
     )
     ranks, codim = rank_and_codim(psi, amb)
     assert ranks == (1, 0) and codim == 1
-    delta, phi, cert = weightify(psi, amb)
-    cert.verify(phi)
-    ir = embedding_ir(phi, cert)
+    delta, cert = weightify(psi, amb)
+    phi = cert.morphism
+    assert phi == delta.compose(psi)
+    ir = embedding_ir(cert)
     assert phi.compose(ir) == BlockMorphism.scalar(mixed, (1, 0), cert.scale)
 
 
@@ -113,12 +114,11 @@ def test_weighted_approx_common_scale(mixed):
     cert = is_weighted(phi)
     assert cert is not None and cert.scale == 6
     wa = approx_weighted(phi, cert, q0, ledger)
-    ir = embedding_ir(wa.morphism, wa.certificate)
+    ir = embedding_ir(wa.certificate)
     assert wa.morphism.compose(ir) == BlockMorphism.scalar(mixed, (1, 1), wa.denominator)
 
 
 def test_two_factor_specialize_mixed_gamma(mixed):
-    ledger = derive_ledger(mixed)
     amb = AmbientSpec(mixed, (1, 1))
     space_g = ModelSpace(amb, (1, 1))
     space_s = space_g.with_counts((1, 1))
@@ -132,7 +132,8 @@ def test_two_factor_specialize_mixed_gamma(mixed):
     # no common integer scale across the factors: the weighted normal form
     # merges the per-factor scales by least common multiple
     assert is_weighted(psi) is None
-    delta, phi, cert = weightify(psi, amb)
+    delta, cert = weightify(psi, amb)
+    phi = cert.morphism
     assert cert.scale == 6
     # y uses a rational multiple in factor 0 and a ring multiple in factor 1
     y = space_g.point(
@@ -142,7 +143,7 @@ def test_two_factor_specialize_mixed_gamma(mixed):
     w = InclusionWitness(morphism=phi, x=x, xi=space_g.zero(), xi_bound_sq=F(0),
                          y=y, weighted=cert)
     w.verify()
-    pw = specialize(w, gamma, F(25), ledger)
+    pw = specialize(w, gamma, F(25))
     n, g_mor = pw.group_data
     assert n == 2
     assert y.int_mul(2) == apply_morphism(g_mor, gamma_pt)

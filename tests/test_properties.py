@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from endoapprox import dirichlet, pipeline
-from endoapprox.morphisms import BlockMorphism
+from endoapprox.morphisms import BlockMorphism, is_weighted
 from endoapprox.scenario import load_scenario
 
 
@@ -27,7 +27,10 @@ FAULTS = {
     "thresholds": (pipeline, "kernel_degree", lambda d, *_: d + 1, "kernel degree "),
     "weightify_torsion": (
         pipeline, "weightify",
-        lambda r, *_: (r[0], BlockMorphism.identity(r[1].product, r[1].source), r[2]),
+        # a true certificate, but for the identity instead of Delta o psi
+        lambda r, *_: (
+            r[0], is_weighted(BlockMorphism.identity(r[1].morphism.product, r[1].morphism.source))
+        ),
         "kernel escaped",
     ),
     "geomnum": (

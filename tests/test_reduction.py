@@ -13,7 +13,13 @@ from endoapprox.model import (
     concat_points,
     empty_generators,
 )
-from endoapprox.morphisms import BlockMorphism, MorphismError, SpecialCertificate, is_weighted
+from endoapprox.morphisms import (
+    BlockMorphism,
+    MorphismError,
+    SpecialCertificate,
+    WeightedCertificate,
+    is_weighted,
+)
 from endoapprox.pipeline import run_pipeline
 from endoapprox.reduction import (
     InclusionWitness,
@@ -64,7 +70,7 @@ def test_specialize_examples(zsetup):
     pz, ledger, amb, space_g, space_s, gamma, phi = zsetup
     # y = 0: N = 1 and G = 0
     w0 = _kernel_witness(space_g, phi, y=space_g.zero())
-    pw0 = specialize(w0, gamma, F(25), ledger)
+    pw0 = specialize(w0, gamma, F(25))
     n, g_mor = pw0.group_data
     assert n == 1 and g_mor.is_zero()
 
@@ -73,7 +79,7 @@ def test_specialize_examples(zsetup):
     x1 = space_g.point([[space_g.slot(0, free=[[-2]]), space_g.slot(0)]])
     w1 = InclusionWitness(morphism=phi, x=x1, xi=space_g.zero(), xi_bound_sq=F(0),
                           y=y1, weighted=is_weighted(phi))
-    pw1 = specialize(w1, gamma, F(25), ledger)
+    pw1 = specialize(w1, gamma, F(25))
     n, g_mor = pw1.group_data
     assert n == 1
     assert [e.coords[0] for row in g_mor.blocks[0] for e in row] == [2, 0]
@@ -83,7 +89,7 @@ def test_specialize_examples(zsetup):
     x2 = space_g.zero() - y2
     w2 = InclusionWitness(morphism=phi, x=x2, xi=space_g.zero(), xi_bound_sq=F(0),
                           y=y2, weighted=is_weighted(phi))
-    pw2 = specialize(w2, gamma, F(25), ledger)
+    pw2 = specialize(w2, gamma, F(25))
     n, g_mor = pw2.group_data
     assert n == 3
     assert [e.coords[0] for row in g_mor.blocks[0] for e in row] == [1, 3]
@@ -99,21 +105,21 @@ def test_specialize_rejects_outside_span(zsetup):
     w = InclusionWitness(morphism=phi, x=space_g.zero() - y, xi=space_g.zero(),
                          xi_bound_sq=F(0), y=y, weighted=is_weighted(phi))
     with pytest.raises(WitnessError):
-        specialize(w, empty, F(25), ledger)
+        specialize(w, empty, F(25))
 
 
 def test_specialize_requires_eps_below_k0(zsetup):
     pz, ledger, amb, space_g, space_s, gamma, phi = zsetup
     w = _kernel_witness(space_g, phi, y=space_g.zero(), bound=F(100))
     with pytest.raises(WitnessError):
-        specialize(w, gamma, F(25), ledger)
+        specialize(w, gamma, F(25))
 
 
 def test_translate_examples(zsetup):
     pz, ledger, amb, space_g, space_s, gamma, phi = zsetup
     # phi' = 0: y solves [a] y' = 0, the canonical divide gives y = 0
     w = _kernel_witness(space_g, phi, y=space_g.zero())
-    pw = specialize(w, gamma, F(25), ledger)
+    pw = specialize(w, gamma, F(25))
     tw = translate_witness(pw, ledger)
     assert tw.y.is_zero()
     assert tw.xi.is_zero()  # xi = 0 stays 0
@@ -124,7 +130,7 @@ def test_translate_examples(zsetup):
     x1 = space_g.point([[space_g.slot(0, free=[[-3]]), space_g.slot(0)]])
     w1 = InclusionWitness(morphism=phi, x=x1, xi=space_g.zero(), xi_bound_sq=F(0),
                           y=y1, weighted=is_weighted(phi))
-    pw1 = specialize(w1, gamma, F(25), ledger)
+    pw1 = specialize(w1, gamma, F(25))
     tw1 = translate_witness(pw1, ledger)
     assert apply_morphism(tw1.morphism, tw1.x + tw1.y + tw1.xi).is_zero()
     phi_part, phi_prime = pw1.morphism.split_columns(pw1.special.left_counts)
@@ -142,7 +148,7 @@ def test_gamma_embed_weightifies(zsetup):
     )
     w = InclusionWitness(morphism=psi, x=x, xi=xi, xi_bound_sq=F(0), y=y)
     w.verify()
-    pw = gamma_embed(w, gamma, F(25), amb, ledger)
+    pw = gamma_embed(w, gamma, F(25), amb)
     assert pw.p is not None
     assert pw.weighted is not None and pw.weighted.scale >= 1
     pw.verify()
@@ -156,7 +162,7 @@ def test_gamma_embed_injective(zsetup):
         y = space_g.point([[space_g.slot(0, free=[[-k]]), space_g.slot(0)]])
         w = InclusionWitness(morphism=phi, x=x, xi=space_g.zero(), xi_bound_sq=F(0),
                              y=y, weighted=is_weighted(phi))
-        pw = gamma_embed(w, gamma, F(64), amb, ledger)
+        pw = gamma_embed(w, gamma, F(64), amb)
         xs.append(pw.x)
     assert xs[0] != xs[1]
 
@@ -169,7 +175,7 @@ def test_round_trip_eps0_gamma0(zsetup):
                          weighted=is_weighted(phi))
     w.verify()
     empty = empty_generators(space_g)
-    pw = gamma_embed(w, empty, F(25), amb, ledger)
+    pw = gamma_embed(w, empty, F(25), amb)
     back = point_project(pw, F(25), amb, ledger)
     assert back.x == x
     assert back.y.is_zero()
@@ -185,7 +191,7 @@ def test_point_project_bound_scales_with_eps(zsetup):
     phi_prime = BlockMorphism.from_coords(pz, (1,), (1,), [[[[5]]]])
     phi_tilde = phi.hstack(phi_prime)
     cert = SpecialCertificate(
-        left_counts=(2,), weighted=is_weighted(phi),
+        morphism=phi_tilde, weighted=is_weighted(phi),
         slack_sq=max(F(1), phi_tilde.norm_sq() / phi.norm_sq()),
     )
     x = space_g.point([[space_g.slot(0, free=[[F(-1, 50)]]), space_g.slot(0, free=[[F(-1)]])]])
@@ -221,10 +227,8 @@ def test_rank_check_negative(zsetup):
         space_g.zero(),
         space_s.point([[space_s.slot(0, free=[[-1]])]]),
     )
-    cert = SpecialCertificate(left_counts=(2,), weighted=is_weighted(phi), slack_sq=F(1))
-    with pytest.raises(MorphismError):
-        InclusionWitness(morphism=deficient, x=space_g.zero(), p=p, xi=huge,
-                         xi_bound_sq=F(1), weighted=cert.weighted, special=cert)
+    with pytest.raises(MorphismError, match="left block"):
+        SpecialCertificate(morphism=deficient, weighted=is_weighted(phi), slack_sq=F(1))
     # the equation does hold, phi'(p - p) = 0, but h(xi) = 1 exceeds the
     # recorded bound 1/100 that would put the witness inside the eps0 ball
     with pytest.raises(WitnessError, match="recorded bound"):
@@ -233,7 +237,7 @@ def test_rank_check_negative(zsetup):
     # a true pair witness whose recorded bound exceeds eps0(p)^2: the rank
     # guarantee does not apply, and the precondition check says so
     phi_tilde = phi.hstack(BlockMorphism.from_coords(pz, (1,), (1,), [[[[5]]]]))
-    cert = SpecialCertificate(left_counts=(2,), weighted=is_weighted(phi),
+    cert = SpecialCertificate(morphism=phi_tilde, weighted=is_weighted(phi),
                               slack_sq=max(F(1), phi_tilde.norm_sq() / phi.norm_sq()))
     x = space_g.point([[space_g.slot(0, free=[[-5]]), space_g.slot(0, free=[[1]])]])
     xi = concat_points(space_g.zero(), space_s.zero())
@@ -245,13 +249,29 @@ def test_rank_check_negative(zsetup):
         rank_check_special(_kernel_witness(space_g, phi, y=space_g.zero()), amb)
 
 
+def test_witness_rejects_certificate_for_another_morphism(zsetup):
+    pz, ledger, amb, space_g, space_s, gamma, phi = zsetup
+    # both equations hold at zero; the certificates are true, for other morphisms
+    other = BlockMorphism.from_coords(pz, (2,), (1,), [[[[2], [3]]]])
+    with pytest.raises(WitnessError, match="certificate is for another morphism"):
+        InclusionWitness(morphism=phi, x=space_g.zero(), xi=space_g.zero(),
+                         xi_bound_sq=F(0), weighted=is_weighted(other))
+    phi_tilde = phi.hstack(BlockMorphism.from_coords(pz, (1,), (1,), [[[[5]]]]))
+    phi_eight = phi.hstack(BlockMorphism.from_coords(pz, (1,), (1,), [[[[8]]]]))
+    cert = SpecialCertificate(morphism=phi_eight, weighted=is_weighted(phi),
+                              slack_sq=phi_eight.norm_sq() / phi.norm_sq())
+    with pytest.raises(WitnessError, match="certificate is for another morphism"):
+        InclusionWitness(morphism=phi_tilde, x=space_g.zero(), p=space_s.zero(),
+                         xi=concat_points(space_g.zero(), space_s.zero()), xi_bound_sq=F(0),
+                         weighted=cert.weighted, special=cert)
+
+
 def test_pair_witness_rejects_tampered_group_data(scenario_paths):
     # (N, G) must match the special morphism (N phi | phi G); (N+1, 7G)
     # keeps N positive and G's shape but breaks N * right == left o G
     scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
-    ledger = derive_ledger(scenario.product)
     for _, w in scenario.witnesses():
-        pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
+        pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
         n, g_mor = pw.group_data
         with pytest.raises(WitnessError, match="group datum"):
             replace(pw, group_data=(n + 1, g_mor.scale_int(7)))
@@ -261,34 +281,43 @@ def test_pair_witness_rejects_mismatched_weighted(scenario_paths):
     # a pair witness's weighted certificate is its special certificate's;
     # a looser slack on the outer copy alone is rejected
     scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
-    ledger = derive_ledger(scenario.product)
     for _, w in scenario.witnesses():
-        pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
+        pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
         looser = replace(pw.weighted, slack_sq=pw.weighted.slack_sq + 1)
         with pytest.raises(WitnessError, match="weighted certificate differs"):
             replace(pw, weighted=looser)
 
 
-@pytest.mark.parametrize("command, count", [(cmd_reduce, 18), (run_pipeline, 12)],
-                         ids=["reduce", "pipeline"])
-def test_each_witness_verified_once(monkeypatch, scenario_paths, command, count):
-    # every InclusionWitness a command creates is verified exactly once, on
-    # construction; the objects are kept alive so that their ids stay distinct
-    created, verified = [], []
-    init, verify = InclusionWitness.__init__, InclusionWitness.verify
+# every witness and certificate object a command creates on z-basic.json is
+# checked exactly once, on construction: a witness by `verify`, a certificate
+# in `__post_init__`; the third field is the number of objects created
+@pytest.mark.parametrize("command, cls, count", [
+    (cmd_reduce, InclusionWitness, 18),
+    (run_pipeline, InclusionWitness, 12),
+    (cmd_reduce, WeightedCertificate, 9),
+    (cmd_reduce, SpecialCertificate, 6),
+    (run_pipeline, WeightedCertificate, 6),
+    (run_pipeline, SpecialCertificate, 3),
+], ids=["reduce", "pipeline", "reduce-weighted", "reduce-special",
+        "pipeline-weighted", "pipeline-special"])
+def test_each_witness_verified_once(monkeypatch, scenario_paths, command, cls, count):
+    # the objects are kept alive so that their ids stay distinct
+    check = "verify" if cls is InclusionWitness else "__post_init__"
+    created, checked = [], []
+    init, check_fn = cls.__init__, getattr(cls, check)
 
     def recording_init(self, *args, **kwargs):
         created.append(self)
         init(self, *args, **kwargs)
 
-    def recording_verify(self):
-        verified.append(self)
-        verify(self)
+    def recording_check(self):
+        checked.append(self)
+        check_fn(self)
 
-    monkeypatch.setattr(InclusionWitness, "__init__", recording_init)
-    monkeypatch.setattr(InclusionWitness, "verify", recording_verify)
+    monkeypatch.setattr(cls, "__init__", recording_init)
+    monkeypatch.setattr(cls, check, recording_check)
     scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
     assert command(scenario)["ok"]
     assert len(created) == count
-    assert sorted(map(id, verified)) == sorted(map(id, created))
+    assert sorted(map(id, checked)) == sorted(map(id, created))
     assert len(set(map(id, created))) == len(created)

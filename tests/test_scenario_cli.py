@@ -70,14 +70,12 @@ def test_property_suites_ok_quick(scenario_paths):
 
 
 def test_witness_serialization_round_trip(scenario_paths):
-    from endoapprox.approx import derive_ledger
     from endoapprox.reduction import gamma_embed
     from endoapprox.scenario import witness_from_json, witness_to_json
 
     scenario = load_scenario(scenario_paths[0])
-    ledger = derive_ledger(scenario.product)
     name, w = scenario.witnesses()[0]
-    pair = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient, ledger)
+    pair = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
     rebuilt = witness_from_json(
         scenario.product, scenario.space, witness_to_json(pair)
     )
@@ -153,8 +151,11 @@ def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths, command, stem, 
     report = json.loads(out.read_text())
     assert not report["ok"]
     if command == "verify":
-        failed = [s["suite"] for s in report["suites"] if s["failures"]]
-        assert failed == ["reduction"]
+        failed = [s for s in report["suites"] if s["failures"]]
+        assert [s["suite"] for s in failed] == ["reduction"]
+        # the witness fails where it is built, before it is embedded
+        first = failed[0]["first_failures"][0]
+        assert first.endswith(": witness failed: witness equation does not hold"), first
     else:
         diagnostics = [row["diagnostic"] for row in report["witnesses"] if not row["ok"]]
         assert len(diagnostics) == 1 and diagnostics[0].startswith("WitnessError: ")
