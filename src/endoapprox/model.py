@@ -194,13 +194,18 @@ def _slot_int_mul(a: SlotValue, n: int) -> SlotValue:
     )
 
 
+def _int_coords(e) -> list[int]:
+    """The coordinates of an integral ring element as integers."""
+    if not e.is_integral():
+        raise ModelError("only integral ring elements act on model points")
+    return [c.numerator for c in e.coords]
+
+
 def _act_into(spec: RingSpec, e, tors: list[int], free, acc_tors, acc_free) -> None:
     """Add the action of an integral ring element on a slot, given by integer
     numerators, to the accumulators: lattice representation on torsion,
     module multiplication on each free coefficient."""
-    if not e.is_integral():
-        raise ModelError("only integral ring elements act on model points")
-    coords = [c.numerator for c in e.coords]
+    coords = _int_coords(e)
     if any(tors):
         for r, row in enumerate(spec.rho_int(coords)):
             acc_tors[r] += sum(m * t for m, t in zip(row, tors))
@@ -243,6 +248,9 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
     target_space = x.space.with_counts(phi.target)
     out_slots = []
     for i, spec in enumerate(phi.product.factors):
+        if not phi.blocks[i]:
+            out_slots.append(())
+            continue
         tors, tden, free, fden = _slot_nums(x.slots[i])
         nu = x.space.free_ranks[i]
         fac = []
@@ -255,6 +263,38 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
             fac.append(_slot_from_nums(acc_tors, tden, acc_free, fden))
         out_slots.append(tuple(fac))
     return ModelPoint(target_space, tuple(out_slots))
+
+
+def torsion_matrices(phi: BlockMorphism) -> list[list[list[int]]]:
+    """Per factor, the integer matrix of phi on the slots' torsion numerators:
+    the block of target row r and source column c is rho_int of entry (r, c),
+    the same blocks `apply_morphism` sums. phi maps the level-n torsion point
+    with numerators k (torsion k / n) to the one with numerators M k, so it
+    kills the point exactly when M k = 0 mod n."""
+    out = []
+    for spec, block in zip(phi.product.factors, phi.blocks):
+        m = []
+        for row in block:
+            images = [spec.rho_int(_int_coords(e)) for e in row]
+            for r in range(2 * spec.dimension):
+                m.append([x for image in images for x in image[r]])
+        out.append(m)
+    return out
+
+
+def _torsion_coords(space: ModelSpace) -> int:
+    return sum(2 * spec.dimension * c for spec, c in zip(space.product.factors, space.counts))
+
+
+def torsion_count(space: ModelSpace, n: int, budget: int) -> int:
+    """The number n ** (2 * sum(d_i * g_i)) of level-n torsion points of the
+    space; a level below 1, or a count above `budget`, raises."""
+    if n < 1:
+        raise ModelError("torsion level must be positive")
+    total = n ** _torsion_coords(space)
+    if total > budget:
+        raise ResourceError(f"torsion enumeration of {total} points exceeds budget {budget}")
+    return total
 
 
 def divide(y: ModelPoint, b: int) -> ModelPoint:
@@ -281,17 +321,10 @@ def divide(y: ModelPoint, b: int) -> ModelPoint:
 def torsion_enum(space: ModelSpace, n: int, budget: int = 100_000):
     """All points with zero free part and torsion coordinates in (1/n)Z mod 1.
 
-    The count is n ** (2 * sum(d_i * g_i)); anything above `budget` raises.
+    The count is `torsion_count(space, n, budget)`, which raises above `budget`.
     """
-    if n < 1:
-        raise ModelError("torsion level must be positive")
-    coord_count = sum(
-        2 * spec.dimension * c
-        for spec, c in zip(space.product.factors, space.counts)
-    )
-    total = n**coord_count
-    if total > budget:
-        raise ResourceError(f"torsion enumeration of {total} points exceeds budget {budget}")
+    torsion_count(space, n, budget)
+    coord_count = _torsion_coords(space)
     values = [Fraction(k, n) for k in range(n)]
     zero_free = [space.slot(i).free for i in range(space.product.n_factors)]
     for assignment in itertools.product(values, repeat=coord_count):

@@ -255,12 +255,16 @@ class WeightedCertificate:
         phi = self.morphism
         if self.scale < 1:
             raise MorphismError("weighted scale must be a positive integer")
+        if len(self.columns) != phi.product.n_factors:
+            raise MorphismError("certificate needs one column tuple per factor")
         for i, (spec, block) in enumerate(zip(phi.product.factors, phi.blocks)):
             cols = self.columns[i]
             if len(cols) != phi.target[i]:
                 raise MorphismError("certificate needs one column per target row")
             if len(set(cols)) != len(cols):
                 raise MorphismError("certificate columns must be distinct")
+            if any(c not in range(phi.source[i]) for c in cols):
+                raise MorphismError("certificate column outside the source")
             for j, c in enumerate(cols):
                 for r in range(phi.target[i]):
                     want = spec.integer(self.scale) if r == j else spec.zero()

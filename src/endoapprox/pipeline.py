@@ -37,9 +37,11 @@ from .model import (
     GeneratorSet,
     ModelPoint,
     ModelSpace,
+    ResourceError,
     apply_morphism,
     divide,
-    torsion_enum,
+    torsion_count,
+    torsion_matrices,
 )
 from .morphisms import (
     AmbientSpec,
@@ -338,14 +340,32 @@ def check_gauss_identity(spec: RingSpec, block) -> str | None:
 TORSION_LEVEL = 4  # highest torsion level the kernel-inclusion check enumerates
 
 
+def _kills(m: list[list[int]], k: tuple[int, ...], level: int) -> bool:
+    """Whether the torsion matrix m kills the level-`level` point with numerators k."""
+    return all(sum(a * b for a, b in zip(row, k)) % level == 0 for row in m)
+
+
 def check_kernel_inclusion(
     psi: BlockMorphism, phi: BlockMorphism, space: ModelSpace, budget: int
 ) -> str | None:
-    """Every torsion point of level 1 to TORSION_LEVEL that psi kills, phi kills too."""
+    """Every torsion point of level 1 to TORSION_LEVEL that psi kills, phi kills too.
+
+    Decided on integer residue vectors k in [0, level)^N through each
+    morphism's `torsion_matrices`, one factor at a time: both morphisms are
+    block-diagonal, so the inclusion holds on the space exactly when it holds
+    on every factor. A level whose count over the whole space exceeds
+    `budget` raises `ResourceError`."""
+    for f in (psi, phi):
+        if f.source != space.counts or f.product != space.product:
+            raise MorphismError("morphism does not act on the torsion space")
+    m_psi, m_phi = torsion_matrices(psi), torsion_matrices(phi)
+    widths = [2 * spec.dimension * c for spec, c in zip(space.product.factors, space.counts)]
     for level in range(1, TORSION_LEVEL + 1):
-        for z in torsion_enum(space, level, budget=budget):
-            if apply_morphism(psi, z).is_zero() and not apply_morphism(phi, z).is_zero():
-                return f"kernel escaped at torsion level {level}"
+        torsion_count(space, level, budget)
+        for a, b, width in zip(m_psi, m_phi, widths):
+            for k in itertools.product(range(level), repeat=width):
+                if _kills(a, k, level) and not _kills(b, k, level):
+                    return f"kernel escaped at torsion level {level}"
     return None
 
 
@@ -369,12 +389,14 @@ def check_dirichlet(alpha: list[Fraction], q: int, budget: int) -> str | None:
 
 def check_kernel_degree(spec: RingSpec, a: int, budget: int) -> str | None:
     """kernel_degree(a) against the count of level-a torsion points that [a]
-    kills on one slot of a dimension-1 factor."""
+    kills on one slot of a dimension-1 factor, counted on residue vectors
+    through `torsion_matrices`; over `budget` raises `ResourceError`."""
     single = ProductRingSpec((spec,))
     space = ModelSpace(AmbientSpec(single, (1,)), (1,))
-    mult = BlockMorphism.scalar(single, (1,), a)
+    (m,) = torsion_matrices(BlockMorphism.scalar(single, (1,), a))
     expected = kernel_degree(a, (1,), (1,))
-    seen = sum(1 for z in torsion_enum(space, a, budget=budget) if apply_morphism(mult, z).is_zero())
+    torsion_count(space, a, budget)
+    seen = sum(_kills(m, k, a) for k in itertools.product(range(a), repeat=2 * spec.dimension))
     if expected != seen:
         return f"kernel degree {expected} != enumerated {seen} at a={a}"
     return None
@@ -449,16 +471,15 @@ def suite_morphisms(product: ProductRingSpec, trials: int, rng: random.Random) -
 
 
 def suite_weightify_torsion(scenario: Scenario, trials: int, rng: random.Random) -> dict:
-    """Kernel inclusion through weightify, checked by torsion enumeration at
-    levels 1 to TORSION_LEVEL."""
+    """Kernel inclusion through weightify, checked on every torsion point of
+    levels 1 to TORSION_LEVEL; skipped when that level's count exceeds the
+    scenario's torsion budget."""
     failures: list[str] = []
     count = 0
     space = scenario.space
-    hom_dim = sum(
-        2 * spec.dimension * c
-        for spec, c in zip(space.product.factors, space.counts)
-    )
-    if TORSION_LEVEL**hom_dim > scenario.torsion_budget:
+    try:
+        torsion_count(space, TORSION_LEVEL, scenario.torsion_budget)
+    except ResourceError:
         return _suite("weightify_torsion", 0, [])
     for _ in range(trials):
         count += 1

@@ -1,7 +1,7 @@
 """Differential tests: the integer kernels of ring multiplication, the
-lattice representation, the model action and determinants against plain
-Fraction references written here, on the four reference rings and on
-two-factor products."""
+lattice representation, the model action, the torsion-kernel checks and
+determinants against plain Fraction references written here, on the four
+reference rings and on two-factor products."""
 
 import random
 from fractions import Fraction as F
@@ -9,10 +9,31 @@ from fractions import Fraction as F
 import pytest
 
 from endoapprox import linalg
-from endoapprox.model import ModelError, ModelSpace, apply_morphism, divide
-from endoapprox.morphisms import AmbientSpec, BlockMorphism
+from endoapprox.model import (
+    ModelError,
+    ModelSpace,
+    ResourceError,
+    apply_morphism,
+    divide,
+    torsion_enum,
+    torsion_matrices,
+)
+from endoapprox.morphisms import (
+    AmbientSpec,
+    BlockMorphism,
+    MorphismError,
+    rank_and_codim,
+    weightify,
+)
+from endoapprox.pipeline import (
+    TORSION_LEVEL,
+    check_kernel_degree,
+    check_kernel_inclusion,
+    rand_row_morphism,
+)
 from endoapprox.rings import ProductRingSpec, eisenstein_ring, quaternion_ring
 from endoapprox.scenario import load_scenario
+from endoapprox.thresholds import kernel_degree
 
 KINDS = ("integral", "rational", "large")
 
@@ -85,6 +106,34 @@ def ref_apply(phi, x):
             fac.append((tuple(v % 1 for v in tors), tuple(tuple(r) for r in free)))
         out.append(fac)
     return out
+
+
+def ref_kernel_inclusion(psi, phi, space, budget):
+    """The Fraction-point loop: every enumerated torsion point psi kills, phi kills."""
+    for level in range(1, TORSION_LEVEL + 1):
+        for z in torsion_enum(space, level, budget=budget):
+            if apply_morphism(psi, z).is_zero() and not apply_morphism(phi, z).is_zero():
+                return f"kernel escaped at torsion level {level}"
+    return None
+
+
+def ref_kernel_degree(spec, a, budget):
+    single = ProductRingSpec((spec,))
+    space = ModelSpace(AmbientSpec(single, (1,)), (1,))
+    mult = BlockMorphism.scalar(single, (1,), a)
+    expected = kernel_degree(a, (1,), (1,))
+    seen = sum(1 for z in torsion_enum(space, a, budget=budget) if apply_morphism(mult, z).is_zero())
+    if expected != seen:
+        return f"kernel degree {expected} != enumerated {seen} at a={a}"
+    return None
+
+
+def _outcome(check, *args):
+    """A check's result, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except (ModelError, ResourceError, MorphismError) as err:
+        return type(err).__name__, str(err)
 
 
 def ref_det(a):
@@ -248,6 +297,112 @@ def test_apply_morphism_rejects_non_integral_entries(rings, mixed):
             phi = BlockMorphism.from_coords(product, space.counts, space.counts, blocks)
             with pytest.raises(ModelError):
                 apply_morphism(phi, x)
+            with pytest.raises(ModelError):
+                torsion_matrices(phi)
+
+
+def _torsion_point(rng, space, level):
+    """Numerators k in [0, level) per factor and the point with torsion k / level."""
+    ks, slots = [], []
+    for i, spec in enumerate(space.product.factors):
+        two_d = 2 * spec.dimension
+        k = [rng.randrange(level) for _ in range(two_d * space.counts[i])]
+        ks.append(k)
+        slots.append([
+            space.slot(i, torsion=[F(v, level) for v in k[j : j + two_d]])
+            for j in range(0, len(k), two_d)
+        ])
+    return ks, space.point(slots)
+
+
+def test_torsion_matrices_match_apply_morphism(rings, two_factor, mixed):
+    rng = random.Random(83)
+    for product in _product_cases(rings, two_factor, mixed):
+        n = product.n_factors
+        for _ in range(6):
+            source = tuple(rng.randint(1, 3) for _ in range(n))
+            target = tuple(rng.randint(0, 3) for _ in range(n))
+            space = ModelSpace(AmbientSpec(product, source), (1,) * n)
+            phi = _morphism(rng, product, source, target)
+            matrices = torsion_matrices(phi)
+            for spec, m, s, t in zip(product.factors, matrices, source, target):
+                assert len(m) == 2 * spec.dimension * t
+                assert all(len(row) == 2 * spec.dimension * s and _ints(row) for row in m)
+            for level in range(1, TORSION_LEVEL + 1):
+                for _ in range(4):
+                    ks, z = _torsion_point(rng, space, level)
+                    image = apply_morphism(phi, z)
+                    for spec, fac, m, k in zip(product.factors, image.slots, matrices, ks):
+                        want = [F(sum(a * b for a, b in zip(row, k)), level) % 1 for row in m]
+                        got = [x for slot in fac for x in slot.torsion]
+                        assert got == want
+
+
+def _ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+def _torsion_spaces(rings, two_factor):
+    """Spaces of 4 to 5 torsion coordinates, so the reference loop stays short."""
+    cases = [(rings[tag], 2) for tag in ("Z", "Zi", "Zw")] + [(rings["Hq"], 1)]
+    spaces = [ModelSpace(AmbientSpec(ProductRingSpec((spec,)), (g,)), (1,)) for spec, g in cases]
+    spaces.append(ModelSpace(AmbientSpec(two_factor, (2, 1)), (1, 1)))
+    return spaces
+
+
+def test_kernel_inclusion_matches_reference(rings, two_factor):
+    rng = random.Random(89)
+    levels = []
+    for space in _torsion_spaces(rings, two_factor):
+        total = 4 ** sum(2 * f.dimension * c for f, c in zip(space.product.factors, space.counts))
+        pairs = 0
+        while pairs < 2:
+            psi = rand_row_morphism(rng, space)
+            if rank_and_codim(psi, space.ambient)[0] != psi.target:
+                continue
+            phi = weightify(psi, space.ambient)[1].morphism
+            pairs += 1
+            assert check_kernel_inclusion(psi, phi, space, total) is None
+            # the swapped pair, and pairs that first escape at levels 3 and 4
+            cases = [(psi, phi), (phi, psi), (psi.scale_int(3), psi),
+                     (psi.scale_int(4), psi.scale_int(2))]
+            for a, b in cases:
+                for budget in (total, total - 1):
+                    want = _outcome(ref_kernel_inclusion, a, b, space, budget)
+                    assert _outcome(check_kernel_inclusion, a, b, space, budget) == want
+                    if isinstance(want, str):
+                        levels.append(int(want.rsplit(" ", 1)[1]))
+    assert set(levels) == {2, 3, 4}
+    # a morphism on another space is refused, as apply_morphism refuses it
+    other = space.with_counts((1, 1))
+    with pytest.raises(MorphismError):
+        check_kernel_inclusion(psi, phi, other, total)
+    # level 4 escapes under the full budget; one point less raises first
+    assert levels.count(4) == len(_torsion_spaces(rings, two_factor)) * 2
+
+
+def test_kernel_inclusion_gaussian_example(rings):
+    # 1 + i kills the level-2 point of torsion (1/2, 1/2); the identity does not
+    product = ProductRingSpec((rings["Zi"],))
+    space = ModelSpace(AmbientSpec(product, (1,)), (1,))
+    one_plus_i = BlockMorphism.from_coords(product, (1,), (1,), [[[[1, 1]]]])
+    identity = BlockMorphism.identity(product, (1,))
+    for a, b, want in ((one_plus_i, identity, "kernel escaped at torsion level 2"),
+                       (identity, one_plus_i, None)):
+        assert check_kernel_inclusion(a, b, space, 16) == want
+        assert ref_kernel_inclusion(a, b, space, 16) == want
+
+
+@pytest.mark.parametrize("tag", ["Z", "Zi", "Zw"])
+def test_kernel_degree_matches_reference(rings, tag):
+    spec = rings[tag]
+    for a in range(1, 5):
+        for budget in (100_000, a * a - 1):
+            want = _outcome(ref_kernel_degree, spec, a, budget)
+            assert _outcome(check_kernel_degree, spec, a, budget) == want
+    assert _outcome(check_kernel_degree, spec, 3, 8) == (
+        "ResourceError", "torsion enumeration of 9 points exceeds budget 8"
+    )
 
 
 # -- determinants ----------------------------------------------------------

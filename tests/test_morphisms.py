@@ -20,7 +20,7 @@ from endoapprox.morphisms import (
     weightify,
 )
 from endoapprox.pipeline import check_gauss_identity, rand_full_rank
-from endoapprox.rings import ProductRingSpec
+from endoapprox.rings import ProductRingSpec, gaussian_ring
 
 
 def _mor(product, source, target, coords):
@@ -113,6 +113,13 @@ def _bad_special(pz, left, right, slack_sq):
     return SpecialCertificate(morphism=phi_tilde, weighted=weighted, slack_sq=slack_sq)
 
 
+def _bad_columns(pz, columns):
+    """A Z x Zi (2, 2) -> (1, 1) morphism whose columns 0 are 2 I."""
+    product = ProductRingSpec((pz.factors[0], gaussian_ring()))
+    phi = _mor(product, (2, 2), (1, 1), [[[[2], [5]]], [[[2, 0], [1, 1]]]])
+    return WeightedCertificate(morphism=phi, scale=2, columns=columns, slack_sq=F(100))
+
+
 @pytest.mark.parametrize("build, match", [
     (lambda pz: _bad_weighted(pz, 0, ((0,),), F(25)), "positive integer"),
     (lambda pz: _bad_weighted(pz, 2, ((),), F(25)), "one column per target row"),
@@ -122,8 +129,13 @@ def _bad_special(pz, left, right, slack_sq):
     (lambda pz: _bad_weighted(pz, 2, ((0,),), F(6)), "weighted slack"),
     (lambda pz: _bad_special(pz, 5, 7, F(1)), "special slack"),
     (lambda pz: _bad_special(pz, 3, 7, F(4)), "left block"),
+    (lambda pz: _bad_columns(pz, ((0,),)), "one column tuple per factor"),
+    (lambda pz: _bad_columns(pz, ((0,), (0,), (0,))), "one column tuple per factor"),
+    (lambda pz: _bad_columns(pz, ((0,), (-2,))), "outside the source"),
+    (lambda pz: _bad_columns(pz, ((0,), (5,))), "outside the source"),
 ], ids=["scale-0", "missing-column", "repeated-column", "not-aI", "weighted-slack",
-        "special-slack", "other-left-block"])
+        "special-slack", "other-left-block", "too-few-column-tuples", "too-many-column-tuples",
+        "negative-column", "column-past-source"])
 def test_certificate_rejected_on_construction(products, build, match):
     # |(2|5)|^2 = 25 needs slack 25/4 at a = 2; |(2|5|7)|^2 = 49 needs 49/25
     with pytest.raises(MorphismError, match=match):
