@@ -248,9 +248,6 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
     target_space = x.space.with_counts(phi.target)
     out_slots = []
     for i, spec in enumerate(phi.product.factors):
-        if not phi.blocks[i]:
-            out_slots.append(())
-            continue
         tors, tden, free, fden = _slot_nums(x.slots[i])
         nu = x.space.free_ranks[i]
         fac = []
@@ -282,8 +279,9 @@ def torsion_matrices(phi: BlockMorphism) -> list[list[list[int]]]:
     return out
 
 
-def _torsion_coords(space: ModelSpace) -> int:
-    return sum(2 * spec.dimension * c for spec, c in zip(space.product.factors, space.counts))
+def torsion_widths(space: ModelSpace) -> list[int]:
+    """Per factor, the number 2 * d_i * g_i of torsion numerators of its slots."""
+    return [2 * spec.dimension * c for spec, c in zip(space.product.factors, space.counts)]
 
 
 def torsion_count(space: ModelSpace, n: int, budget: int) -> int:
@@ -291,7 +289,7 @@ def torsion_count(space: ModelSpace, n: int, budget: int) -> int:
     space; a level below 1, or a count above `budget`, raises."""
     if n < 1:
         raise ModelError("torsion level must be positive")
-    total = n ** _torsion_coords(space)
+    total = n ** sum(torsion_widths(space))
     if total > budget:
         raise ResourceError(f"torsion enumeration of {total} points exceeds budget {budget}")
     return total
@@ -324,7 +322,7 @@ def torsion_enum(space: ModelSpace, n: int, budget: int = 100_000):
     The count is `torsion_count(space, n, budget)`, which raises above `budget`.
     """
     torsion_count(space, n, budget)
-    coord_count = _torsion_coords(space)
+    coord_count = sum(torsion_widths(space))
     values = [Fraction(k, n) for k in range(n)]
     zero_free = [space.slot(i).free for i in range(space.product.n_factors)]
     for assignment in itertools.product(values, repeat=coord_count):

@@ -42,6 +42,7 @@ from .model import (
     divide,
     torsion_count,
     torsion_matrices,
+    torsion_widths,
 )
 from .morphisms import (
     AmbientSpec,
@@ -359,10 +360,9 @@ def check_kernel_inclusion(
         if f.source != space.counts or f.product != space.product:
             raise MorphismError("morphism does not act on the torsion space")
     m_psi, m_phi = torsion_matrices(psi), torsion_matrices(phi)
-    widths = [2 * spec.dimension * c for spec, c in zip(space.product.factors, space.counts)]
     for level in range(1, TORSION_LEVEL + 1):
         torsion_count(space, level, budget)
-        for a, b, width in zip(m_psi, m_phi, widths):
+        for a, b, width in zip(m_psi, m_phi, torsion_widths(space)):
             for k in itertools.product(range(level), repeat=width):
                 if _kills(a, k, level) and not _kills(b, k, level):
                     return f"kernel escaped at torsion level {level}"
@@ -395,8 +395,9 @@ def check_kernel_degree(spec: RingSpec, a: int, budget: int) -> str | None:
     space = ModelSpace(AmbientSpec(single, (1,)), (1,))
     (m,) = torsion_matrices(BlockMorphism.scalar(single, (1,), a))
     expected = kernel_degree(a, (1,), (1,))
+    (width,) = torsion_widths(space)
     torsion_count(space, a, budget)
-    seen = sum(_kills(m, k, a) for k in itertools.product(range(a), repeat=2 * spec.dimension))
+    seen = sum(_kills(m, k, a) for k in itertools.product(range(a), repeat=width))
     if expected != seen:
         return f"kernel degree {expected} != enumerated {seen} at a={a}"
     return None
