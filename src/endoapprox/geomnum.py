@@ -125,7 +125,8 @@ def inflate_generators(
     if target == 0:
         return gamma, 1
     consts = point_constants_all(gamma.point)
-    assert consts is not None
+    if consts is None:
+        raise GeomNumError("generators have no slots to inflate")
     min_h = gamma.min_height()
     if min_h <= 0:
         raise GeomNumError("generators of height zero cannot be inflated")

@@ -33,7 +33,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return []
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k, "shape mismatch"
+    if len(a[0]) != k:
+        raise ValueError("shape mismatch")
     out = zeros(n, m)
     for i in range(n):
         for j in range(m):
@@ -82,7 +83,8 @@ def det(a: Matrix) -> Fraction:
     """Determinant: each row is cleared of its denominators, the integer
     determinant is taken and divided once by the product of the row
     denominators."""
-    assert all(len(row) == len(a) for row in a), "determinant of non-square matrix"
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("determinant of non-square matrix")
     rows, den = [], 1
     for row in a:
         nums, d = clear_denominators(row)

@@ -3,7 +3,8 @@ algebraic points with exact heights.
 
 Each coordinate slot holds a torsion part (rationals mod 1, one per
 homology coordinate) and a free part (coefficients in the factor ring
-tensored with Q, over a scenario-chosen number of independent generators).
+tensored with Q, over a scenario-chosen number of independent generators),
+each stored as integer numerators over one denominator.
 Heights are exact rationals: the free part is scored by the ring's Gram
 form summed over generators, torsion contributes zero, and the height of a
 point is the maximum over its slots.  Every group axiom the downstream
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import clear_denominators
 from .morphisms import AmbientSpec, BlockMorphism, MorphismError
@@ -64,28 +65,51 @@ class ModelSpace:
 
     def slot(self, factor: int, torsion=(), free=()) -> "SlotValue":
         spec = self.product.factors[factor]
-        nu = self.free_ranks[factor]
-        tors = [Fraction(0)] * (2 * spec.dimension)
+        nu, t = self.free_ranks[factor], spec.rank
+        tors = [0] * (2 * spec.dimension)
         for idx, v in enumerate(torsion):
             tors[idx] = as_fraction(v) % 1
-        fr = [[Fraction(0)] * spec.rank for _ in range(nu)]
+        fr = [[0] * t for _ in range(nu)]
         for k, coeff in enumerate(free):
             for l, v in enumerate(coeff):
                 fr[k][l] = as_fraction(v)
-        return SlotValue(tuple(tors), tuple(tuple(row) for row in fr))
+        # over the least common denominator the numerators share no factor with it
+        tnums, tden = clear_denominators(tors)
+        fnums, fden = clear_denominators([x for row in fr for x in row])
+        return SlotValue(
+            tuple(tnums), tden, tuple(tuple(fnums[k * t : (k + 1) * t]) for k in range(nu)), fden
+        )
 
 
 @dataclass(frozen=True)
 class SlotValue:
-    """One ambient coordinate: torsion vector mod 1 plus free coefficients."""
+    """One ambient coordinate: torsion vector mod 1 plus free coefficients,
+    as integer numerators over one denominator each.
 
-    torsion: tuple[Fraction, ...]
-    free: tuple[tuple[Fraction, ...], ...]
+    Torsion is tnums[i] / tden with 0 <= tnums[i] < tden; free coefficient
+    k is fnums[k] / fden.  Each denominator is the least one, so the
+    numerators and their denominator share no common factor, and equal
+    slots have equal fields.  `torsion` and `free` are the Fraction views.
+    """
+
+    tnums: tuple[int, ...]
+    tden: int
+    fnums: tuple[tuple[int, ...], ...]
+    fden: int
+
+    @property
+    def torsion(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.tden) for x in self.tnums)
+
+    @property
+    def free(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.fden) for x in row) for row in self.fnums)
+
+    def is_torsion(self) -> bool:
+        return not any(any(row) for row in self.fnums)
 
     def is_zero(self) -> bool:
-        return all(t == 0 for t in self.torsion) and all(
-            c == 0 for row in self.free for c in row
-        )
+        return not any(self.tnums) and self.is_torsion()
 
 
 @dataclass(frozen=True)
@@ -115,11 +139,15 @@ class ModelPoint:
         return ModelPoint(self.space, slots)
 
     def __neg__(self) -> "ModelPoint":
-        slots = tuple(tuple(_slot_neg(s) for s in fac) for fac in self.slots)
-        return ModelPoint(self.space, slots)
+        return self.int_mul(-1)
 
     def __sub__(self, other: "ModelPoint") -> "ModelPoint":
-        return self + (-other)
+        self._check(other)
+        slots = tuple(
+            tuple(_slot_add(a, b, -1) for a, b in zip(fa, fb))
+            for fa, fb in zip(self.slots, other.slots)
+        )
+        return ModelPoint(self.space, slots)
 
     def int_mul(self, n: int) -> "ModelPoint":
         slots = tuple(tuple(_slot_int_mul(s, n) for s in fac) for fac in self.slots)
@@ -129,13 +157,14 @@ class ModelPoint:
         return all(s.is_zero() for fac in self.slots for s in fac)
 
     def is_torsion(self) -> bool:
-        return all(c == 0 for fac in self.slots for s in fac for row in s.free for c in row)
+        return all(s.is_torsion() for fac in self.slots for s in fac)
 
     # -- heights -----------------------------------------------------------
 
     def slot_height(self, factor: int, index: int) -> Fraction:
-        free = self.slots[factor][index].free
-        return free_inner(self.space.product.factors[factor], free, free)
+        s = self.slots[factor][index]
+        spec = self.space.product.factors[factor]
+        return Fraction(_free_form(spec, s.fnums, s.fnums), s.fden * s.fden * spec.gram_den)
 
     def height(self) -> Fraction:
         best = Fraction(0)
@@ -147,50 +176,72 @@ class ModelPoint:
         return best
 
 
+def _free_form(spec: RingSpec, a, b) -> int:
+    """The integer Gram form summed over two lists of integer coefficients."""
+    return sum(map(spec.form_int, a, b))
+
+
 def free_inner(spec: RingSpec, a, b) -> Fraction:
     """The ring's Gram form summed over two slots' free coefficients; the
-    height of a slot is its free part's inner product with itself."""
-    return sum((spec.form(x, y) for x, y in zip(a, b)), Fraction(0))
+    height of a slot is its free part's inner product with itself.  One
+    integer sum over the numerators, divided once."""
+    t = spec.rank
+    an, ad = clear_denominators([x for row in a for x in row])
+    bn, bd = clear_denominators([x for row in b for x in row])
+    rows = range(0, len(an), t)
+    total = _free_form(spec, [an[k : k + t] for k in rows], [bn[k : k + t] for k in rows])
+    return Fraction(total, ad * bd * spec.gram_den)
 
 
 def slot_orbit(spec: RingSpec, slot: SlotValue) -> list[tuple[tuple[Fraction, ...], ...]]:
     """The free parts of tau_k * slot for the ring basis tau_1..tau_t,
     which span the free part of the slot's ring orbit over Q."""
+    t = spec.rank
     return [
-        tuple(tuple((tau * spec.element(coeff)).coords) for coeff in slot.free)
-        for tau in map(spec.basis_element, range(spec.rank))
+        tuple(
+            tuple(Fraction(x, slot.fden) for x in spec.mul_int([int(i == k) for i in range(t)], row))
+            for row in slot.fnums
+        )
+        for k in range(t)
     ]
 
 
-def _torsion_mod1(nums, den: int) -> tuple[Fraction, ...]:
-    """Torsion coordinates nums[i] / den reduced mod 1."""
-    return tuple(Fraction(x % den, den) for x in nums)
+def _torsion_mod1(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """Torsion numerators nums / den reduced mod 1 and to the least
+    denominator: (numerators in [0, den'), den')."""
+    nums = [x % den for x in nums]
+    g = gcd(den, *nums)
+    if g > 1:
+        return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
 
 
-def _slot_add(a: SlotValue, b: SlotValue) -> SlotValue:
-    nums, den = clear_denominators(a.torsion + b.torsion)
-    k = len(a.torsion)
+def _free_lowest(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Free numerators rows / den over the least denominator."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if g > 1:
+        return tuple(tuple(x // g for x in row) for row in rows), den // g
+    return tuple(tuple(row) for row in rows), den
+
+
+def _slot_add(a: SlotValue, b: SlotValue, k: int = 1) -> SlotValue:
+    """The slot a + k*b."""
+    tden = lcm(a.tden, b.tden)
+    ka, kb = tden // a.tden, k * (tden // b.tden)
+    fden = lcm(a.fden, b.fden)
+    ga, gb = fden // a.fden, k * (fden // b.fden)
     return SlotValue(
-        torsion=_torsion_mod1((x + y for x, y in zip(nums[:k], nums[k:])), den),
-        free=tuple(
-            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.free, b.free)
+        *_torsion_mod1([x * ka + y * kb for x, y in zip(a.tnums, b.tnums)], tden),
+        *_free_lowest(
+            [[x * ga + y * gb for x, y in zip(ra, rb)] for ra, rb in zip(a.fnums, b.fnums)], fden
         ),
     )
 
 
-def _slot_neg(a: SlotValue) -> SlotValue:
-    nums, den = clear_denominators(a.torsion)
-    return SlotValue(
-        torsion=_torsion_mod1((-x for x in nums), den),
-        free=tuple(tuple(-x for x in row) for row in a.free),
-    )
-
-
 def _slot_int_mul(a: SlotValue, n: int) -> SlotValue:
-    nums, den = clear_denominators(a.torsion)
     return SlotValue(
-        torsion=_torsion_mod1((n * x for x in nums), den),
-        free=tuple(tuple(n * x for x in row) for row in a.free),
+        *_torsion_mod1([n * x for x in a.tnums], a.tden),
+        *_free_lowest([[n * x for x in row] for row in a.fnums], a.fden),
     )
 
 
@@ -215,32 +266,27 @@ def _act_into(spec: RingSpec, e, tors: list[int], free, acc_tors, acc_free) -> N
 
 
 def _slot_nums(slots) -> tuple[list[list[int]], int, list[list[list[int]]], int]:
-    """The slots' torsion and free coordinates as integer numerators over one
-    torsion and one free denominator: (torsion per slot, torsion den, free
+    """The slots' torsion and free numerators brought over one torsion and
+    one free denominator: (torsion per slot, torsion den, free
     coefficients per slot, free den)."""
-    tden = lcm(*(x.denominator for s in slots for x in s.torsion))
-    fden = lcm(*(x.denominator for s in slots for row in s.free for x in row))
-    tors = [[x.numerator * (tden // x.denominator) for x in s.torsion] for s in slots]
-    free = [
-        [[x.numerator * (fden // x.denominator) for x in row] for row in s.free] for s in slots
-    ]
+    tden = lcm(*(s.tden for s in slots))
+    fden = lcm(*(s.fden for s in slots))
+    tors = [[x * (tden // s.tden) for x in s.tnums] for s in slots]
+    free = [[[x * (fden // s.fden) for x in row] for row in s.fnums] for s in slots]
     return tors, tden, free, fden
 
 
 def _slot_from_nums(acc_tors, tden: int, acc_free, fden: int) -> SlotValue:
-    return SlotValue(
-        _torsion_mod1(acc_tors, tden),
-        tuple(tuple(Fraction(x, fden) for x in row) for row in acc_free),
-    )
+    return SlotValue(*_torsion_mod1(acc_tors, tden), *_free_lowest(acc_free, fden))
 
 
 def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
     """Evaluate a block morphism on a point; exact and additive.
 
-    Per factor, the input slots are cleared to integer numerators over one
-    torsion and one free denominator, each output row is accumulated in
-    integers across its columns, and each output coordinate is divided
-    once (torsion reduced mod 1)."""
+    Per factor, the input slots' numerators are brought over one torsion
+    and one free denominator, each output row is accumulated in integers
+    across its columns, and each output slot is reduced once (torsion mod
+    1, both parts to their least denominator)."""
     if phi.source != x.space.counts:
         raise MorphismError("morphism source does not match the point's space")
     if phi.product is not x.space.product and phi.product != x.space.product:
@@ -305,10 +351,7 @@ def divide(y: ModelPoint, b: int) -> ModelPoint:
         raise ModelError("division needs a positive integer")
     slots = tuple(
         tuple(
-            SlotValue(
-                torsion=tuple(t / b for t in s.torsion),
-                free=tuple(tuple(c / b for c in row) for row in s.free),
-            )
+            SlotValue(*_torsion_mod1(s.tnums, s.tden * b), *_free_lowest(s.fnums, s.fden * b))
             for s in fac
         )
         for fac in y.slots
@@ -323,16 +366,15 @@ def torsion_enum(space: ModelSpace, n: int, budget: int = 100_000):
     """
     torsion_count(space, n, budget)
     coord_count = sum(torsion_widths(space))
-    values = [Fraction(k, n) for k in range(n)]
-    zero_free = [space.slot(i).free for i in range(space.product.n_factors)]
-    for assignment in itertools.product(values, repeat=coord_count):
+    zero_free = [(space.slot(i).fnums, 1) for i in range(space.product.n_factors)]
+    for assignment in itertools.product(range(n), repeat=coord_count):
         at = 0
         slots = []
         for i, spec in enumerate(space.product.factors):
             two_d = 2 * spec.dimension
             fac = []
             for _ in range(space.counts[i]):
-                fac.append(SlotValue(tuple(assignment[at : at + two_d]), zero_free[i]))
+                fac.append(SlotValue(*_torsion_mod1(assignment[at : at + two_d], n), *zero_free[i]))
                 at += two_d
             slots.append(tuple(fac))
         yield ModelPoint(space, tuple(slots))
@@ -387,10 +429,8 @@ class GeneratorSet:
     def __post_init__(self):
         if self.point.space != self.space:
             raise ModelError("generator point must live in the declared space")
-        for fac in self.point.slots:
-            for s in fac:
-                if any(t != 0 for t in s.torsion):
-                    raise ModelError("generators must be torsion-free")
+        if any(any(s.tnums) for fac in self.point.slots for s in fac):
+            raise ModelError("generators must be torsion-free")
         if rank_of_point(self.point) != self.space.counts:
             raise ModelError("generators are not free (rank condition fails)")
 

@@ -381,105 +381,125 @@ def isogeny_extension(cert: WeightedCertificate) -> BlockMorphism:
     return ext
 
 
+def _left_multiple(spec: RingSpec, x: list[int], y: list[int]) -> tuple[list[int], list[int]]:
+    """Nonzero integer coordinates a, b with a*x == b*y for nonzero integer
+    coordinates x, y: (y, x) commutatively, (y*conj(x), conj(x)*x) in a
+    quaternion order."""
+    if spec.is_commutative:
+        a, b = list(y), list(x)
+    else:
+        xc = spec.conj_int(x)
+        a, b = spec.mul_int(y, xc), spec.mul_int(xc, x)
+    if not any(a) or not any(b) or spec.mul_int(a, x) != spec.mul_int(b, y):
+        raise RingError("left common multiple construction failed for this ring")
+    return a, b
+
+
 def solve_ax_eq_by(x: RingElement, y: RingElement) -> tuple[RingElement, RingElement]:
-    """Nonzero a, b with a*x == b*y; (y, x) commutatively, (y*conj(x), conj(x)*x)
-    in a quaternion order."""
+    """Nonzero a, b with a*x == b*y, from the integer coordinates of d*x and
+    d*y, d the common denominator of x and y: for integral x, y that is
+    (y, x) commutatively and (y*conj(x), conj(x)*x) in a quaternion order."""
     if x.ring.tag != y.ring.tag:
         raise RingError("solve_ax_eq_by needs elements of one ring")
     if x.is_zero() or y.is_zero():
         raise RingError("solve_ax_eq_by needs nonzero elements")
-    if x.ring.is_commutative:
-        a, b = y, x
-    else:
-        a, b = y * x.conj(), x.conj() * x
-    if a.is_zero() or b.is_zero() or a * x != b * y:
-        raise RingError("left common multiple construction failed for this ring")
-    return a, b
+    spec = x.ring
+    nums, _ = linalg.clear_denominators(x.coords + y.coords)
+    a, b = _left_multiple(spec, nums[: spec.rank], nums[spec.rank :])
+    return spec.element(a), spec.element(b)
+
+
+def block_nums(block) -> tuple[list[list[list[int]]], int]:
+    """A block's entries as integer coordinate lists over the least common
+    denominator of all their coordinates: (numerators, denominator)."""
+    den = lcm(*(c.denominator for row in block for e in row for c in e.coords))
+    nums = [[[c.numerator * (den // c.denominator) for c in e.coords] for e in row] for row in block]
+    return nums, den
+
+
+def off_scalar(spec: RingSpec, left, right, scale: int) -> tuple[int, int] | None:
+    """The first entry (i, j) where left @ right differs from scale * I, for
+    square blocks of integer coordinate lists; None when they are equal."""
+    n, t = len(left), spec.rank
+    for i in range(n):
+        for j in range(n):
+            acc = [0] * t
+            for p in range(n):
+                for l, v in enumerate(spec.mul_int(left[i][p], right[p][j])):
+                    acc[l] += v
+            if acc != [scale if i == j and l == 0 else 0 for l in range(t)]:
+                return i, j
+    return None
 
 
 def gauss_reduce(spec: RingSpec, delta0) -> tuple[list[list[RingElement]], int]:
     """Left-only Gauss elimination: a matrix delta0' and positive integer a
     with delta0' @ delta0 == a * I, entries staying in the order.
 
-    Elimination multiplies rows on the left only (no commutation); the
-    diagonal is cleared to integers through the adjugate of each entry's
-    right-multiplication matrix, merged by least common multiple, and the
-    result is reduced by the content of the output matrix.
+    The block is cleared to N = D * delta0, D the common denominator of its
+    coordinates, and N is eliminated on integer coordinate lists.  Rows are
+    multiplied on the left only (no commutation) by left common multiples;
+    the diagonal is cleared to integers through the adjugate of each
+    entry's integer right-multiplication matrix, merged by least common
+    multiple, so N' @ N == m * I.  The result is D * N' and m with their
+    common content taken out, checked in integers against N.
     """
     n = len(delta0)
     if n == 0:
         return [], 1
     if any(len(row) != n for row in delta0):
         raise MorphismError("gauss reduction needs a square block")
-    work = [list(row) for row in delta0]
-    trans = [[spec.integer(1) if i == j else spec.zero() for j in range(n)] for i in range(n)]
-
-    def row_op(target_row: int, alpha: RingElement, beta: RingElement, pivot_row: int) -> None:
-        for m in (work, trans):
-            m[target_row] = [
-                alpha * m[target_row][j] - beta * m[pivot_row][j] for j in range(n)
-            ]
+    mul, t = spec.mul_int, spec.rank
+    nums, den = block_nums(delta0)
+    work = [list(row) for row in nums]
+    unit, zero = [1] + [0] * (t - 1), [0] * t
+    trans = [[unit if i == j else zero for j in range(n)] for i in range(n)]
 
     for c in range(n):
-        piv = next((r for r in range(c, n) if not work[r][c].is_zero()), None)
+        piv = next((r for r in range(c, n) if any(work[r][c])), None)
         if piv is None:
             raise MorphismError("gauss reduction on a rank-deficient block")
         if piv != c:
             work[c], work[piv] = work[piv], work[c]
             trans[c], trans[piv] = trans[piv], trans[c]
         for r in range(n):
-            if r != c and not work[r][c].is_zero():
-                alpha, beta = solve_ax_eq_by(work[r][c], work[c][c])
-                row_op(r, alpha, beta, c)
-                if not work[r][c].is_zero():
-                    raise MorphismError("elimination failed to clear an entry")
+            if r != c and any(work[r][c]):
+                alpha, beta = _left_multiple(spec, work[r][c], work[c][c])
+                for m in (work, trans):
+                    m[r] = [
+                        [u - v for u, v in zip(mul(alpha, x), mul(beta, y))]
+                        for x, y in zip(m[r], m[c])
+                    ]
 
     scales = []
     clearers = []
     for c in range(n):
         delta = work[c][c]
-        if delta.is_zero():
+        if not any(delta):
             raise MorphismError("gauss reduction on a rank-deficient block")
-        rmat = [[int(x) for x in row] for row in spec.right_mul_matrix(delta)]
-        adj, d = linalg.adjugate_int(rmat)
+        adj, d = linalg.adjugate_int(spec.right_mul_matrix(delta))
         if d == 0:
             raise MorphismError("degenerate right-multiplication matrix")
         sign = 1 if d > 0 else -1
-        coords = [sign * adj[i][0] for i in range(spec.rank)]
-        clearer = spec.element(coords)
-        if clearer * delta != spec.integer(abs(d)):
+        clearer = [sign * adj[i][0] for i in range(t)]
+        if mul(clearer, delta) != [abs(d)] + zero[1:]:
             raise MorphismError("adjugate clearing failed")
         scales.append(abs(d))
         clearers.append(clearer)
 
-    m = 1
-    for s in scales:
-        m = lcm(m, s)
-    out_rows = []
-    for c in range(n):
-        factor = m // scales[c]
-        out_rows.append([(clearers[c] * trans[c][j]).scale(factor) for j in range(n)])
+    m = lcm(*scales)
+    out = [
+        [[den * (m // scales[c]) * v for v in mul(clearers[c], trans[c][j])] for j in range(n)]
+        for c in range(n)
+    ]
+    content = gcd(m, *(v for row in out for e in row for v in e))
+    out = [[[v // content for v in e] for e in row] for row in out]
+    m //= content
 
-    content = 0
-    for row in out_rows:
-        for e in row:
-            for coord in e.coords:
-                assert coord.denominator == 1
-                content = gcd(content, int(coord))
-    if content > 1:
-        out_rows = [[e.scale(Fraction(1, content)) for e in row] for row in out_rows]
-        m //= content
-
-    # final exactness check: delta0' @ delta0 == m * I
-    for i in range(n):
-        for j in range(n):
-            acc = spec.zero()
-            for p in range(n):
-                acc = acc + out_rows[i][p] * delta0[p][j]
-            want = spec.integer(m) if i == j else spec.zero()
-            if acc != want:
-                raise MorphismError("gauss reduction identity check failed")
-    return out_rows, m
+    # final exactness check: delta0' @ delta0 == m * I, that is delta0' @ N == m * D * I
+    if off_scalar(spec, out, nums, m * den) is not None:
+        raise MorphismError("gauss reduction identity check failed")
+    return [[spec.element(e) for e in row] for row in out], m
 
 
 def weightify(psi: BlockMorphism, ambient: AmbientSpec) -> tuple[BlockMorphism, WeightedCertificate]:

@@ -48,10 +48,12 @@ from .morphisms import (
     AmbientSpec,
     BlockMorphism,
     MorphismError,
+    block_nums,
     embedding_ir,
     gauss_reduce,
     is_weighted,
     isogeny_extension,
+    off_scalar,
     rank_and_codim,
     rationalize_block,
     weightify,
@@ -321,20 +323,22 @@ def check_norm_sandwich(a: RingElement, c0_sq: Fraction, c1_sq: Fraction) -> str
 
 
 def check_gauss_identity(spec: RingSpec, block) -> str | None:
-    """gauss_reduce of a full-rank block gives a scale a >= 1 and a reduced
-    block with reduced * block = a I."""
+    """gauss_reduce of a full-rank block gives a scale a >= 1 and an
+    integral reduced block with reduced * block = a I, decided in integers:
+    reduced * (D * block) = a D I for D the block's common denominator."""
     try:
         reduced, a = gauss_reduce(spec, block)
     except MorphismError as err:
         return f"{spec.tag}: gauss failed: {err}"
     if a < 1:
         return f"{spec.tag}: non-positive scale"
-    n = len(block)
-    for i in range(n):
-        for j in range(n):
-            acc = sum((reduced[i][p] * block[p][j] for p in range(n)), spec.zero())
-            if acc != spec.integer(a if i == j else 0):
-                return f"{spec.tag}: reduced * block != {a} I at ({i}, {j})"
+    left, e = block_nums(reduced)
+    if e != 1:
+        return f"{spec.tag}: reduced block leaves the order"
+    right, d = block_nums(block)
+    at = off_scalar(spec, left, right, a * d)
+    if at is not None:
+        return f"{spec.tag}: reduced * block != {a} I at {at}"
     return None
 
 

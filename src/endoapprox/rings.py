@@ -11,8 +11,9 @@ coordinates (squared norms everywhere, no radicals).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from . import linalg
@@ -33,7 +34,9 @@ class RingSpec:
 
     mul_table[j][k] is the coordinate vector of basis_j * basis_k.
     involution is the matrix of the conjugation on coordinates.
-    gram is the symmetric positive-definite form giving squared norms.
+    gram is the symmetric positive-definite form giving squared norms;
+    gram_int / gram_den is the same form as an integer matrix over the least
+    common denominator of its entries, derived once and not compared.
     lattice_rep[j] is the integer matrix (size 2*dimension) by which
     basis_j acts on the homology of the simple factor.
     """
@@ -46,6 +49,8 @@ class RingSpec:
     involution: tuple[tuple[int, ...], ...]
     gram: tuple[tuple[Fraction, ...], ...]
     lattice_rep: tuple[tuple[tuple[int, ...], ...], ...]
+    gram_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    gram_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = self.rank
@@ -64,6 +69,9 @@ class RingSpec:
             len(m) != two_d or any(len(r) != two_d for r in m) for m in self.lattice_rep
         ):
             raise RingError("lattice representation must be rank matrices of size 2*dimension")
+        nums, den = linalg.clear_denominators([x for row in self.gram for x in row])
+        object.__setattr__(self, "gram_int", tuple(tuple(nums[i * t : (i + 1) * t]) for i in range(t)))
+        object.__setattr__(self, "gram_den", den)
         self.validate()
 
     # -- elements ----------------------------------------------------------
@@ -135,15 +143,18 @@ class RingSpec:
         )
 
     def form(self, x, y) -> Fraction:
-        """The Gram bilinear form x^T G y on coordinate vectors."""
-        g = self.gram
-        total = Fraction(0)
-        for i, xi in enumerate(x):
+        """The Gram bilinear form x^T G y on coordinate vectors, summed in
+        integers over the coordinates' denominators and divided once."""
+        xn, dx = linalg.clear_denominators(x)
+        yn, dy = (xn, dx) if y is x else linalg.clear_denominators(y)
+        return Fraction(self.form_int(xn, yn), dx * dy * self.gram_den)
+
+    def form_int(self, x, y) -> int:
+        """x^T (gram_den * G) y on integer coordinate vectors."""
+        total = 0
+        for xi, row in zip(x, self.gram_int):
             if xi:
-                row = g[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += xi * row[j] * yj
+                total += xi * sum(map(mul, row, y))
         return total
 
     def rho(self, a: "RingElement") -> linalg.Matrix:
@@ -183,10 +194,17 @@ class RingSpec:
                         out[l] += xy * c
         return out
 
-    def right_mul_matrix(self, a: "RingElement") -> linalg.Matrix:
-        """Matrix of x -> x*a on coordinates."""
-        cols = [(self.basis_element(j) * a).coords for j in range(self.rank)]
-        return [[cols[j][i] for j in range(self.rank)] for i in range(self.rank)]
+    def conj_int(self, coords) -> list[int]:
+        """Coordinates of the conjugate of an element with integer
+        coordinates, through the integer involution matrix."""
+        return [sum(r * c for r, c in zip(row, coords)) for row in self.involution]
+
+    def right_mul_matrix(self, coords) -> list[list[int]]:
+        """Integer matrix of x -> x*a on coordinates, for a with integer
+        coordinates: column j is basis_j * a."""
+        t = self.rank
+        cols = [self.mul_int([int(i == j) for i in range(t)], coords) for j in range(t)]
+        return [[col[i] for col in cols] for i in range(t)]
 
 
 @dataclass(frozen=True)
@@ -221,13 +239,8 @@ class RingElement:
         return RingElement(self.ring, tuple(c * a for a in self.coords))
 
     def conj(self) -> "RingElement":
-        r = self.ring.involution
-        t = self.ring.rank
-        out = tuple(
-            sum((Fraction(r[i][j]) * self.coords[j] for j in range(t)), Fraction(0))
-            for i in range(t)
-        )
-        return RingElement(self.ring, out)
+        nums, den = linalg.clear_denominators(self.coords)
+        return RingElement(self.ring, tuple(Fraction(x, den) for x in self.ring.conj_int(nums)))
 
     def norm_sq(self) -> Fraction:
         return self.ring.form(self.coords, self.coords)
@@ -255,7 +268,8 @@ def _box_bounds(gram: linalg.Matrix, radius_sq: Fraction) -> list[int]:
     """Per-coordinate bounds: |a_i| <= sqrt(radius_sq * (G^-1)_ii)."""
     t = len(gram)
     inv = linalg.solve([row[:] for row in gram], linalg.identity(t))
-    assert inv is not None
+    if inv is None:
+        raise RingError("gram form is singular")
     return [floor_sqrt(radius_sq * inv[i][i]) for i in range(t)]
 
 
@@ -291,7 +305,8 @@ def lambda_min_nonzero(ring: RingSpec) -> LambdaMin:
         n = elem.norm_sq()
         if best_sq is None or n < best_sq:
             best, best_sq = elem, n
-    assert best is not None and best_sq is not None and best_sq > 0
+    if best is None or best_sq <= 0:
+        raise RingError(f"{ring.tag}: no nonzero element of positive norm in the search radius")
     return LambdaMin(best_sq, best)
 
 

@@ -1,10 +1,13 @@
 """Differential tests: the integer kernels of ring multiplication, the
-lattice representation, the model action, the torsion-kernel checks and
+lattice representation, the Gram form, the involution, Gauss reduction,
+the model's slot arithmetic and action, the torsion-kernel checks and
 determinants against plain Fraction references written here, on the four
 reference rings and on two-factor products."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 
@@ -15,6 +18,7 @@ from endoapprox.model import (
     ResourceError,
     apply_morphism,
     divide,
+    free_inner,
     torsion_enum,
     torsion_matrices,
 )
@@ -22,16 +26,20 @@ from endoapprox.morphisms import (
     AmbientSpec,
     BlockMorphism,
     MorphismError,
+    gauss_reduce,
     rank_and_codim,
+    rationalize_block,
     weightify,
 )
 from endoapprox.pipeline import (
     TORSION_LEVEL,
+    check_gauss_identity,
     check_kernel_degree,
     check_kernel_inclusion,
+    rand_full_rank,
     rand_row_morphism,
 )
-from endoapprox.rings import ProductRingSpec, eisenstein_ring, quaternion_ring
+from endoapprox.rings import ProductRingSpec, RingError, eisenstein_ring, quaternion_ring
 from endoapprox.scenario import load_scenario
 from endoapprox.thresholds import kernel_degree
 
@@ -108,6 +116,172 @@ def ref_apply(phi, x):
     return out
 
 
+def ref_conj(spec, coords):
+    return [sum((F(r) * F(c) for r, c in zip(row, coords)), F(0)) for row in spec.involution]
+
+
+def ref_form(spec, x, y):
+    """The Gram form x^T G y summed in Fractions."""
+    g = spec.gram
+    total = F(0)
+    for i, xi in enumerate(x):
+        if xi:
+            row = g[i]
+            for j, yj in enumerate(y):
+                if yj:
+                    total += xi * row[j] * yj
+    return total
+
+
+def ref_free_inner(spec, a, b):
+    return sum((ref_form(spec, x, y) for x, y in zip(a, b)), F(0))
+
+
+def ref_height(p):
+    """The largest slot height, each the free part's Fraction form with itself."""
+    return max(
+        (ref_free_inner(spec, s.free, s.free) for spec, fac in zip(p.space.product.factors, p.slots) for s in fac),
+        default=F(0),
+    )
+
+
+# Slot references act on (torsion, free) pairs of Fractions.
+
+
+def ref_slot_add(a, b):
+    return (
+        tuple((s + t) % 1 for s, t in zip(a[0], b[0])),
+        tuple(tuple(s + t for s, t in zip(ra, rb)) for ra, rb in zip(a[1], b[1])),
+    )
+
+
+def ref_slot_neg(a):
+    return tuple(-t % 1 for t in a[0]), tuple(tuple(-c for c in row) for row in a[1])
+
+
+def ref_slot_int_mul(a, n):
+    return tuple(n * t % 1 for t in a[0]), tuple(tuple(n * c for c in row) for row in a[1])
+
+
+def ref_slot_divide(a, b):
+    return tuple(t / b for t in a[0]), tuple(tuple(c / b for c in row) for row in a[1])
+
+
+def _views(p):
+    return [[(s.torsion, s.free) for s in fac] for fac in p.slots]
+
+
+# The Fraction Gauss reduction that the integer one replaced, kept verbatim
+# with its two helpers; it is exact on integral blocks only.
+
+
+def ref_right_mul_matrix(spec, a):
+    """Matrix of x -> x*a on coordinates."""
+    cols = [(spec.basis_element(j) * a).coords for j in range(spec.rank)]
+    return [[cols[j][i] for j in range(spec.rank)] for i in range(spec.rank)]
+
+
+def ref_solve_ax_eq_by(x, y):
+    """Nonzero a, b with a*x == b*y; (y, x) commutatively, (y*conj(x), conj(x)*x)
+    in a quaternion order."""
+    if x.ring.tag != y.ring.tag:
+        raise RingError("solve_ax_eq_by needs elements of one ring")
+    if x.is_zero() or y.is_zero():
+        raise RingError("solve_ax_eq_by needs nonzero elements")
+    if x.ring.is_commutative:
+        a, b = y, x
+    else:
+        a, b = y * x.conj(), x.conj() * x
+    if a.is_zero() or b.is_zero() or a * x != b * y:
+        raise RingError("left common multiple construction failed for this ring")
+    return a, b
+
+
+def ref_gauss_reduce(spec, delta0):
+    """Left-only Gauss elimination: a matrix delta0' and positive integer a
+    with delta0' @ delta0 == a * I, entries staying in the order.
+
+    Elimination multiplies rows on the left only (no commutation); the
+    diagonal is cleared to integers through the adjugate of each entry's
+    right-multiplication matrix, merged by least common multiple, and the
+    result is reduced by the content of the output matrix.
+    """
+    n = len(delta0)
+    if n == 0:
+        return [], 1
+    if any(len(row) != n for row in delta0):
+        raise MorphismError("gauss reduction needs a square block")
+    work = [list(row) for row in delta0]
+    trans = [[spec.integer(1) if i == j else spec.zero() for j in range(n)] for i in range(n)]
+
+    def row_op(target_row, alpha, beta, pivot_row):
+        for m in (work, trans):
+            m[target_row] = [
+                alpha * m[target_row][j] - beta * m[pivot_row][j] for j in range(n)
+            ]
+
+    for c in range(n):
+        piv = next((r for r in range(c, n) if not work[r][c].is_zero()), None)
+        if piv is None:
+            raise MorphismError("gauss reduction on a rank-deficient block")
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            trans[c], trans[piv] = trans[piv], trans[c]
+        for r in range(n):
+            if r != c and not work[r][c].is_zero():
+                alpha, beta = ref_solve_ax_eq_by(work[r][c], work[c][c])
+                row_op(r, alpha, beta, c)
+                if not work[r][c].is_zero():
+                    raise MorphismError("elimination failed to clear an entry")
+
+    scales = []
+    clearers = []
+    for c in range(n):
+        delta = work[c][c]
+        if delta.is_zero():
+            raise MorphismError("gauss reduction on a rank-deficient block")
+        rmat = [[int(x) for x in row] for row in ref_right_mul_matrix(spec, delta)]
+        adj, d = linalg.adjugate_int(rmat)
+        if d == 0:
+            raise MorphismError("degenerate right-multiplication matrix")
+        sign = 1 if d > 0 else -1
+        coords = [sign * adj[i][0] for i in range(spec.rank)]
+        clearer = spec.element(coords)
+        if clearer * delta != spec.integer(abs(d)):
+            raise MorphismError("adjugate clearing failed")
+        scales.append(abs(d))
+        clearers.append(clearer)
+
+    m = 1
+    for s in scales:
+        m = lcm(m, s)
+    out_rows = []
+    for c in range(n):
+        factor = m // scales[c]
+        out_rows.append([(clearers[c] * trans[c][j]).scale(factor) for j in range(n)])
+
+    content = 0
+    for row in out_rows:
+        for e in row:
+            for coord in e.coords:
+                assert coord.denominator == 1
+                content = gcd(content, int(coord))
+    if content > 1:
+        out_rows = [[e.scale(F(1, content)) for e in row] for row in out_rows]
+        m //= content
+
+    # final exactness check: delta0' @ delta0 == m * I
+    for i in range(n):
+        for j in range(n):
+            acc = spec.zero()
+            for p in range(n):
+                acc = acc + out_rows[i][p] * delta0[p][j]
+            want = spec.integer(m) if i == j else spec.zero()
+            if acc != want:
+                raise MorphismError("gauss reduction identity check failed")
+    return out_rows, m
+
+
 def ref_kernel_inclusion(psi, phi, space, budget):
     """The Fraction-point loop: every enumerated torsion point psi kills, phi kills."""
     for level in range(1, TORSION_LEVEL + 1):
@@ -176,6 +350,75 @@ def test_mul_and_rho_match_fraction_reference(rings, two_factor, kind):
             assert all(_all_fractions(row) for row in image)
 
 
+def _gram_rings(rings, two_factor, mixed):
+    """Every ring case plus two whose Gram forms have non-unit denominators."""
+    skewed = [
+        replace(rings["Z"], tag="Zs", gram=((F(7, 3),),)),
+        replace(rings["Zi"], tag="Zis", gram=((F(3, 2), F(1, 5)), (F(1, 5), F(5, 7)))),
+    ]
+    return _ring_cases(rings, two_factor) + list(mixed.factors) + skewed
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_form_and_conj_match_fraction_reference(rings, two_factor, mixed, kind):
+    rng = random.Random(97)
+    for spec in _gram_rings(rings, two_factor, mixed):
+        t = spec.rank
+        assert all(
+            spec.gram_int[i][j] == spec.gram[i][j] * spec.gram_den for i in range(t) for j in range(t)
+        )
+        assert gcd(spec.gram_den, *(x for row in spec.gram_int for x in row)) == 1
+        for _ in range(40):
+            x, y = _coords(rng, kind, t), _coords(rng, kind, t)
+            got = spec.form(x, y)
+            assert got == ref_form(spec, x, y) and type(got) is F
+            a = spec.element(x)
+            assert a.norm_sq() == ref_form(spec, a.coords, a.coords)
+            conj = a.conj()
+            assert list(conj.coords) == ref_conj(spec, x) and _all_fractions(conj.coords)
+            rows = rng.randint(0, 3)
+            fa = [_coords(rng, kind, t) for _ in range(rows)]
+            fb = [_coords(rng, kind, t) for _ in range(rows)]
+            got = free_inner(spec, fa, fb)
+            assert got == ref_free_inner(spec, fa, fb) and type(got) is F
+
+
+def _rational_block(rng, spec):
+    """A full-rank block whose entries are integral ones scaled by k / d."""
+    while True:
+        block = [
+            [e.scale(F(rng.randint(1, 3), rng.choice((1, 2, 3, 4, 6)))) for e in row]
+            for row in rand_full_rank(rng, spec)
+        ]
+        if linalg.det(rationalize_block(spec, block)) != 0:
+            return block
+
+
+def test_gauss_matches_fraction_reference(rings, two_factor, mixed):
+    rng = random.Random(101)
+    for spec in _ring_cases(rings, two_factor) + list(mixed.factors):
+        for _ in range(25):
+            block = rand_full_rank(rng, spec)
+            got = gauss_reduce(spec, block)
+            assert got == ref_gauss_reduce(spec, block)
+            assert all(_all_fractions(e.coords) for row in got[0] for e in row)
+            # delta0 = N / D: D * N' from the reference on N, less gcd(D, a)
+            delta0 = _rational_block(rng, spec)
+            den = lcm(*(c.denominator for row in delta0 for e in row for c in e.coords))
+            want, a = ref_gauss_reduce(spec, [[e.scale(den) for e in row] for row in delta0])
+            h = gcd(den, a)
+            reduced, m = gauss_reduce(spec, delta0)
+            assert m == a // h
+            assert reduced == [[e.scale(F(den, h)) for e in row] for row in want]
+            assert all(e.is_integral() for row in reduced for e in row)
+            n = len(delta0)
+            for i in range(n):
+                for j in range(n):
+                    acc = sum((reduced[i][p] * delta0[p][j] for p in range(n)), spec.zero())
+                    assert acc == spec.integer(m if i == j else 0)
+            assert check_gauss_identity(spec, delta0) is None
+
+
 # -- model -----------------------------------------------------------------
 
 
@@ -242,6 +485,23 @@ def _row_morphism(space, factor, row):
     return BlockMorphism(space.product, space.counts, target, blocks)
 
 
+def _lowest_terms(p) -> bool:
+    """Every slot has torsion numerators in [0, tden) and both parts over
+    their least denominator."""
+    return all(
+        all(0 <= x < s.tden for x in s.tnums)
+        and gcd(s.tden, *s.tnums) == 1
+        and gcd(s.fden, *(x for row in s.fnums for x in row)) == 1
+        for fac in p.slots
+        for s in fac
+    )
+
+
+def _each(op, *points):
+    """op on the Fraction views of corresponding slots of the points."""
+    return [[op(*slots) for slots in zip(*facs)] for facs in zip(*map(_views, points))]
+
+
 @pytest.mark.parametrize("dens", [(5, 7, 9, 11), (4, 6, 8, 12)])
 def test_point_group_ops_and_combine_match_fraction_reference(rings, two_factor, mixed, dens):
     rng = random.Random(71)
@@ -252,21 +512,21 @@ def test_point_group_ops_and_combine_match_fraction_reference(rings, two_factor,
         for _ in range(8):
             x = divide(_point(rng, space, dens), rng.randint(1, 4))
             y = _point(rng, space, dens)
-            k = rng.randint(-7, 7)
-            for got, op in ((x + y, lambda a, b: a + b), (x - y, lambda a, b: a - b)):
-                for fa, fb, fg in zip(x.slots, y.slots, got.slots):
-                    for a, b, g in zip(fa, fb, fg):
-                        assert g.torsion == tuple(op(s, t) % 1 for s, t in zip(a.torsion, b.torsion))
-                        assert g.free == tuple(
-                            tuple(op(s, t) for s, t in zip(ra, rb)) for ra, rb in zip(a.free, b.free)
-                        )
-                assert _slot_fractions(got)
-            scaled = x.int_mul(k)
-            for fa, fg in zip(x.slots, scaled.slots):
-                for a, g in zip(fa, fg):
-                    assert g.torsion == tuple((k * t) % 1 for t in a.torsion)
-                    assert g.free == tuple(tuple(k * c for c in row) for row in a.free)
-            assert _slot_fractions(scaled)
+            k, b = rng.randint(-7, 7), rng.randint(1, 6)
+            cases = [
+                (x + y, _each(ref_slot_add, x, y)),
+                (-x, _each(ref_slot_neg, x)),
+                (x - y, _each(lambda a, c: ref_slot_add(a, ref_slot_neg(c)), x, y)),
+                (x.int_mul(k), _each(lambda a: ref_slot_int_mul(a, k), x)),
+                (divide(x, b), _each(lambda a: ref_slot_divide(a, b), x)),
+            ]
+            for got, want in cases:
+                assert _views(got) == want
+                assert _slot_fractions(got) and _lowest_terms(got)
+            # equal points are equal field by field, so they hash equal
+            for a, c in ((x + y, y + x), ((x - y) + y, x), (divide(x, b).int_mul(b), x),
+                         (x + (-x), space.zero()), (x.int_mul(0), space.zero())):
+                assert a == c and hash(a) == hash(c)
             for i, spec in enumerate(product.factors):
                 coeffs = [spec.element(_coords(rng, "integral", spec.rank)) for _ in x.slots[i]]
                 image = apply_morphism(_row_morphism(space, i, coeffs), x)
@@ -280,6 +540,29 @@ def test_point_group_ops_and_combine_match_fraction_reference(rings, two_factor,
                 assert got.torsion == tuple(v % 1 for v in tors)
                 assert got.free == (tuple(free),)
                 assert _all_fractions(got.torsion) and _all_fractions(got.free[0])
+    # one slot written two ways
+    space = ModelSpace(AmbientSpec(ProductRingSpec((rings["Zi"],)), (1,)), (2,))
+    a = space.slot(0, torsion=[F(2, 4), F(7, 3)], free=[[F(3, 6), 2], [0, F(-4, 8)]])
+    c = space.slot(0, torsion=[F(-1, 2), F(1, 3)], free=[[F(1, 2), F(4, 2)], [0, F(-1, 2)]])
+    assert a == c and hash(a) == hash(c)
+    assert (a.tnums, a.tden, a.fnums, a.fden) == ((3, 2), 6, ((1, 4), (0, -1)), 2)
+
+
+def test_heights_match_fraction_reference(rings, two_factor, mixed):
+    rng = random.Random(107)
+    zs, zis = _gram_rings(rings, two_factor, mixed)[-2:]
+    products = _product_cases(rings, two_factor, mixed) + [ProductRingSpec((zs, zis))]
+    for product in products:
+        n = product.n_factors
+        counts = tuple(rng.randint(1, 3) for _ in range(n))
+        space = ModelSpace(AmbientSpec(product, counts), tuple(rng.randint(0, 2) for _ in range(n)))
+        for _ in range(10):
+            x = divide(_point(rng, space, (4, 6)), rng.randint(1, 7))
+            got = x.height()
+            assert got == ref_height(x) and type(got) is F
+            for i, (spec, fac) in enumerate(zip(product.factors, x.slots)):
+                for j, s in enumerate(fac):
+                    assert x.slot_height(i, j) == ref_free_inner(spec, s.free, s.free)
 
 
 def test_apply_morphism_rejects_non_integral_entries(rings, mixed):
@@ -429,11 +712,18 @@ def _is_integral(m) -> bool:
     return all(x.denominator == 1 for row in m for x in row)
 
 
+def _right_mul(spec, coords):
+    """The matrix of x -> x*a as Fractions: the integer matrix of the
+    cleared coordinates of a, divided by their denominator."""
+    nums, den = linalg.clear_denominators([F(c) for c in coords])
+    return [[F(x, den) for x in row] for row in spec.right_mul_matrix(nums)]
+
+
 def test_det_and_adjugate_match_fraction_reference(rings):
     rng = random.Random(79)
     hq = rings["Hq"]
     cases = list(_matrices(rng)) + [
-        hq.right_mul_matrix(hq.element(_coords(rng, kind, 4))) for kind in KINDS for _ in range(10)
+        _right_mul(hq, _coords(rng, kind, 4)) for kind in KINDS for _ in range(10)
     ]
     for m in cases:
         d = linalg.det(m)

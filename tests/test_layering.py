@@ -1,10 +1,13 @@
-"""No module of the package imports another module's private names, and
-no function takes a parameter it never reads.
+"""No module of the package imports another module's private names, no
+function takes a parameter it never reads, and no `assert` guards a
+runtime check.
 
 A `from .x import _name` couples two layers through a helper that `x` does
 not offer as part of its interface; a helper another layer needs gets a
 public name instead. A parameter nothing reads is an input every caller
-must supply for nothing. Modules are parsed with `ast`, not imported.
+must supply for nothing. `python -O` strips every `assert`, so a check
+the program relies on raises a named error instead. Modules are parsed
+with `ast`, not imported.
 """
 
 import ast
@@ -107,3 +110,20 @@ def test_no_unused_parameters():
     assert sources
     offenders = unused_parameters(sources)
     assert not offenders, f"parameters their function never reads: {offenders}"
+
+
+def asserts(source: str) -> list[int]:
+    """Line numbers of the `assert` statements in a module."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_detector():
+    assert asserts("x = 1\nassert x\ndef f():\n    assert x, 'no'\n") == [2, 4]
+    assert asserts("if not x:\n    raise ValueError('x')\n") == []
+
+
+def test_no_asserts_in_package():
+    offenders = [
+        f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py")) for line in asserts(path.read_text())
+    ]
+    assert not offenders, f"assert used as a runtime check: {offenders}"

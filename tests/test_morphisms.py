@@ -156,6 +156,12 @@ def test_solve_ax_eq_by_examples(ring_z, ring_zi, ring_hq):
     a, b = solve_ax_eq_by(qi, qj)
     assert a == qk and b == ring_hq.one()
     assert qk * qi == qj
+    # rational inputs: the integral pair of d*x and d*y, d their common denominator
+    x, y = ring_hq.element([F(1, 2), 1, 0, F(-1, 3)]), ring_hq.element([0, F(2, 3), 1, 1])
+    a, b = solve_ax_eq_by(x, y)
+    assert a * x == b * y and a.is_integral() and b.is_integral()
+    a, b = solve_ax_eq_by(ring_zi.element([F(1, 2), 1]), ring_zi.element([0, F(1, 3)]))
+    assert (a, b) == (ring_zi.element([0, 2]), ring_zi.element([3, 6]))
 
 
 def test_gauss_examples(ring_z, ring_zi, ring_hq):
@@ -171,6 +177,26 @@ def test_gauss_examples(ring_z, ring_zi, ring_hq):
     reduced, a = gauss_reduce(ring_hq, [[ring_hq.element([1, 1, 1, 1])]])
     assert a == 4
     assert reduced[0][0] == ring_hq.element([1, -1, -1, -1])
+
+
+def test_gauss_non_integral_blocks(ring_zi):
+    # [[1/2 + i]] once failed its adjugate clearing; both blocks now reduce
+    # N = 2 * block and return 2 * N' with the content of (2 N', a) taken out
+    half_i = ring_zi.element([F(1, 2), 1])
+    cases = [
+        ([[half_i]], [[ring_zi.element([2, -4])]], 5),
+        ([[half_i, ring_zi.one()], [ring_zi.one(), ring_zi.integer(2)]], None, 4),
+    ]
+    for block, want, want_a in cases:
+        reduced, a = gauss_reduce(ring_zi, block)
+        assert a == want_a and (want is None or reduced == want)
+        n = len(block)
+        assert all(e.is_integral() for row in reduced for e in row)
+        for i in range(n):
+            for j in range(n):
+                acc = sum((reduced[i][p] * block[p][j] for p in range(n)), ring_zi.zero())
+                assert acc == ring_zi.integer(a if i == j else 0)
+        assert check_gauss_identity(ring_zi, block) is None
 
 
 def test_gauss_rejects_rank_deficient(ring_z):
