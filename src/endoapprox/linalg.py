@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  Everything here is dense and
-small (ranks up to a few dozen), so plain Gaussian elimination is plenty;
-determinants and definiteness tests clear denominators and run
-fraction-free in integers.
+Matrices are lists of lists of Fraction or of plain ints.  Everything
+here is dense and small (ranks up to a few dozen), so plain Gaussian
+elimination is plenty; determinants and definiteness tests clear
+denominators and run fraction-free in integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, lcm
+from operator import mul
 
 Matrix = list[list[Fraction]]
 
@@ -29,17 +30,15 @@ def identity(n: int) -> Matrix:
     return out
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a, b):
+    """Product of two matrices of ints or Fractions: an integer product
+    stays in ints, any Fraction entry makes the result rational."""
     if not a or not b:
         return []
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
+    if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    out = zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            out[i][j] = sum((a[i][p] * b[p][j] for p in range(k)), Fraction(0))
-    return out
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
@@ -62,7 +61,7 @@ def _rref(m: Matrix, cols: int) -> list[int]:
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
+        inv = Fraction(1) / m[r][c]  # 1 / int would be a float
         m[r] = [x * inv for x in m[r]]
         for i in range(rows):
             if i != r and m[i][c] != 0:

@@ -376,7 +376,7 @@ def isogeny_extension(cert: WeightedCertificate) -> BlockMorphism:
         blocks.append(rows)
     ext = BlockMorphism(phi.product, phi.source, phi.source, blocks)
     for spec, block in zip(ext.product.factors, ext.blocks):
-        if block and linalg.rank(rationalize_block(spec, block)) != len(block) * 2 * spec.dimension:
+        if block and linalg.det(rationalize_block(spec, block)) == 0:
             raise MorphismError("isogeny extension is not invertible")
     return ext
 

@@ -32,7 +32,7 @@ from .geomnum import (
     point_lower_constants,
 )
 from .ledger import op_constant_sq
-from .linalg import det, mat_mul
+from .linalg import det
 from .model import (
     GeneratorSet,
     ModelPoint,
@@ -435,7 +435,7 @@ def suite_rings(product: ProductRingSpec, trials: int, rng: random.Random) -> di
                 failures.append(failure)
                 continue
             b = _rand_element(rng, spec, 9)
-            if mat_mul(spec.rho(a), spec.rho(b)) != spec.rho(a * b):
+            if not spec.rho_respects_product(a.coords, b.coords):
                 failures.append(f"{spec.tag}: lattice representation broke on a product")
     return _suite("rings", count, failures)
 

@@ -97,39 +97,40 @@ class RingSpec:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the ring laws on the integer tables: unital, associative,
+        an anti-involution fixing 1, a symmetric positive-definite Gram form
+        and a unital, multiplicative, faithful lattice representation."""
         t = self.rank
-        basis = [self.basis_element(j) for j in range(t)]
-        one = self.one()
+        table = self.mul_table
+        unit = [[int(i == j) for i in range(t)] for j in range(t)]
         for j in range(t):
-            if basis[0] * basis[j] != basis[j] or basis[j] * basis[0] != basis[j]:
+            if list(table[0][j]) != unit[j] or list(table[j][0]) != unit[j]:
                 raise RingError(f"{self.tag}: first basis element is not unital")
         for j, k, l in itertools.product(range(t), repeat=3):
-            if (basis[j] * basis[k]) * basis[l] != basis[j] * (basis[k] * basis[l]):
+            if self.mul_int(table[j][k], unit[l]) != self.mul_int(unit[j], table[k][l]):
                 raise RingError(f"{self.tag}: multiplication is not associative")
+        conj = [self.conj_int(e) for e in unit]
         for j in range(t):
-            if basis[j].conj().conj() != basis[j]:
+            if self.conj_int(conj[j]) != unit[j]:
                 raise RingError(f"{self.tag}: involution is not an involution")
         for j, k in itertools.product(range(t), repeat=2):
-            if (basis[j] * basis[k]).conj() != basis[k].conj() * basis[j].conj():
+            if self.conj_int(table[j][k]) != self.mul_int(conj[k], conj[j]):
                 raise RingError(f"{self.tag}: involution is not an anti-automorphism")
-        if one.conj() != one:
+        if conj[0] != unit[0]:
             raise RingError(f"{self.tag}: involution does not fix the identity")
-        g = [list(row) for row in self.gram]
-        for i in range(t):
-            for j in range(t):
-                if g[i][j] != g[j][i]:
-                    raise RingError(f"{self.tag}: gram form is not symmetric")
+        g = self.gram_int
+        if any(g[i][j] != g[j][i] for i in range(t) for j in range(i)):
+            raise RingError(f"{self.tag}: gram form is not symmetric")
         if not linalg.positive_definite(g):
             raise RingError(f"{self.tag}: gram form is not positive-definite")
         # lattice representation: unital ring homomorphism, faithful
-        rho = [self.rho(b) for b in basis]
-        if self.rho(one) != linalg.identity(2 * self.dimension):
+        if self.rho_int(unit[0]) != linalg.identity(2 * self.dimension):
             raise RingError(f"{self.tag}: lattice representation is not unital")
         for j, k in itertools.product(range(t), repeat=2):
-            if linalg.mat_mul(rho[j], rho[k]) != self.rho(basis[j] * basis[k]):
+            if not self.rho_respects_product(unit[j], unit[k]):
                 raise RingError(f"{self.tag}: lattice representation does not respect products")
-        flat = [[x for row in m for x in row] for m in rho]
-        if linalg.rank(flat) != t:
+        flat = [[x for row in m for x in row] for m in self.lattice_rep]
+        if linalg.det(linalg.mat_mul(flat, [list(col) for col in zip(*flat)])) == 0:
             raise RingError(f"{self.tag}: lattice representation is not faithful")
 
     # -- derived data ------------------------------------------------------
@@ -162,6 +163,16 @@ class RingSpec:
         integers over the coordinates' common denominator and divided once."""
         nums, den = linalg.clear_denominators(a.coords)
         return [[Fraction(x, den) for x in row] for row in self.rho_int(nums)]
+
+    def rho_respects_product(self, a, b) -> bool:
+        """Whether rho(a) rho(b) == rho(a*b) for coordinate vectors a and b.
+
+        Each operand is cleared of its denominator first; both sides then
+        carry the same factor d_a * d_b, so the check runs exactly on the
+        integer images."""
+        an, _ = linalg.clear_denominators(a)
+        bn, _ = linalg.clear_denominators(b)
+        return linalg.mat_mul(self.rho_int(an), self.rho_int(bn)) == self.rho_int(self.mul_int(an, bn))
 
     def rho_int(self, coords) -> list[list[int]]:
         """Integer image sum_j coords[j] * lattice_rep[j] of integer

@@ -1,11 +1,13 @@
 """Differential tests: the integer kernels of ring multiplication, the
-lattice representation, the Gram form, the involution, Gauss reduction,
-the model's slot arithmetic and action, the torsion-kernel checks and
-determinants against plain Fraction references written here, on the four
-reference rings and on two-factor products."""
+lattice representation, the Gram form, the involution, the ring laws,
+Gauss reduction, the model's slot arithmetic and action, the torsion-kernel
+checks and determinants against plain Fraction references written here, on
+the four reference rings and on two-factor products."""
 
+import copy
+import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -39,7 +41,7 @@ from endoapprox.pipeline import (
     rand_full_rank,
     rand_row_morphism,
 )
-from endoapprox.rings import ProductRingSpec, RingError, eisenstein_ring, quaternion_ring
+from endoapprox.rings import ProductRingSpec, RingError, RingSpec, eisenstein_ring, quaternion_ring
 from endoapprox.scenario import load_scenario
 from endoapprox.thresholds import kernel_degree
 
@@ -686,6 +688,188 @@ def test_kernel_degree_matches_reference(rings, tag):
     assert _outcome(check_kernel_degree, spec, 3, 8) == (
         "ResourceError", "torsion enumeration of 9 points exceeds budget 8"
     )
+
+
+# -- ring laws --------------------------------------------------------------
+
+
+def ref_validate(self) -> None:
+    """The Fraction `RingSpec.validate` this module checks the integer one
+    against, kept verbatim."""
+    t = self.rank
+    basis = [self.basis_element(j) for j in range(t)]
+    one = self.one()
+    for j in range(t):
+        if basis[0] * basis[j] != basis[j] or basis[j] * basis[0] != basis[j]:
+            raise RingError(f"{self.tag}: first basis element is not unital")
+    for j, k, l in itertools.product(range(t), repeat=3):
+        if (basis[j] * basis[k]) * basis[l] != basis[j] * (basis[k] * basis[l]):
+            raise RingError(f"{self.tag}: multiplication is not associative")
+    for j in range(t):
+        if basis[j].conj().conj() != basis[j]:
+            raise RingError(f"{self.tag}: involution is not an involution")
+    for j, k in itertools.product(range(t), repeat=2):
+        if (basis[j] * basis[k]).conj() != basis[k].conj() * basis[j].conj():
+            raise RingError(f"{self.tag}: involution is not an anti-automorphism")
+    if one.conj() != one:
+        raise RingError(f"{self.tag}: involution does not fix the identity")
+    g = [list(row) for row in self.gram]
+    for i in range(t):
+        for j in range(t):
+            if g[i][j] != g[j][i]:
+                raise RingError(f"{self.tag}: gram form is not symmetric")
+    if not linalg.positive_definite(g):
+        raise RingError(f"{self.tag}: gram form is not positive-definite")
+    # lattice representation: unital ring homomorphism, faithful
+    rho = [self.rho(b) for b in basis]
+    if self.rho(one) != linalg.identity(2 * self.dimension):
+        raise RingError(f"{self.tag}: lattice representation is not unital")
+    for j, k in itertools.product(range(t), repeat=2):
+        if linalg.mat_mul(rho[j], rho[k]) != self.rho(basis[j] * basis[k]):
+            raise RingError(f"{self.tag}: lattice representation does not respect products")
+    flat = [[x for row in m for x in row] for m in rho]
+    if linalg.rank(flat) != t:
+        raise RingError(f"{self.tag}: lattice representation is not faithful")
+
+
+def _fields(spec) -> dict:
+    return {f.name: getattr(spec, f.name) for f in fields(RingSpec) if f.init}
+
+
+def _change_basis(spec, cols, tag):
+    """The same order written in the basis whose j-th element has old
+    coordinates cols[j]; cols is unimodular and cols[0] is the identity."""
+    t = spec.rank
+    u = [[cols[j][i] for j in range(t)] for i in range(t)]
+    adj, d = linalg.adjugate_int(u)
+    if d not in (1, -1) or list(cols[0]) != [1] + [0] * (t - 1):
+        raise ValueError("not a unimodular basis starting at 1")
+
+    def new_coords(old):
+        return tuple(d * sum(a * x for a, x in zip(row, old)) for row in adj)
+
+    gram = [[spec.form(x, y) for y in cols] for x in cols]
+    return RingSpec(
+        tag=tag,
+        rank=t,
+        dimension=spec.dimension,
+        basis_labels=tuple(f"b{j}" for j in range(t)),
+        mul_table=tuple(tuple(new_coords(spec.mul_int(x, y)) for y in cols) for x in cols),
+        involution=tuple(zip(*(new_coords(spec.conj_int(x)) for x in cols))),
+        gram=tuple(tuple(row) for row in gram),
+        lattice_rep=tuple(tuple(tuple(r) for r in spec.rho_int(x)) for x in cols),
+    )
+
+
+def _unimodular(rng, t):
+    """Columns of a random unimodular integer matrix fixing the first basis
+    vector: column operations col_j += c * col_i with j >= 1."""
+    cols = [[int(i == j) for i in range(t)] for j in range(t)]
+    for _ in range(3 * t):
+        if t == 1:
+            break
+        j = rng.randrange(1, t)
+        i = rng.choice([k for k in range(t) if k != j])
+        c = rng.randint(-4, 4)
+        cols[j] = [a + c * b for a, b in zip(cols[j], cols[i])]
+    return cols
+
+
+def _accepted_rings(rings, scenario_paths):
+    out = list(rings.values())
+    for path in scenario_paths:
+        out += list(load_scenario(path).product.factors)
+    rng = random.Random(131)
+    for spec in list(out):
+        for n in range(2):
+            out.append(_change_basis(spec, _unimodular(rng, spec.rank), f"{spec.tag}'{n}"))
+    s = 30  # the skewed quaternion basis 1, i, j + s*i, k + s*j
+    hq_cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, s, 1, 0), (0, 0, s, 1)]
+    out.append(_change_basis(rings["Hq"], hq_cols, "Hq30"))
+    return out
+
+
+def test_validate_accepts_what_the_fraction_reference_accepts(rings, scenario_paths):
+    cases = _accepted_rings(rings, scenario_paths)
+    assert len(cases) > 3 * 4
+    for spec in cases:
+        spec.validate()
+        ref_validate(spec)
+
+
+def _dual_numbers():
+    """Z[e] with e^2 = 0, its identity involution and Gram, and a
+    representation sending e to 0: every law holds but faithfulness."""
+    return dict(
+        tag="D",
+        rank=2,
+        dimension=1,
+        basis_labels=("1", "e"),
+        mul_table=(((1, 0), (0, 1)), ((0, 1), (0, 0))),
+        involution=((1, 0), (0, 1)),
+        gram=((F(1), F(0)), (F(0), F(1))),
+        lattice_rep=(((1, 0), (0, 1)), ((0, 0), (0, 0))),
+    )
+
+
+def _planted_faults(rings):
+    """(fields, expected message) with one law broken in each."""
+    z, zi, hq = _fields(rings["Z"]), _fields(rings["Zi"]), _fields(rings["Hq"])
+    hq_table = [list(row) for row in hq["mul_table"]]
+    hq_table[1][2] = (0, 0, 0, -1)  # i*j = -k: (i*i)*j = -j but i*(i*j) = j
+    return [
+        (dict(z, mul_table=(((2,),),)), "first basis element is not unital"),
+        (dict(hq, mul_table=tuple(map(tuple, hq_table))), "multiplication is not associative"),
+        (dict(zi, involution=((1, 0), (0, 2))), "involution is not an involution"),
+        (dict(hq, involution=tuple(tuple(int(i == j) for j in range(4)) for i in range(4))),
+         "involution is not an anti-automorphism"),
+        (dict(zi, gram=((F(1), F(1, 2)), (F(0), F(1)))), "gram form is not symmetric"),
+        (dict(zi, gram=((F(1), F(2)), (F(2), F(1)))), "gram form is not positive-definite"),
+        (dict(zi, gram=((F(1), F(1)), (F(1), F(1)))), "gram form is not positive-definite"),
+        (dict(zi, lattice_rep=(((1, 0), (0, 2)), zi["lattice_rep"][1])),
+         "lattice representation is not unital"),
+        (dict(zi, lattice_rep=(zi["lattice_rep"][0], ((0, 1), (1, 0)))),
+         "lattice representation does not respect products"),
+        (_dual_numbers(), "lattice representation is not faithful"),
+    ]
+
+
+def test_validate_raises_the_fraction_reference_message(rings):
+    seen = set()
+    for data, message in _planted_faults(rings):
+        with pytest.raises(RingError) as got:
+            RingSpec(**data)
+        # the reference reads only the init fields, so it runs on an
+        # unchecked copy of a valid ring carrying the faulty data
+        unchecked = copy.copy(rings["Z"])
+        for name, value in data.items():
+            object.__setattr__(unchecked, name, value)
+        with pytest.raises(RingError) as ref:
+            ref_validate(unchecked)
+        assert str(got.value) == str(ref.value) == f"{data['tag']}: {message}"
+        seen.add(message)
+    # "involution does not fix the identity" cannot be planted: an
+    # involution that reverses products maps 1 to a left identity, which is 1
+    assert len(seen) == 9
+
+
+def test_rho_respects_product_matches_fraction_reference(rings, two_factor, mixed):
+    rng = random.Random(137)
+    for spec in _ring_cases(rings, two_factor) + list(mixed.factors):
+        for kind in KINDS:
+            for _ in range(20):
+                x, y = _coords(rng, kind, spec.rank), _coords(rng, kind, spec.rank)
+                a, b = spec.element(x), spec.element(y)
+                assert linalg.mat_mul(spec.rho(a), spec.rho(b)) == spec.rho(a * b)
+                assert spec.rho_respects_product(x, y)
+    # a representation that is additive but not multiplicative fails it
+    zi = rings["Zi"]
+    broken = copy.copy(zi)
+    object.__setattr__(broken, "lattice_rep", (zi.lattice_rep[0], ((0, 1), (1, 0))))
+    for x, y in ([[0, 1], [0, 1]], [[F(1, 2), F(3)], [F(-2, 3), F(5, 7)]]):
+        a, b = broken.element(x), broken.element(y)
+        assert linalg.mat_mul(broken.rho(a), broken.rho(b)) != broken.rho(a * b)
+        assert not broken.rho_respects_product(x, y)
 
 
 # -- determinants ----------------------------------------------------------

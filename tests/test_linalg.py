@@ -18,6 +18,28 @@ def test_rank_det_solve():
     assert linalg.solve(a, linalg.mat([[1], [3]])) is None
 
 
+def test_rank_and_solve_exact_on_plain_ints():
+    # a float pivot inverse would read 1/49 * 98 as not quite 2
+    a = [[49, 1], [98, 2]]
+    assert linalg.rank(a) == 1
+    sol = linalg.solve(a, [[1], [2]])
+    assert sol == [[F(1, 49)], [F(0)]]
+    assert all(type(x) is F for row in sol for x in row)
+    assert linalg.solve(a, [[1], [3]]) is None
+
+
+def test_mat_mul_keeps_ints_and_fractions():
+    a, b = [[1, 2], [3, 4]], [[0, 1], [1, 0]]
+    prod = linalg.mat_mul(a, b)
+    assert prod == [[2, 1], [4, 3]]
+    assert all(type(x) is int for row in prod for x in row)
+    prod = linalg.mat_mul(linalg.mat(a), [[F(1, 2), 0], [0, 1]])
+    assert prod == [[F(1, 2), 2], [F(3, 2), 4]]
+    assert all(type(x) is F for row in prod for x in row)
+    with pytest.raises(ValueError):
+        linalg.mat_mul([[1, 2]], [[1, 2]])
+
+
 def test_adjugate_int():
     m = [[2, 1], [1, 3]]
     adj, d = linalg.adjugate_int(m)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction as F
 
@@ -98,6 +99,18 @@ def test_isogeny_extension_examples(products):
     # projection onto the first rows recovers phi
     top = BlockMorphism(pz, ext.source, phi.target, [ext.blocks[0][:1]])
     assert top == phi
+
+
+def test_isogeny_extension_rejects_singular_extension(products):
+    # A checked certificate's selected columns are a*I, so its extension is
+    # always invertible; a certificate whose checks were skipped reaches the
+    # guard.
+    pz = products["Z"]
+    phi = _mor(pz, (2,), (1,), [[[[2], [5]]]])
+    cert = copy.copy(WeightedCertificate(morphism=phi, scale=2, columns=((0,),), slack_sq=F(25, 4)))
+    object.__setattr__(cert, "morphism", _mor(pz, (2,), (1,), [[[[0], [5]]]]))
+    with pytest.raises(MorphismError, match="isogeny extension is not invertible"):
+        isogeny_extension(cert)
 
 
 def _bad_weighted(pz, scale, columns, slack_sq, block=None):

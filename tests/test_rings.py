@@ -3,7 +3,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from endoapprox.linalg import mat_mul
 from endoapprox.pipeline import check_norm_sandwich
 from endoapprox.rings import (
     ProductRingSpec,
@@ -132,4 +131,4 @@ def test_lattice_representation_multiplicative(rings, tag):
     for _ in range(100):
         a = spec.element([rng.randint(-9, 9) for _ in range(spec.rank)])
         b = spec.element([rng.randint(-9, 9) for _ in range(spec.rank)])
-        assert mat_mul(spec.rho(a), spec.rho(b)) == spec.rho(a * b)
+        assert spec.rho_respects_product(a.coords, b.coords)
