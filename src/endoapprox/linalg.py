@@ -1,9 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction or of plain ints.  Everything
-here is dense and small (ranks up to a few dozen), so plain Gaussian
-elimination is plenty; determinants and definiteness tests clear
-denominators and run fraction-free in integers.
+Matrices are lists of lists of Fraction or of plain ints, dense and small.
+One elimination does all the work: `_echelon`, Bareiss's fraction-free
+elimination of integer rows, every division exact, on input cleared of its
+denominators.  `rank` is its number of pivots, `det` the sign of its row
+permutation times its last pivot; `solve` back-substitutes in integers
+after it, and `adjugate_int` is det(A) * A^-1 from that solve; definiteness
+is the signs of its pivots without row swaps, the leading principal minors.
 """
 
 from __future__ import annotations
@@ -48,70 +51,85 @@ def clear_denominators(values) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _rref(m: Matrix, cols: int) -> list[int]:
-    """Bring m to reduced row echelon form in place, pivoting on its first
-    `cols` columns; the k-th returned pivot column has its pivot in row k."""
-    rows = len(m)
-    pivots: list[int] = []
+def _echelon(m: list[list[int]], cols: int, swap: bool = True):
+    """Bareiss's fraction-free elimination of the integer rows m, in place,
+    on their first `cols` columns, carrying later entries (a right-hand
+    side) along.  Yields (c, p, sign) for each column c before eliminating
+    with p, so a reader may stop at any column: p the pivot, 0 if there is
+    none, and the sign of the row permutation so far.  The k-th pivot lies
+    in row k and is the determinant of the permuted rows' k x k submatrix on
+    the pivot columns so far, so each division by the previous pivot is
+    exact; rows are cleared below and left of each pivot.  Without swaps the
+    pivot of column c must lie in row c: a column with no pivot drops that
+    row too, and one whose pivot lies lower ends the run with p = None.
+    """
+    rows, r, sign, prev = len(m), 0, 1, 1
     for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = r if r < rows and m[r][c] else next((i for i in range(r + 1, rows) if m[i][c]), None)
         if piv is None:
+            if not swap:
+                r += 1
+            yield c, 0, sign
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]  # 1 / int would be a float
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots
+        if piv != r:
+            if not swap:
+                yield c, None, sign
+                return
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p, pivot_row = m[r][c], m[r]
+        yield c, p, sign
+        for i in range(r + 1, rows):
+            row, f = m[i], m[i][c]
+            row[c] = 0
+            for j in range(c + 1, len(row)):
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+        r, prev = r + 1, p
 
 
 def rank(a: Matrix) -> int:
-    """Rank by exact Gaussian elimination."""
+    """Rank: the number of pivots, each row cleared of its denominators."""
     if not a:
         return 0
-    return len(_rref([row[:] for row in a], len(a[0])))
+    rows = [clear_denominators(row)[0] for row in a]
+    return sum(1 for _, p, _ in _echelon(rows, len(rows[0])) if p)
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant: each row is cleared of its denominators, the integer
-    determinant is taken and divided once by the product of the row
-    denominators."""
+    """Determinant: the sign times the last pivot of L * a, over L^n."""
     if any(len(row) != len(a) for row in a):
         raise ValueError("determinant of non-square matrix")
-    rows, den = [], 1
-    for row in a:
-        nums, d = clear_denominators(row)
-        rows.append(nums)
-        den *= d
-    return Fraction(_det_int(rows), den)
+    m, den = _integer_matrix(a)
+    last = 1
+    for _, p, sign in _echelon(m, len(m)):
+        if not p:
+            return Fraction(0)
+        last = sign * p
+    return Fraction(last, den ** len(m))
 
 
-def _det_int(a: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss's fraction-free
-    elimination: every division is exact."""
-    n = len(a)
-    m = [list(row) for row in a]
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            piv = next((i for i in range(c + 1, n) if m[i][c] != 0), None)
-            if piv is None:
-                return 0
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        p, pivot_row = m[c][c], m[c]
-        for i in range(c + 1, n):
-            row, f = m[i], m[i][c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * p - f * pivot_row[j]) // prev
-        prev = p
-    return sign * m[n - 1][n - 1] if n else 1
+def _solve_int(aug: list[list[int]], cols: int) -> tuple[list[int], list[list[int]], int] | None:
+    """Eliminate the integer system [A | B] in aug, A its first `cols`
+    columns: (pivots, Y, d), X = Y / d solving A X = B with row k of Y for
+    the k-th pivot column and free variables zero; None if inconsistent.
+    d, the sign times the last pivot, is the determinant of the pivot rows on
+    the pivot columns, so Y = d X is integral: one exact division an entry.
+    """
+    pivots, d = [], 1
+    for c, p, sign in _echelon(aug, cols):
+        if p:
+            pivots.append(c)
+            d = sign * p
+    if any(any(row[cols:]) for row in aug[len(pivots) :]):
+        return None
+    y: list[list[int]] = []  # rows of Y from the last pivot up
+    for i in reversed(range(len(pivots))):
+        row, later = aug[i], pivots[i + 1 :]
+        y.insert(0, [
+            (d * b - sum(row[c] * yc[j] for c, yc in zip(later, y))) // row[pivots[i]]
+            for j, b in enumerate(row[cols:])
+        ])
+    return pivots, y, d
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -122,57 +140,38 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if not a:
         return [[] for _ in b] if all(all(x == 0 for x in row) for row in b) else None
-    rows, cols = len(a), len(a[0])
+    cols = len(a[0])
     width = len(b[0]) if b else 0
-    aug = [a[i][:] + b[i][:] for i in range(rows)]
-    pivots = _rref(aug, cols)
-    for i in range(len(pivots), rows):
-        if any(x != 0 for x in aug[i][cols:]):
-            return None
+    solved = _solve_int([clear_denominators([*a[i], *b[i]])[0] for i in range(len(a))], cols)
+    if solved is None:
+        return None
+    pivots, y, d = solved
     x = zeros(cols, width)
-    for i, c in enumerate(pivots):
-        for j in range(width):
-            x[c][j] = aug[i][cols + j]
+    for c, row in zip(pivots, y):
+        x[c] = [Fraction(v, d) for v in row]
     return x
 
 
 def adjugate_int(a: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(adj(a), det(a)) for an integer matrix, with adj(a) @ a == det(a) * I."""
+    """(adj(a), det(a)) for an invertible integer matrix, with adj(a) @ a ==
+    det(a) * I: adj(a) = det(a) * a^-1, read from the integer solve of
+    a X = I.  ValueError if a is singular."""
     n = len(a)
-    adj = [
-        [
-            (-1) ** (i + j)
-            * _det_int([[a[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return adj, _det_int(a)
+    solved = _solve_int([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)], n)
+    if solved is None:
+        raise ValueError("adjugate of a singular matrix")
+    return solved[1], solved[2]
 
 
 def _definite(a: list[list[int]], strict: bool) -> bool:
     """Whether the symmetric integer matrix a is positive-definite (strict)
-    or positive-semidefinite.
-
-    Fraction-free symmetric elimination without row swaps: each pivot is a
-    leading principal minor of the rows kept so far, so every division is
-    exact (Bareiss).  A negative pivot means no; a zero pivot is allowed only
-    when not strict and the rest of its column is zero, and that row and
-    column are then dropped.
-    """
-    m = [list(row) for row in a]
-    n, prev = len(m), 1
-    for c in range(n):
-        p, pivot_row = m[c][c], m[c]
-        if p == 0 and not strict and not any(pivot_row[c + 1 :]):
-            continue
-        if p <= 0:
+    or semidefinite, from the pivots of a run without row swaps (leading
+    principal minors).  It stops at the first pivot that fails: a negative
+    one, or a zero one unless the test is not strict and the rest of its
+    column is zero (that row and column are then dropped)."""
+    for _, p, _ in _echelon([list(row) for row in a], len(a), swap=False):
+        if p is None or p < 0 or (strict and p == 0):
             return False
-        for i in range(c + 1, n):
-            row, f = m[i], m[i][c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * p - f * pivot_row[j]) // prev
-        prev = p
     return True
 
 

@@ -395,20 +395,6 @@ def _left_multiple(spec: RingSpec, x: list[int], y: list[int]) -> tuple[list[int
     return a, b
 
 
-def solve_ax_eq_by(x: RingElement, y: RingElement) -> tuple[RingElement, RingElement]:
-    """Nonzero a, b with a*x == b*y, from the integer coordinates of d*x and
-    d*y, d the common denominator of x and y: for integral x, y that is
-    (y, x) commutatively and (y*conj(x), conj(x)*x) in a quaternion order."""
-    if x.ring.tag != y.ring.tag:
-        raise RingError("solve_ax_eq_by needs elements of one ring")
-    if x.is_zero() or y.is_zero():
-        raise RingError("solve_ax_eq_by needs nonzero elements")
-    spec = x.ring
-    nums, _ = linalg.clear_denominators(x.coords + y.coords)
-    a, b = _left_multiple(spec, nums[: spec.rank], nums[spec.rank :])
-    return spec.element(a), spec.element(b)
-
-
 def block_nums(block) -> tuple[list[list[list[int]]], int]:
     """A block's entries as integer coordinate lists over the least common
     denominator of all their coordinates: (numerators, denominator)."""
@@ -477,9 +463,10 @@ def gauss_reduce(spec: RingSpec, delta0) -> tuple[list[list[RingElement]], int]:
         delta = work[c][c]
         if not any(delta):
             raise MorphismError("gauss reduction on a rank-deficient block")
-        adj, d = linalg.adjugate_int(spec.right_mul_matrix(delta))
-        if d == 0:
-            raise MorphismError("degenerate right-multiplication matrix")
+        try:
+            adj, d = linalg.adjugate_int(spec.right_mul_matrix(delta))
+        except ValueError:
+            raise MorphismError("degenerate right-multiplication matrix") from None
         sign = 1 if d > 0 else -1
         clearer = [sign * adj[i][0] for i in range(t)]
         if mul(clearer, delta) != [abs(d)] + zero[1:]:

@@ -130,7 +130,7 @@ class RingSpec:
             if not self.rho_respects_product(unit[j], unit[k]):
                 raise RingError(f"{self.tag}: lattice representation does not respect products")
         flat = [[x for row in m for x in row] for m in self.lattice_rep]
-        if linalg.det(linalg.mat_mul(flat, [list(col) for col in zip(*flat)])) == 0:
+        if linalg.rank(flat) != t:
             raise RingError(f"{self.tag}: lattice representation is not faithful")
 
     # -- derived data ------------------------------------------------------

@@ -2,7 +2,9 @@
 lattice representation, the Gram form, the involution, the ring laws,
 Gauss reduction, the model's slot arithmetic and action, the torsion-kernel
 checks and determinants against plain Fraction references written here, on
-the four reference rings and on two-factor products."""
+the four reference rings and on two-factor products; and `linalg`'s one
+fraction-free elimination (rank, solve, det, adjugate) against the separate
+elimination loops it replaced, kept here as references."""
 
 import copy
 import itertools
@@ -243,7 +245,7 @@ def ref_gauss_reduce(spec, delta0):
         if delta.is_zero():
             raise MorphismError("gauss reduction on a rank-deficient block")
         rmat = [[int(x) for x in row] for row in ref_right_mul_matrix(spec, delta)]
-        adj, d = linalg.adjugate_int(rmat)
+        adj, d = ref_adjugate_int(rmat)
         if d == 0:
             raise MorphismError("degenerate right-multiplication matrix")
         sign = 1 if d > 0 else -1
@@ -328,6 +330,94 @@ def ref_det(a):
             f = m[i][c] / m[c][c]
             m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return result
+
+
+def ref_rref(m, cols):
+    """Bring m to reduced row echelon form in place, pivoting on its first
+    `cols` columns; the k-th returned pivot column has its pivot in row k."""
+    rows = len(m)
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = F(1) / m[r][c]  # 1 / int would be a float
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def ref_rank(a):
+    """Rank by exact Gaussian elimination."""
+    if not a:
+        return 0
+    return len(ref_rref([row[:] for row in a], len(a[0])))
+
+
+def ref_solve(a, b):
+    """Solve a @ x = b exactly; None if the system is inconsistent.
+
+    `a` may be rectangular; for underdetermined consistent systems the
+    free variables are set to zero (deterministic canonical solution).
+    """
+    if not a:
+        return [[] for _ in b] if all(all(x == 0 for x in row) for row in b) else None
+    rows, cols = len(a), len(a[0])
+    width = len(b[0]) if b else 0
+    aug = [a[i][:] + b[i][:] for i in range(rows)]
+    pivots = ref_rref(aug, cols)
+    for i in range(len(pivots), rows):
+        if any(x != 0 for x in aug[i][cols:]):
+            return None
+    x = linalg.zeros(cols, width)
+    for i, c in enumerate(pivots):
+        for j in range(width):
+            x[c][j] = aug[i][cols + j]
+    return x
+
+
+def ref_det_int(a):
+    """Determinant of an integer matrix by Bareiss's fraction-free
+    elimination: every division is exact."""
+    n = len(a)
+    m = [list(row) for row in a]
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if m[c][c] == 0:
+            piv = next((i for i in range(c + 1, n) if m[i][c] != 0), None)
+            if piv is None:
+                return 0
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        p, pivot_row = m[c][c], m[c]
+        for i in range(c + 1, n):
+            row, f = m[i], m[i][c]
+            for j in range(c + 1, n):
+                row[j] = (row[j] * p - f * pivot_row[j]) // prev
+        prev = p
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def ref_adjugate_int(a):
+    """(adj(a), det(a)) for an integer matrix, with adj(a) @ a == det(a) * I."""
+    n = len(a)
+    adj = [
+        [
+            (-1) ** (i + j)
+            * ref_det_int([[a[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return adj, ref_det_int(a)
 
 
 # -- rings -----------------------------------------------------------------
@@ -903,24 +993,79 @@ def _right_mul(spec, coords):
     return [[F(x, den) for x in row] for row in spec.right_mul_matrix(nums)]
 
 
+def _wide_and_huge(rng):
+    """3x5 and 5x3 matrices, and 1x1..5x5 ones with entries around 10^40:
+    integer and rational, some with a column that has no pivot and some of
+    lower rank than their shape allows."""
+    shapes = [(3, 5), (5, 3)] * 6 + [(n, n) for n in range(1, 6) for _ in range(3)]
+    for trial, (rows, cols) in enumerate(shapes):
+        big = 10**40 if rows == cols or trial % 3 == 2 else 1
+        den = (1, 3, 7) if trial % 2 else (1,)
+        m = [
+            [F(big * rng.randint(-9, 9) + rng.randint(-9, 9), rng.choice(den)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if trial % 4 == 1:
+            for row in m:
+                row[0] = F(0)  # a column with no pivot
+        if trial % 4 == 3 and rows > 2:
+            m[-1] = [x - 2 * y for x, y in zip(m[0], m[1])]  # rank deficient
+        yield m
+
+
+def _right_hand_sides(rng, m):
+    """A consistent right-hand side m @ x0 of width 2, and a random one of
+    width 1, inconsistent when m has lower rank than its row count."""
+    x0 = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2)] for _ in m[0]]
+    return [linalg.mat_mul(m, x0), [[F(rng.randint(-9, 9))] for _ in m]]
+
+
 def test_det_and_adjugate_match_fraction_reference(rings):
     rng = random.Random(79)
     hq = rings["Hq"]
     cases = list(_matrices(rng)) + [
         _right_mul(hq, _coords(rng, kind, 4)) for kind in KINDS for _ in range(10)
-    ]
+    ] + list(_wide_and_huge(rng))
+    solved, inconsistent, free, singular = 0, 0, 0, 0
     for m in cases:
+        # rank and solve against the Fraction Gauss-Jordan, on Fraction and on int input
+        r = linalg.rank(m)
+        assert type(r) is int and r == ref_rank(m)
+        for b in _right_hand_sides(rng, m):
+            x = linalg.solve(m, b)
+            assert x == ref_solve(m, b)
+            if _is_integral(m) and _is_integral(b):
+                ints = [[int(v) for v in row] for row in m]
+                assert linalg.rank(ints) == r
+                assert linalg.solve(ints, [[int(v) for v in row] for row in b]) == x
+            if x is None:
+                inconsistent += 1
+                continue
+            assert all(type(v) is F for row in x for v in row)
+            solved += 1
+            free += r < len(m[0])
+        if len(m) != len(m[0]):
+            continue
         d = linalg.det(m)
         assert type(d) is F
         assert d == ref_det(m)
         if not _is_integral(m):
             continue
         a = [[int(x) for x in row] for row in m]
+        assert ref_det_int(a) == d
+        if d == 0:
+            # adjugate_int is defined for invertible matrices only
+            singular += 1
+            with pytest.raises(ValueError):
+                linalg.adjugate_int(a)
+            continue
         adj, dint = linalg.adjugate_int(a)
         n = len(a)
         assert dint == d and type(dint) is int
+        assert all(type(v) is int for row in adj for v in row)
         for i in range(n):
             for j in range(n):
                 minor = [[a[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
                 assert adj[i][j] == (-1) ** (i + j) * ref_det(minor)
                 assert sum(adj[i][k] * a[k][j] for k in range(n)) == (dint if i == j else 0)
+    assert min(solved, inconsistent, free, singular) > 0

@@ -1,13 +1,16 @@
 """No module of the package imports another module's private names, no
-function takes a parameter it never reads, and no `assert` guards a
-runtime check.
+function takes a parameter it never reads, no `assert` guards a runtime
+check, and no float appears.
 
 A `from .x import _name` couples two layers through a helper that `x` does
 not offer as part of its interface; a helper another layer needs gets a
 public name instead. A parameter nothing reads is an input every caller
 must supply for nothing. `python -O` strips every `assert`, so a check
-the program relies on raises a named error instead. Modules are parsed
-with `ast`, not imported.
+the program relies on raises a named error instead. No module uses a
+float: everything stays exact, so a float literal, the name `float` or a
+`math` function outside the integer ones in EXACT_MATH is refused (an
+`int / int` escapes this check; the type assertions of the tests cover
+it). Modules are parsed with `ast`, not imported.
 """
 
 import ast
@@ -127,3 +130,40 @@ def test_no_asserts_in_package():
         f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py")) for line in asserts(path.read_text())
     ]
     assert not offenders, f"assert used as a runtime check: {offenders}"
+
+
+EXACT_MATH = {"isqrt", "gcd", "lcm", "floor", "ceil", "prod", "comb"}
+
+
+def floats(source: str) -> list[str]:
+    """The float literals, uses of the name `float` and imports from `math`
+    outside EXACT_MATH in a module, as "line: what", in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {a.name}") for a in node.names if a.name == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" and not node.level:
+            found += [(node.lineno, f"math.{a.name}") for a in node.names if a.name not in EXACT_MATH]
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_float_detector():
+    source = (
+        "from math import gcd, sqrt\nimport math\nx = 0.5 + 1e3\n"
+        "def f(y):\n    return float(y) // 3\n"
+    )
+    assert floats(source) == ["1: math.sqrt", "2: import math", "3: 0.5", "3: 1000.0", "5: float"]
+    exact = "from math import isqrt, lcm\nfrom fractions import Fraction\nq = Fraction(1, 3)  # not 1 / 3\n"
+    assert floats(exact) == []
+    assert floats('"""A docstring may say float."""\n') == []
+
+
+def test_no_floats_in_package():
+    offenders = [
+        f"{path.name}:{found}" for path in sorted(PACKAGE.glob("*.py")) for found in floats(path.read_text())
+    ]
+    assert not offenders, f"floats in the package: {offenders}"

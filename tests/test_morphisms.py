@@ -17,11 +17,10 @@ from endoapprox.morphisms import (
     isogeny_extension,
     rank_and_codim,
     rationalize_block,
-    solve_ax_eq_by,
     weightify,
 )
 from endoapprox.pipeline import check_gauss_identity, rand_full_rank
-from endoapprox.rings import ProductRingSpec, gaussian_ring
+from endoapprox.rings import ProductRingSpec, RingSpec, gaussian_ring
 
 
 def _mor(product, source, target, coords):
@@ -113,6 +112,29 @@ def test_isogeny_extension_rejects_singular_extension(products):
         isogeny_extension(cert)
 
 
+@pytest.mark.parametrize("tag", ["Z", "Zi", "Zw", "Hq"])
+def test_isogeny_extension_determinant_is_a_power_of_the_scale(products, tag):
+    # a checked certificate's selected columns are a*I, so each rationalized
+    # extended block has determinant +-a^(2d*r) and the singular-extension
+    # guard cannot fire
+    product = products[tag]
+    spec = product.factors[0]
+    rng = random.Random(211)
+    checked = 0
+    while checked < 6:
+        g = rng.randint(1, 3)
+        r = rng.randint(1, g)
+        block = [[[rng.randint(-3, 3) for _ in range(spec.rank)] for _ in range(g)] for _ in range(r)]
+        psi = _mor(product, (g,), (r,), [block])
+        amb = AmbientSpec(product, (g,))
+        if rank_and_codim(psi, amb)[0] != (r,):
+            continue
+        cert = weightify(psi, amb)[1]
+        power = cert.scale ** (2 * spec.dimension * r)
+        assert det(rationalize_block(spec, isogeny_extension(cert).blocks[0])) in (power, -power)
+        checked += 1
+
+
 def _bad_weighted(pz, scale, columns, slack_sq, block=None):
     block = block or [[[2], [5]]]
     phi = _mor(pz, (len(block[0]),), (len(block),), [block])
@@ -155,26 +177,26 @@ def test_certificate_rejected_on_construction(products, build, match):
         build(products["Z"])
 
 
-def test_solve_ax_eq_by_examples(ring_z, ring_zi, ring_hq):
-    a, b = solve_ax_eq_by(ring_z.integer(2), ring_z.integer(3))
-    assert (a, b) == (ring_z.integer(3), ring_z.integer(2))
-    x = ring_zi.element([1, 1])
-    y = ring_zi.element([0, 1])
-    a, b = solve_ax_eq_by(x, y)
-    assert (a, b) == (y, x)
-    assert a * x == b * y
-    qi = ring_hq.element([0, 1, 0, 0])
-    qj = ring_hq.element([0, 0, 1, 0])
-    qk = ring_hq.element([0, 0, 0, 1])
-    a, b = solve_ax_eq_by(qi, qj)
-    assert a == qk and b == ring_hq.one()
-    assert qk * qi == qj
-    # rational inputs: the integral pair of d*x and d*y, d their common denominator
-    x, y = ring_hq.element([F(1, 2), 1, 0, F(-1, 3)]), ring_hq.element([0, F(2, 3), 1, 1])
-    a, b = solve_ax_eq_by(x, y)
-    assert a * x == b * y and a.is_integral() and b.is_integral()
-    a, b = solve_ax_eq_by(ring_zi.element([F(1, 2), 1]), ring_zi.element([0, F(1, 3)]))
-    assert (a, b) == (ring_zi.element([0, 2]), ring_zi.element([3, 6]))
+def test_gauss_reduce_clears_by_left_common_multiples(ring_z, ring_zi, ring_hq):
+    # [[y, 0], [x, 1]] is cleared below its first pivot by a left common
+    # multiple a*x == b*y: commutative, quaternion, and from rational x, y
+    # the integral pair of d*x and d*y, d their common denominator
+    pairs = [
+        (ring_z.integer(2), ring_z.integer(3)),
+        (ring_zi.element([1, 1]), ring_zi.element([0, 1])),
+        (ring_hq.element([0, 1, 0, 0]), ring_hq.element([0, 0, 1, 0])),
+        (ring_hq.element([F(1, 2), 1, 0, F(-1, 3)]), ring_hq.element([0, F(2, 3), 1, 1])),
+        (ring_zi.element([F(1, 2), 1]), ring_zi.element([0, F(1, 3)])),
+    ]
+    for x, y in pairs:
+        spec = x.ring
+        block = [[y, spec.zero()], [x, spec.one()]]
+        reduced, a = gauss_reduce(spec, block)
+        assert a >= 1
+        for i in range(2):
+            for j in range(2):
+                acc = reduced[i][0] * block[0][j] + reduced[i][1] * block[1][j]
+                assert acc == spec.integer(a if i == j else 0)
 
 
 def test_gauss_examples(ring_z, ring_zi, ring_hq):
@@ -218,6 +240,15 @@ def test_gauss_rejects_rank_deficient(ring_z):
             [ring_z.integer(1), ring_z.integer(2)],
             [ring_z.integer(2), ring_z.integer(4)],
         ])
+    # Z x Z as one order, e idempotent: e is a nonzero pivot, but x -> x*e
+    # is singular, so it has no adjugate to clear the diagonal with
+    split = RingSpec(
+        tag="ZxZ", rank=2, dimension=1, basis_labels=("1", "e"),
+        mul_table=(((1, 0), (0, 1)), ((0, 1), (0, 1))), involution=((1, 0), (0, 1)),
+        gram=((F(1), F(0)), (F(0), F(1))), lattice_rep=(((1, 0), (0, 1)), ((1, 0), (0, 0))),
+    )
+    with pytest.raises(MorphismError, match="degenerate right-multiplication matrix"):
+        gauss_reduce(split, [[split.element([0, 1])]])
 
 
 @pytest.mark.parametrize("tag", ["Z", "Zi", "Zw", "Hq"])
