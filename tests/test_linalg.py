@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from math import floor
 
 import pytest
 
@@ -71,6 +72,18 @@ def test_eigen_lower():
     assert 0 < lb <= tr / 2 and lb * lb - tr * lb + d >= 0
     up = lb * (1 + F(1, 10**6))
     assert up * up - tr * up + d < 0
+    # least eigenvalue about 2^-71, below h / 2^64 (h the least diagonal
+    # entry): the bound is still positive and below it
+    tiny = F(1, 2**70)
+    lb = linalg.min_eigenvalue_lower([[F(1), F(1)], [F(1), 1 + tiny]])
+    assert 0 < lb < tiny / 2
+    # rational least eigenvalues, found where the first cell narrower than
+    # 1/L lies past level 64 and where L is large
+    big = 10**30
+    assert linalg.min_eigenvalue_lower([[F(big, 7), F(0)], [F(0), F(big + 1, 7)]]) == F(big, 7)
+    den = 2**40 + 15
+    assert linalg.min_eigenvalue_lower([[F(8, den), F(3, den)], [F(3, den), F(8, den)]]) == F(5, den)
+    assert linalg.min_eigenvalue_lower([[F(3, 10**20)]]) == F(3, 10**20)
     # not positive-definite: eigenvalues -1, 2, 5 (2 is the min diagonal),
     # and the singular 0, 2
     for bad in ([[2, 3, 0], [3, 2, 0], [0, 0, 2]], [[1, 1], [1, 1]]):
@@ -108,15 +121,19 @@ def test_definite_zero_pivots():
     assert linalg.min_eigenvalue_lower(linalg.mat([[2, 1], [1, 2]])) == 1
 
 
-def _orbit_grams(tag: str, count: int, seed: int):
-    """Orbit Gram matrices of random 2-slot free generator points over one
-    reference ring, drawn as the benchmark's generators workload draws them."""
+def _orbit_grams(tag: str, count: int, seed: int, slots: int = 2, free_rank: int = 2, bound: int = 2):
+    """Orbit Gram matrices of random free generator points over one
+    reference ring, drawn as the benchmark's generators workload draws them:
+    `slots` slots of `free_rank` coordinates in [-bound, bound]."""
     rng = random.Random(seed)
     spec = rings.reference_rings()[tag]
-    space = model.ModelSpace(morphisms.AmbientSpec(rings.ProductRingSpec((spec,)), (2,)), (2,))
+    space = model.ModelSpace(morphisms.AmbientSpec(rings.ProductRingSpec((spec,)), (slots,)), (free_rank,))
     out = []
     while len(out) < count:
-        free = [[[rng.randint(-2, 2) for _ in range(spec.rank)] for _ in range(2)] for _ in range(2)]
+        free = [
+            [[rng.randint(-bound, bound) for _ in range(spec.rank)] for _ in range(free_rank)]
+            for _ in range(slots)
+        ]
         point = space.point([[space.slot(0, free=f) for f in free]])
         try:
             model.GeneratorSet(space, point)
@@ -152,9 +169,8 @@ def _pinned_matrices():
     return out + _orbit_grams("Hq", 3, 7)
 
 
-# sha256 of repr() of the bounds on _pinned_matrices(); recorded from the
-# characteristic-polynomial (Sturm chain) search, which the definiteness
-# bisection must match exactly
+# sha256 of repr() of the bounds on _pinned_matrices(); any search for the
+# least eigenvalue's grid cell must reproduce it exactly
 PINNED_BOUNDS_DIGEST = "6202da2f39789425966e3f3e30df5152acb7393f3e2b2ac8f1e16bca11d852c3"
 
 
@@ -163,3 +179,161 @@ def test_eigen_lower_pinned_outputs():
     assert len(mats) >= 300 and {len(g) for g in mats} == set(range(1, 9))
     bounds = [linalg.min_eigenvalue_lower(g) for g in mats]
     assert hashlib.sha256(repr(bounds).encode()).hexdigest() == PINNED_BOUNDS_DIGEST
+
+
+# The definiteness bisection that `linalg.min_eigenvalue_lower` must
+# reproduce exactly, kept verbatim with linalg's names qualified: one exact
+# strict test a step for at least 64 steps, then a two-run test of the
+# rational candidate k.
+def ref_min_eigenvalue_lower(g):
+    """Certified rational lower bound on the least eigenvalue of a symmetric
+    positive-definite rational matrix; ArithmeticError if it is not
+    positive-definite.
+
+    A bisection of (0, min diagonal] keeps G - lo*I positive-definite and
+    G - hi*I not.  L*G is an integer matrix, L the lcm of the entry
+    denominators, so every rational eigenvalue is a multiple of 1/L; once
+    hi - lo < 1/L the only possible rational least eigenvalue is
+    floor(hi*L)/L.  It is returned when it is one, else lo after at least 64
+    steps and lo > 0.
+    """
+    n = len(g)
+    if n == 0:
+        raise ValueError("empty matrix")
+    a, den = linalg._integer_matrix(g)
+
+    def shifted(x: F) -> list[list[int]]:
+        """q*L*(G - x*I) for x = p/q."""
+        p, q = x.numerator * den, x.denominator
+        return [[q * v - p if i == j else q * v for j, v in enumerate(row)] for i, row in enumerate(a)]
+
+    if not linalg._definite(a, True):
+        raise ArithmeticError("matrix is not positive-definite")
+    lo, hi = F(0), min(g[i][i] for i in range(n))  # lambda_min <= min diagonal
+    steps, lo_stop, tested = 0, None, False
+    while lo_stop is None or not tested:
+        if not tested and (hi - lo) * den < 1:
+            tested = True
+            k = F(floor(hi * den), den)
+            at_k = shifted(k)
+            if linalg._definite(at_k, False) and not linalg._definite(at_k, True):
+                return k
+            continue
+        mid = (lo + hi) / 2
+        if linalg._definite(shifted(mid), True):
+            lo = mid
+        else:
+            hi = mid
+        steps += 1
+        if lo_stop is None and lo > 0 and steps >= linalg._BISECTION_STEPS:
+            lo_stop = lo
+    return lo_stop
+
+
+def _rotated(q, eigenvalues):
+    """q^T diag(eigenvalues) q for a rational orthogonal matrix q."""
+    n = len(q)
+    return [[sum(q[k][i] * eigenvalues[k] * q[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+ROT2 = [[F(3, 5), F(4, 5)], [F(-4, 5), F(3, 5)]]
+ROT3 = [[F(1, 3), F(2, 3), F(2, 3)], [F(2, 3), F(1, 3), F(-2, 3)], [F(2, 3), F(-2, 3), F(1, 3)]]
+
+
+def _generator_grams():
+    """Orbit Gram matrices of the benchmark's generators shapes, and the
+    reference rings' own Gram matrices, which the norm-equivalence constants
+    bound."""
+    shapes = [("Z", 2, 2, 300), ("Z", 3, 3, 30), ("Zi", 2, 2, 10), ("Zw", 2, 2, 8), ("Hq", 2, 2, 2)]
+    out = [g for seed, (tag, slots, nu, bound) in enumerate(shapes) for g in _orbit_grams(tag, 6, seed, slots, nu, bound)]
+    return out + [linalg.mat(spec.gram) for spec in rings.reference_rings().values()]
+
+
+def _edge_matrices():
+    """Inputs at the edges of the search: a least eigenvalue below h/2^64 (h
+    the least diagonal entry), a first narrow level past 64, rational least
+    eigenvalues with large denominators, 1x1 and aI + cJ matrices, and
+    near-clusters where a prediction can settle on the wrong eigenvalue."""
+    tiny = F(1, 2**70)
+    big = 10**30
+    out = [
+        [[F(1), F(1)], [F(1), 1 + tiny]],
+        [[F(1), F(1), F(0)], [F(1), 1 + tiny, F(0)], [F(0), F(0), F(3)]],
+        [[F(big, 7), F(0)], [F(0), F(big + 1, 7)]],
+        [[F(big, 7), F(1, 3)], [F(1, 3), F(big + 1, 7)]],
+        [[F(7)]],
+        [[F(3, 10**20)]],
+        [[F(big, 7)]],
+        [[F(1)]],
+    ]
+    # least eigenvalue a / L for [[a + c, c], [c, a + c]] / L
+    for a, c, den in ((5, 3, 2**40 + 15), (7, 10**20, 10**18 + 9), (1, 1, 3**50)):
+        out.append([[F(a + c, den), F(c, den)], [F(c, den), F(a + c, den)]])
+    for n, a, c in ((2, F(3, 2), F(2, 3)), (5, F(3, 2), F(2, 3)), (4, F(5), F(-1, 2)), (6, F(1, 10**9), F(1))):
+        out.append([[a * (i == j) + c for j in range(n)] for i in range(n)])
+    for gap in (F(1, 2**40), F(1, 2**20), F(1, 10**12)):
+        out.append(_rotated(ROT2, [F(1), 1 + gap]))
+        out.append(_rotated(ROT3, [1 + gap, F(1), F(2)]))
+        out.append(_rotated(ROT3, [F(2), 1 + gap, F(1)]))
+    return out
+
+
+NOT_POSITIVE_DEFINITE = [
+    [[2, 3, 0], [3, 2, 0], [0, 0, 2]],
+    [[1, 1], [1, 1]],
+    [[0]],
+    [[-1]],
+    [[1, 0], [0, -1]],
+    [[5, 0, 0], [0, 0, 0], [0, 0, 5]],
+    [[F(1, 3), F(1, 3)], [F(1, 3), F(1, 3) - F(1, 2**70)]],
+]
+
+
+def _definiteness_runs(fn, g) -> tuple[F, int]:
+    """fn(g) and the number of exact definiteness runs it made: eliminations
+    without row swaps (the integer solves of the prediction swap rows)."""
+    runs = 0
+    echelon = linalg._echelon
+
+    def counted(m, cols, swap=True):
+        nonlocal runs
+        runs += not swap
+        return echelon(m, cols, swap)
+
+    linalg._echelon = counted
+    try:
+        return fn(g), runs
+    finally:
+        linalg._echelon = echelon
+
+
+def test_eigen_lower_matches_reference():
+    gens = _generator_grams()
+    assert {len(g) for g in gens} == {1, 2, 3, 4, 8}
+    for g in _pinned_matrices() + gens + _edge_matrices():
+        ref, ref_runs = _definiteness_runs(ref_min_eigenvalue_lower, g)
+        got, runs = _definiteness_runs(linalg.min_eigenvalue_lower, g)
+        assert type(got) is F and got == ref, g
+        assert runs <= ref_runs + 3, (g, runs, ref_runs)
+    for g in NOT_POSITIVE_DEFINITE:
+        for fn in (ref_min_eigenvalue_lower, linalg.min_eigenvalue_lower):
+            with pytest.raises(ArithmeticError):
+                fn(linalg.mat(g))
+
+
+def test_eigen_lower_work_bound_on_generator_grams():
+    # every call on the benchmark's shapes finds its cell from the
+    # prediction: the test of G, the cell's lower point and at most a few
+    # more, where the bisection alone ran 25-67
+    for g in _generator_grams():
+        _, runs = _definiteness_runs(linalg.min_eigenvalue_lower, g)
+        assert runs <= 6, (g, runs)
+
+
+def test_pivot_sign():
+    ones = [[1] * 3 for _ in range(3)]
+    assert linalg._pivot_sign(ones, False) == 0
+    assert linalg._pivot_sign(ones, True) == -1
+    assert linalg._pivot_sign([[2, 1], [1, 2]], False) == 1
+    assert linalg._pivot_sign([[0, 1], [1, 0]], False) == -1
+    assert linalg._pivot_sign([[1, 0, 0], [0, 0, 0], [0, 0, -1]], False) == -1
