@@ -3,10 +3,13 @@ full-rank points, the row-morphism corollary, and generator inflation.
 
 The constants come from an eigenvalue-margin construction: a certified
 lower bound on the least eigenvalue of the Gram matrix of the ring orbit
-of the point's free parts, with the perturbation radius chosen so the
-perturbed combination keeps at least half the unperturbed norm.  Tighter
-constants would be an optimization, not a correctness change: the
-contract is only the inequality.
+of the point's free parts (`model.orbit_gram`, summed in integers), with
+the perturbation radius chosen so the perturbed combination keeps at least
+half the unperturbed norm.  The ring's own constants enter through
+`norm_equivalence_constants` and `submultiplicativity_sq`, derived once per
+ring, not compared, so a call bounds one least eigenvalue: the orbit
+Gram's.  Tighter constants would be an optimization, not a correctness
+change: the contract is only the inequality.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import GeneratorSet, ModelPoint, apply_morphism, free_inner, rank_of_point, slot_orbit
+from .model import GeneratorSet, ModelPoint, apply_morphism, orbit_gram, rank_of_point
 from .morphisms import BlockMorphism
 from .rings import RingElement, norm_equivalence_constants, submultiplicativity_sq
 
@@ -46,14 +49,12 @@ def point_lower_constants(p: ModelPoint, factor: int) -> PointConstants:
     if rank_of_point(p)[factor] != s:
         raise GeomNumError("point is not of full rank in the requested factor")
 
-    orbit = [acted for slot in slots for acted in slot_orbit(spec, slot)]
-    gram = [[free_inner(spec, a, b) for b in orbit] for a in orbit]
-    lam_low = linalg.min_eigenvalue_lower(gram)
+    lam_low = linalg.min_eigenvalue_lower(orbit_gram(spec, slots))
     if lam_low <= 0:
         raise GeomNumError("orbit Gram matrix is not positive-definite")
 
-    c0_sq, c1_sq = norm_equivalence_constants(spec)
-    c_sub_sq = submultiplicativity_sq(spec, c0_sq)
+    _, c1_sq = norm_equivalence_constants(spec)
+    c_sub_sq = submultiplicativity_sq(spec)
     p_sq = max(p.slot_height(factor, j) for j in range(s))
     c_sq = lam_low / (4 * c1_sq * p_sq)
     eps0_sq = lam_low / (4 * c_sub_sq * s * c1_sq)

@@ -181,29 +181,32 @@ def _free_form(spec: RingSpec, a, b) -> int:
     return sum(map(spec.form_int, a, b))
 
 
-def free_inner(spec: RingSpec, a, b) -> Fraction:
-    """The ring's Gram form summed over two slots' free coefficients; the
-    height of a slot is its free part's inner product with itself.  One
-    integer sum over the numerators, divided once."""
+def slot_orbit_nums(spec: RingSpec, slot: SlotValue) -> list[list[list[int]]]:
+    """The free numerators, over the slot's fden, of tau_k * slot for the
+    ring basis tau_1..tau_t, which span the free part of the slot's ring
+    orbit over Q."""
     t = spec.rank
-    an, ad = clear_denominators([x for row in a for x in row])
-    bn, bd = clear_denominators([x for row in b for x in row])
-    rows = range(0, len(an), t)
-    total = _free_form(spec, [an[k : k + t] for k in rows], [bn[k : k + t] for k in rows])
-    return Fraction(total, ad * bd * spec.gram_den)
+    return [[spec.mul_int([int(i == k) for i in range(t)], row) for row in slot.fnums] for k in range(t)]
 
 
-def slot_orbit(spec: RingSpec, slot: SlotValue) -> list[tuple[tuple[Fraction, ...], ...]]:
-    """The free parts of tau_k * slot for the ring basis tau_1..tau_t,
-    which span the free part of the slot's ring orbit over Q."""
-    t = spec.rank
-    return [
-        tuple(
-            tuple(Fraction(x, slot.fden) for x in spec.mul_int([int(i == k) for i in range(t)], row))
-            for row in slot.fnums
-        )
-        for k in range(t)
+def orbit_gram(spec: RingSpec, slots) -> list[list[Fraction]]:
+    """The Gram matrix of the slots' ring orbits: entry (a, b) is the ring's
+    Gram form summed over the free coefficients of orbit vectors a and b.
+    The vectors are brought over F, the lcm of the slots' free denominators,
+    so each entry is one integer sum over F^2 * gram_den, divided once; the
+    form is symmetric, so each pair is summed once."""
+    f = lcm(*(s.fden for s in slots))
+    orbit = [
+        [[x * (f // s.fden) for x in row] for row in acted]
+        for s in slots
+        for acted in slot_orbit_nums(spec, s)
     ]
+    den = f * f * spec.gram_den
+    gram = [[Fraction(0)] * len(orbit) for _ in orbit]
+    for a, u in enumerate(orbit):
+        for b in range(a, len(orbit)):
+            gram[a][b] = gram[b][a] = Fraction(_free_form(spec, u, orbit[b]), den)
+    return gram
 
 
 def _torsion_mod1(nums, den: int) -> tuple[tuple[int, ...], int]:
@@ -391,7 +394,7 @@ def rank_of_point(p: ModelPoint) -> tuple[int, ...]:
         vecs = [
             [c for coeff in acted for c in coeff]
             for slot in p.slots[i]
-            for acted in slot_orbit(spec, slot)
+            for acted in slot_orbit_nums(spec, slot)
         ]
         if not vecs or nu == 0:
             out.append(0)

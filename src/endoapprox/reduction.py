@@ -25,7 +25,7 @@ from .model import (
     apply_morphism,
     concat_points,
     divide,
-    slot_orbit,
+    slot_orbit_nums,
 )
 from .morphisms import (
     AmbientSpec,
@@ -109,13 +109,12 @@ def _solve_in_span(gamma: GeneratorSet, y: ModelPoint) -> list[list[list[Fractio
     """
     out: list[list[list[Fraction]]] = []
     for i, spec in enumerate(y.space.product.factors):
-        s_i = len(gamma.point.slots[i])
         t = spec.rank
         nu = y.space.free_ranks[i]
         cols = [
-            [c for coeff in acted for c in coeff]
-            for k in range(s_i)
-            for acted in slot_orbit(spec, gamma.generator(i, k))
+            [Fraction(c, g.fden) for coeff in acted for c in coeff]
+            for g in gamma.point.slots[i]
+            for acted in slot_orbit_nums(spec, g)
         ]
         a_matrix = [[cols[c][r] for c in range(len(cols))] for r in range(nu * t)]
         factor_coeffs: list[list[Fraction]] = []

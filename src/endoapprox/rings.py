@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -39,6 +40,9 @@ class RingSpec:
     common denominator of its entries, derived once and not compared.
     lattice_rep[j] is the integer matrix (size 2*dimension) by which
     basis_j acts on the homology of the simple factor.
+    The ring constants (`norm_equivalence_constants`,
+    `submultiplicativity_sq`, `lambda_min_nonzero`) are derived once per
+    ring, on first use, and not compared either.
     """
 
     tag: str
@@ -132,6 +136,37 @@ class RingSpec:
         flat = [[x for row in m for x in row] for m in self.lattice_rep]
         if linalg.rank(flat) != t:
             raise RingError(f"{self.tag}: lattice representation is not faithful")
+
+    # -- ring constants, derived once per ring and not compared ------------
+
+    @cached_property
+    def _norm_equivalence(self) -> tuple[Fraction, Fraction]:
+        gram = linalg.mat(self.gram)
+        c1_sq = sum(abs(x) for row in gram for x in row)
+        c0_sq = linalg.min_eigenvalue_lower(gram)
+        if c0_sq <= 0:
+            raise RingError(f"{self.tag}: gram form is not positive-definite")
+        return c0_sq, c1_sq
+
+    @cached_property
+    def _submultiplicativity(self) -> Fraction:
+        c0_sq = self._norm_equivalence[0]
+        basis = [self.basis_element(j) for j in range(self.rank)]
+        t2 = sum((sqrt_upper((a * b).norm_sq()) for a in basis for b in basis), Fraction(0))
+        return (t2 * t2) / (c0_sq * c0_sq)
+
+    @cached_property
+    def _lambda_min(self) -> "LambdaMin":
+        radius_sq = self.gram[0][0]
+        best: RingElement | None = None
+        best_sq = None
+        for elem in enumerate_short_vectors(self, radius_sq):
+            n = elem.norm_sq()
+            if best_sq is None or n < best_sq:
+                best, best_sq = elem, n
+        if best is None or best_sq <= 0:
+            raise RingError(f"{self.tag}: no nonzero element of positive norm in the search radius")
+        return LambdaMin(best_sq, best)
 
     # -- derived data ------------------------------------------------------
 
@@ -304,45 +339,32 @@ def enumerate_short_vectors(ring: RingSpec, radius_sq: Fraction) -> Iterator[Rin
 
 
 def lambda_min_nonzero(ring: RingSpec) -> LambdaMin:
-    """Least squared norm over nonzero elements, with a witness attaining it.
+    """Least squared norm over nonzero elements, with a witness attaining it;
+    derived once per ring, not compared.
 
     The search radius G[0][0] is the squared norm of the identity, so the
     minimum is always attained inside the box.
     """
-    radius_sq = ring.gram[0][0]
-    best: RingElement | None = None
-    best_sq = None
-    for elem in enumerate_short_vectors(ring, radius_sq):
-        n = elem.norm_sq()
-        if best_sq is None or n < best_sq:
-            best, best_sq = elem, n
-    if best is None or best_sq <= 0:
-        raise RingError(f"{ring.tag}: no nonzero element of positive norm in the search radius")
-    return LambdaMin(best_sq, best)
+    return ring._lambda_min
 
 
 def norm_equivalence_constants(ring: RingSpec) -> tuple[Fraction, Fraction]:
-    """(c0_sq, c1_sq) with c0_sq*|a|_inf^2 <= |a|^2 <= c1_sq*|a|_inf^2.
+    """(c0_sq, c1_sq) with c0_sq*|a|_inf^2 <= |a|^2 <= c1_sq*|a|_inf^2,
+    derived once per ring, not compared.
 
     c1_sq is the entry-sum of |G|; c0_sq is a certified rational lower
     bound on the least eigenvalue of G (exact when that eigenvalue is
     rational).
     """
-    gram = linalg.mat(ring.gram)
-    c1_sq = sum(abs(x) for row in gram for x in row)
-    c0_sq = linalg.min_eigenvalue_lower(gram)
-    if c0_sq <= 0:
-        raise RingError(f"{ring.tag}: gram form is not positive-definite")
-    return c0_sq, c1_sq
+    return ring._norm_equivalence
 
 
-def submultiplicativity_sq(ring: RingSpec, c0_sq: Fraction) -> Fraction:
-    """C with |e*c|^2 <= C |e|^2 |c|^2 for all e, c in the ring, given the
-    ring's c0_sq from norm_equivalence_constants: C = (T2 / c0_sq)^2 with
-    T2 a certified upper bound on the sum of the basis-product norms."""
-    basis = [ring.basis_element(j) for j in range(ring.rank)]
-    t2 = sum((sqrt_upper((a * b).norm_sq()) for a in basis for b in basis), Fraction(0))
-    return (t2 * t2) / (c0_sq * c0_sq)
+def submultiplicativity_sq(ring: RingSpec) -> Fraction:
+    """C with |e*c|^2 <= C |e|^2 |c|^2 for all e, c in the ring, derived
+    once per ring, not compared: C = (T2 / c0_sq)^2 with c0_sq the ring's
+    own from norm_equivalence_constants and T2 a certified upper bound on
+    the sum of the basis-product norms."""
+    return ring._submultiplicativity
 
 
 @dataclass(frozen=True)
@@ -441,7 +463,7 @@ def product_constants(product: ProductRingSpec) -> dict[str, Fraction]:
         "c1_sq": sum(c1s, Fraction(0)),
         "lambda_sq": lam,
         "tau_norm_sum_upper": tau_sum_upper,
-        "c_sub_sq": max(submultiplicativity_sq(f, c0) for f, c0 in zip(product.factors, c0s)),
+        "c_sub_sq": max(submultiplicativity_sq(f) for f in product.factors),
     }
 
 

@@ -1,10 +1,12 @@
 """Differential tests: the integer kernels of ring multiplication, the
-lattice representation, the Gram form, the involution, the ring laws,
-Gauss reduction, the model's slot arithmetic and action, the torsion-kernel
-checks and determinants against plain Fraction references written here, on
-the four reference rings and on two-factor products; and `linalg`'s one
-fraction-free elimination (rank, solve, det, adjugate) against the separate
-elimination loops it replaced, kept here as references."""
+lattice representation, the Gram form, the orbit Gram, the involution, the
+ring laws, Gauss reduction, the model's slot arithmetic and action, the
+torsion-kernel checks and determinants against plain Fraction references
+written here, on the four reference rings and on two-factor products; the
+ring constants each ring derives once against their per-call derivations;
+and `linalg`'s one fraction-free elimination (rank, solve, det, adjugate)
+against the separate elimination loops it replaced, kept here as
+references."""
 
 import copy
 import itertools
@@ -22,7 +24,7 @@ from endoapprox.model import (
     ResourceError,
     apply_morphism,
     divide,
-    free_inner,
+    orbit_gram,
     torsion_enum,
     torsion_matrices,
 )
@@ -43,7 +45,20 @@ from endoapprox.pipeline import (
     rand_full_rank,
     rand_row_morphism,
 )
-from endoapprox.rings import ProductRingSpec, RingError, RingSpec, eisenstein_ring, quaternion_ring
+from endoapprox.exact import sqrt_upper
+from endoapprox.rings import (
+    LambdaMin,
+    ProductRingSpec,
+    RingError,
+    RingSpec,
+    eisenstein_ring,
+    enumerate_short_vectors,
+    lambda_min_nonzero,
+    norm_equivalence_constants,
+    quaternion_ring,
+    reference_rings,
+    submultiplicativity_sq,
+)
 from endoapprox.scenario import load_scenario
 from endoapprox.thresholds import kernel_degree
 
@@ -468,11 +483,6 @@ def test_form_and_conj_match_fraction_reference(rings, two_factor, mixed, kind):
             assert a.norm_sq() == ref_form(spec, a.coords, a.coords)
             conj = a.conj()
             assert list(conj.coords) == ref_conj(spec, x) and _all_fractions(conj.coords)
-            rows = rng.randint(0, 3)
-            fa = [_coords(rng, kind, t) for _ in range(rows)]
-            fb = [_coords(rng, kind, t) for _ in range(rows)]
-            got = free_inner(spec, fa, fb)
-            assert got == ref_free_inner(spec, fa, fb) and type(got) is F
 
 
 def _rational_block(rng, spec):
@@ -655,6 +665,11 @@ def test_heights_match_fraction_reference(rings, two_factor, mixed):
             for i, (spec, fac) in enumerate(zip(product.factors, x.slots)):
                 for j, s in enumerate(fac):
                     assert x.slot_height(i, j) == ref_free_inner(spec, s.free, s.free)
+                basis = [[int(l == k) for l in range(spec.rank)] for k in range(spec.rank)]
+                orbit = [[ref_mul(spec, e, coeff) for coeff in s.free] for s in fac for e in basis]
+                gram = orbit_gram(spec, fac)
+                assert gram == [[ref_free_inner(spec, u, v) for v in orbit] for u in orbit]
+                assert all(_all_fractions(row) for row in gram)
 
 
 def test_apply_morphism_rejects_non_integral_entries(rings, mixed):
@@ -877,6 +892,71 @@ def _accepted_rings(rings, scenario_paths):
     hq_cols = [(1, 0, 0, 0), (0, 1, 0, 0), (0, s, 1, 0), (0, 0, s, 1)]
     out.append(_change_basis(rings["Hq"], hq_cols, "Hq30"))
     return out
+
+
+# The ring constants as derived on every call, before each ring derived them
+# once, kept verbatim with rings' names qualified.
+def ref_lambda_min_nonzero(ring):
+    """Least squared norm over nonzero elements, with a witness attaining it.
+
+    The search radius G[0][0] is the squared norm of the identity, so the
+    minimum is always attained inside the box.
+    """
+    radius_sq = ring.gram[0][0]
+    best = None
+    best_sq = None
+    for elem in enumerate_short_vectors(ring, radius_sq):
+        n = elem.norm_sq()
+        if best_sq is None or n < best_sq:
+            best, best_sq = elem, n
+    if best is None or best_sq <= 0:
+        raise RingError(f"{ring.tag}: no nonzero element of positive norm in the search radius")
+    return LambdaMin(best_sq, best)
+
+
+def ref_norm_equivalence_constants(ring):
+    """(c0_sq, c1_sq) with c0_sq*|a|_inf^2 <= |a|^2 <= c1_sq*|a|_inf^2.
+
+    c1_sq is the entry-sum of |G|; c0_sq is a certified rational lower
+    bound on the least eigenvalue of G (exact when that eigenvalue is
+    rational).
+    """
+    gram = linalg.mat(ring.gram)
+    c1_sq = sum(abs(x) for row in gram for x in row)
+    c0_sq = linalg.min_eigenvalue_lower(gram)
+    if c0_sq <= 0:
+        raise RingError(f"{ring.tag}: gram form is not positive-definite")
+    return c0_sq, c1_sq
+
+
+def ref_submultiplicativity_sq(ring, c0_sq):
+    """C with |e*c|^2 <= C |e|^2 |c|^2 for all e, c in the ring, given the
+    ring's c0_sq from norm_equivalence_constants: C = (T2 / c0_sq)^2 with
+    T2 a certified upper bound on the sum of the basis-product norms."""
+    basis = [ring.basis_element(j) for j in range(ring.rank)]
+    t2 = sum((sqrt_upper((a * b).norm_sq()) for a in basis for b in basis), F(0))
+    return (t2 * t2) / (c0_sq * c0_sq)
+
+
+def test_ring_constants_match_reference(rings, scenario_paths):
+    # fresh rings, so the first read of each derives its constants
+    specs = list(reference_rings().values())
+    for path in scenario_paths:
+        specs += list(load_scenario(path).product.factors)
+    s = 5  # the skewed quaternion basis 1, i, j + s*i, k + s*j
+    specs.append(_change_basis(rings["Hq"], [(1, 0, 0, 0), (0, 1, 0, 0), (0, s, 1, 0), (0, 0, s, 1)], "Hq5"))
+    assert len(specs) > 4 + len(scenario_paths)
+    for spec in specs:
+        c0_sq, c1_sq = ref_norm_equivalence_constants(spec)
+        sub = ref_submultiplicativity_sq(spec, c0_sq)
+        lam = ref_lambda_min_nonzero(spec)
+        for _ in range(2):  # derived, then read back
+            got = norm_equivalence_constants(spec)
+            assert got == (c0_sq, c1_sq) and _all_fractions(got)
+            got = submultiplicativity_sq(spec)
+            assert got == sub and type(got) is F
+            got = lambda_min_nonzero(spec)
+            assert got == lam and type(got.value_sq) is F
 
 
 def test_validate_accepts_what_the_fraction_reference_accepts(rings, scenario_paths):

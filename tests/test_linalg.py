@@ -5,7 +5,7 @@ from math import floor
 
 import pytest
 
-from endoapprox import linalg, model, morphisms, rings
+from endoapprox import geomnum, linalg, model, morphisms, rings
 
 
 def test_rank_det_solve():
@@ -121,10 +121,42 @@ def test_definite_zero_pivots():
     assert linalg.min_eigenvalue_lower(linalg.mat([[2, 1], [1, 2]])) == 1
 
 
-def _orbit_grams(tag: str, count: int, seed: int, slots: int = 2, free_rank: int = 2, bound: int = 2):
-    """Orbit Gram matrices of random free generator points over one
-    reference ring, drawn as the benchmark's generators workload draws them:
-    `slots` slots of `free_rank` coordinates in [-bound, bound]."""
+# The Fraction orbit Gram that `model.orbit_gram` must reproduce exactly:
+# `free_inner` and `slot_orbit` kept verbatim, with model's names qualified.
+def free_inner(spec, a, b):
+    """The ring's Gram form summed over two slots' free coefficients; the
+    height of a slot is its free part's inner product with itself.  One
+    integer sum over the numerators, divided once."""
+    t = spec.rank
+    an, ad = linalg.clear_denominators([x for row in a for x in row])
+    bn, bd = linalg.clear_denominators([x for row in b for x in row])
+    rows = range(0, len(an), t)
+    total = model._free_form(spec, [an[k : k + t] for k in rows], [bn[k : k + t] for k in rows])
+    return F(total, ad * bd * spec.gram_den)
+
+
+def slot_orbit(spec, slot):
+    """The free parts of tau_k * slot for the ring basis tau_1..tau_t,
+    which span the free part of the slot's ring orbit over Q."""
+    t = spec.rank
+    return [
+        tuple(
+            tuple(F(x, slot.fden) for x in spec.mul_int([int(i == k) for i in range(t)], row))
+            for row in slot.fnums
+        )
+        for k in range(t)
+    ]
+
+
+def ref_orbit_gram(spec, slots):
+    orbit = [v for slot in slots for v in slot_orbit(spec, slot)]
+    return [[free_inner(spec, u, v) for v in orbit] for u in orbit]
+
+
+def _generator_points(tag: str, count: int, seed: int, slots: int = 2, free_rank: int = 2, bound: int = 2):
+    """Random free generator points over one reference ring, drawn as the
+    benchmark's generators workload draws them: `slots` slots of
+    `free_rank` coordinates in [-bound, bound]."""
     rng = random.Random(seed)
     spec = rings.reference_rings()[tag]
     space = model.ModelSpace(morphisms.AmbientSpec(rings.ProductRingSpec((spec,)), (slots,)), (free_rank,))
@@ -139,9 +171,16 @@ def _orbit_grams(tag: str, count: int, seed: int, slots: int = 2, free_rank: int
             model.GeneratorSet(space, point)
         except model.ModelError:
             continue  # not free: draw again
-        orbit = [v for slot in point.slots[0] for v in model.slot_orbit(spec, slot)]
-        out.append([[model.free_inner(spec, u, v) for v in orbit] for u in orbit])
+        out.append(point)
     return out
+
+
+def _orbit_grams(tag: str, count: int, seed: int, slots: int = 2, free_rank: int = 2, bound: int = 2):
+    """The orbit Gram matrices of `_generator_points`."""
+    return [
+        ref_orbit_gram(p.space.product.factors[0], p.slots[0])
+        for p in _generator_points(tag, count, seed, slots, free_rank, bound)
+    ]
 
 
 def _pinned_matrices():
@@ -240,12 +279,17 @@ ROT2 = [[F(3, 5), F(4, 5)], [F(-4, 5), F(3, 5)]]
 ROT3 = [[F(1, 3), F(2, 3), F(2, 3)], [F(2, 3), F(1, 3), F(-2, 3)], [F(2, 3), F(-2, 3), F(1, 3)]]
 
 
+# (ring, slots, free rank, coordinate bound) of the benchmark's generators
+GENERATOR_SHAPES = [("Z", 2, 2, 300), ("Z", 3, 3, 30), ("Zi", 2, 2, 10), ("Zw", 2, 2, 8), ("Hq", 2, 2, 2)]
+
+
 def _generator_grams():
     """Orbit Gram matrices of the benchmark's generators shapes, and the
     reference rings' own Gram matrices, which the norm-equivalence constants
     bound."""
-    shapes = [("Z", 2, 2, 300), ("Z", 3, 3, 30), ("Zi", 2, 2, 10), ("Zw", 2, 2, 8), ("Hq", 2, 2, 2)]
-    out = [g for seed, (tag, slots, nu, bound) in enumerate(shapes) for g in _orbit_grams(tag, 6, seed, slots, nu, bound)]
+    out = [
+        g for seed, (tag, *shape) in enumerate(GENERATOR_SHAPES) for g in _orbit_grams(tag, 6, seed, *shape)
+    ]
     return out + [linalg.mat(spec.gram) for spec in rings.reference_rings().values()]
 
 
@@ -337,3 +381,108 @@ def test_pivot_sign():
     assert linalg._pivot_sign([[2, 1], [1, 2]], False) == 1
     assert linalg._pivot_sign([[0, 1], [1, 0]], False) == -1
     assert linalg._pivot_sign([[1, 0, 0], [0, 0, 0], [0, 0, -1]], False) == -1
+
+
+# `model.rank_of_point` and `geomnum.point_lower_constants` kept verbatim
+# on the Fraction orbit above, with the package's names qualified; the ring
+# constants are read through today's functions, whose values
+# tests/test_integer_kernels.py checks against the earlier derivations.
+def ref_rank_of_point(p):
+    """Per factor, the rational rank of the span of the ring-orbit of the
+    free parts, divided by the ring rank."""
+    out = []
+    for i, spec in enumerate(p.space.product.factors):
+        nu = p.space.free_ranks[i]
+        vecs = [
+            [c for coeff in acted for c in coeff]
+            for slot in p.slots[i]
+            for acted in slot_orbit(spec, slot)
+        ]
+        if not vecs or nu == 0:
+            out.append(0)
+            continue
+        q_rank = linalg.rank(vecs)
+        if q_rank % spec.rank != 0:
+            raise model.ModelError("orbit rank not divisible by the ring rank")
+        out.append(q_rank // spec.rank)
+    return tuple(out)
+
+
+def ref_point_lower_constants(p, factor):
+    """Certified (c_sq, eps0_sq) for the given factor of a full-rank point."""
+    spec = p.space.product.factors[factor]
+    slots = p.slots[factor]
+    s = len(slots)
+    if s == 0:
+        raise geomnum.GeomNumError("no slots in the requested factor")
+    if ref_rank_of_point(p)[factor] != s:
+        raise geomnum.GeomNumError("point is not of full rank in the requested factor")
+
+    orbit = [acted for slot in slots for acted in slot_orbit(spec, slot)]
+    gram = [[free_inner(spec, a, b) for b in orbit] for a in orbit]
+    lam_low = linalg.min_eigenvalue_lower(gram)
+    if lam_low <= 0:
+        raise geomnum.GeomNumError("orbit Gram matrix is not positive-definite")
+
+    c0_sq, c1_sq = rings.norm_equivalence_constants(spec)
+    c_sub_sq = rings.submultiplicativity_sq(spec)
+    p_sq = max(p.slot_height(factor, j) for j in range(s))
+    c_sq = lam_low / (4 * c1_sq * p_sq)
+    eps0_sq = lam_low / (4 * c_sub_sq * s * c1_sq)
+    return geomnum.PointConstants(factor=factor, c_sq=c_sq, eps0_sq=eps0_sq, gram_lower=lam_low)
+
+
+def _mixed_denominator_points():
+    """Points whose three slots per factor have their draws scaled by 1/2,
+    1/3 and 5/6, so their free denominators differ, over each reference ring
+    and over Zw x Hq; every fourth point repeats its first slot, scaled, as
+    its third, so it is not of full rank."""
+    rng = random.Random(19)
+    ref = rings.reference_rings()
+    products = [rings.ProductRingSpec((spec,)) for spec in ref.values()]
+    products.append(rings.ProductRingSpec((ref["Zw"], ref["Hq"])))
+    out = []
+    for product in products:
+        n = product.n_factors
+        space = model.ModelSpace(morphisms.AmbientSpec(product, (3,) * n), (3,) * n)
+        for trial in range(4):
+            slots = []
+            for i, spec in enumerate(product.factors):
+                free = [
+                    [[scale * rng.randint(-4, 4) for _ in range(spec.rank)] for _ in range(3)]
+                    for scale in (F(1, 2), F(1, 3), F(5, 6))
+                ]
+                if trial == 3:
+                    free[2] = [[x * F(5, 3) for x in coeff] for coeff in free[0]]
+                slots.append([space.slot(i, free=f) for f in free])
+            out.append(space.point(slots))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except geomnum.GeomNumError as err:
+        return str(err)
+
+
+def test_orbit_gram_matches_fraction_gram():
+    generators = [
+        p
+        for seed, (tag, *shape) in enumerate(GENERATOR_SHAPES)
+        for p in _generator_points(tag, 6, seed, *shape)
+    ]
+    mixed = _mixed_denominator_points()
+    assert {2, 3, 6} <= {s.fden for p in mixed for fac in p.slots for s in fac}
+    outcomes = []
+    for p in generators + mixed:
+        assert model.rank_of_point(p) == ref_rank_of_point(p)
+        for i, (spec, slots) in enumerate(zip(p.space.product.factors, p.slots)):
+            gram = model.orbit_gram(spec, slots)
+            assert gram == ref_orbit_gram(spec, slots) and all(type(x) is F for row in gram for x in row)
+            got = _outcome(geomnum.point_lower_constants, p, i)
+            assert got == _outcome(ref_point_lower_constants, p, i)
+            outcomes.append(got)
+    failed = [x for x in outcomes if isinstance(x, str)]
+    assert failed and set(failed) == {"point is not of full rank in the requested factor"}
+    assert len(outcomes) - len(failed) >= len(generators)

@@ -3,6 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from endoapprox import linalg
+from endoapprox.approx import derive_ledger
+from endoapprox.geomnum import point_lower_constants
+from endoapprox.model import ModelSpace
+from endoapprox.morphisms import AmbientSpec
 from endoapprox.pipeline import check_norm_sandwich
 from endoapprox.rings import (
     ProductRingSpec,
@@ -12,6 +17,9 @@ from endoapprox.rings import (
     integer_ring,
     lambda_min_nonzero,
     norm_equivalence_constants,
+    product_constants,
+    quaternion_ring,
+    submultiplicativity_sq,
 )
 
 
@@ -132,3 +140,47 @@ def test_lattice_representation_multiplicative(rings, tag):
         a = spec.element([rng.randint(-9, 9) for _ in range(spec.rank)])
         b = spec.element([rng.randint(-9, 9) for _ in range(spec.rank)])
         assert spec.rho_respects_product(a.coords, b.coords)
+
+
+def _generator_point(spec):
+    """A full-rank two-slot point over one ring."""
+    space = ModelSpace(AmbientSpec(ProductRingSpec((spec,)), (2,)), (2,))
+    slots = [space.slot(0, free=[[1] + [0] * (spec.rank - 1), [0] * spec.rank]),
+             space.slot(0, free=[[0] * spec.rank, [F(1, 2)] + [1] * (spec.rank - 1)])]
+    return space.point([slots])
+
+
+def test_ring_constants_derived_once_per_ring(monkeypatch):
+    calls = []
+    real = linalg.min_eigenvalue_lower
+    monkeypatch.setattr(linalg, "min_eigenvalue_lower", lambda g: calls.append(len(g)) or real(g))
+    spec = quaternion_ring()  # a fresh ring: nothing derived yet
+    point = _generator_point(spec)
+    first = point_lower_constants(point, 0), derive_ledger(point.space.product).to_jsonable()
+    for _ in range(3):
+        assert (point_lower_constants(point, 0), derive_ledger(point.space.product).to_jsonable()) == first
+    # the ring's own 4x4 Gram is bounded once; the 8x8 orbit Gram every call
+    assert calls == [8, 4, 8, 8, 8]
+
+
+def test_equal_rings_stay_equal_after_deriving_constants():
+    a, b = quaternion_ring(), quaternion_ring()
+    norm_equivalence_constants(a)
+    submultiplicativity_sq(a)
+    lambda_min_nonzero(a)
+    assert a == b and hash(a) == hash(b)
+    assert ProductRingSpec((a,)) == ProductRingSpec((b,))
+
+
+def test_product_constants_and_ledger_are_fresh_per_call(ring_zw):
+    product = ProductRingSpec((ring_zw, integer_ring("Z2")))
+    consts = product_constants(product)
+    expected = dict(consts)
+    consts["c0_sq"] = F(99)
+    consts.clear()
+    assert product_constants(product) == expected
+    ledger = derive_ledger(product)
+    expected = ledger.to_jsonable()
+    ledger.define("c0_sq", F(99), "planted")
+    del ledger.entries["Q0"]
+    assert derive_ledger(product).to_jsonable() == expected
