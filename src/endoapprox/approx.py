@@ -5,7 +5,13 @@ Every output is self-certifying: the stated inequalities are checked by
 exact arithmetic (rational, or rational plus a single square root
 handled by cross-multiplication) before the result is returned, with all
 multiplicative constants drawn from a ConstantLedger.  Certificates
-check themselves when they are built, so each is checked once.
+check themselves when they are built, so each is checked once.  The
+vector and weighted approximations decide their certificates on
+integers: coordinates are cleared to numerators over one denominator,
+each norm and inner product is one integer over that denominator's
+square times gd (the lcm of the factors' `gram_den`, each factor's
+`form_int` weighted by gd // gram_den), and every bound is compared by
+cross-multiplication.
 
 One deliberate normalization choice, recorded in the ledger: for weighted
 morphisms the closeness conclusion is checked against phi/a (a the
@@ -19,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Callable
 
 from . import dirichlet
-from .exact import ceil_sqrt, le_linear_sqrt, sqrt_lower, sqrt_upper
+from .exact import ceil_sqrt, le_linear_sqrt_int, sqrt_lower, sqrt_upper
 from .ledger import ConstantLedger, op_constant_sq
 from .linalg import clear_denominators
 from .model import apply_morphism, concat_points, divide
@@ -34,7 +40,13 @@ from .morphisms import (
     embedding_ir,
 )
 from .reduction import InclusionWitness
-from .rings import ProductElement, ProductRingSpec, product_constants, q0_from_constants
+from .rings import (
+    ProductElement,
+    ProductRingSpec,
+    RingSpec,
+    product_constants,
+    q0_from_constants,
+)
 
 
 class ApproxError(ValueError):
@@ -96,16 +108,27 @@ def _product_inner(x: ProductElement, y: ProductElement) -> Fraction:
     )
 
 
-def _round_sqrt_within(num: int, den: int, q: int) -> int | None:
-    """The nearest integer k to w = sqrt(num/den), exact ties to even, or
-    None when |w - k| > 1/q; every comparison is made on squares."""
-    f = isqrt(num // den)  # floor(w)
-    half = den * (2 * f + 1) ** 2  # 4 w^2 against (2f + 1)^2
-    if 4 * num > half or (4 * num == half and f % 2):
-        k = f + 1  # w < k: w >= k - 1/q
-        return k if num * q * q >= den * (k * q - 1) ** 2 else None
-    # f <= w: w <= f + 1/q
-    return f if num * q * q <= den * (f * q + 1) ** 2 else None
+def _gram_weights(product: ProductRingSpec) -> tuple[list[tuple[RingSpec, int, int]], int]:
+    """(layout, gd): gd the lcm of the factors' gram_den, and per factor
+    (ring, offset of its coordinates in a product element, gd // gram_den),
+    so gd times the product Gram form is one integer sum over the factors."""
+    gd = lcm(*(f.gram_den for f in product.factors))
+    layout = []
+    at = 0
+    for f in product.factors:
+        layout.append((f, at, gd // f.gram_den))
+        at += f.rank
+    return layout, gd
+
+
+def _element_forms(layout, t: int, x: list[int], y: list[int]) -> list[int]:
+    """gd times the product Gram form of x and y, per element of t coordinates,
+    on integer coordinate vectors holding the elements one after another."""
+    return [
+        sum(w * f.form_int(x[k + at : k + at + f.rank], y[k + at : k + at + f.rank])
+            for f, at, w in layout)
+        for k in range(0, len(x), t)
+    ]
 
 
 def approx_vector(
@@ -123,6 +146,9 @@ def approx_vector(
     Candidates whose rounded vector is zero are skipped (the lower
     comparability conclusion needs a nonzero approximation; with the
     normalized lattices configured here the guarantee is unaffected).
+    The coordinates are cleared to numerators over one denominator cd, so
+    every norm and inner product is one integer over cd^2 * gd (gd the lcm
+    of the factors' gram_den) and the conclusions are decided on integers.
     """
     elements = list(elements)
     if ledger is None:
@@ -130,32 +156,45 @@ def approx_vector(
     q0 = int(ledger.value("Q0"))
     if q < q0:
         raise ApproxError(f"modulus {q} below the ring threshold Q0={q0}")
-    if not elements or all(e.is_zero() for e in elements):
+    nums, cd = clear_denominators([c for e in elements for c in e.coords()])
+    if not any(nums):
         raise ApproxError("vector approximation needs a nontrivial vector")
 
-    s = max(e.norm_sq() for e in elements)  # |a_bar|^2, rational
     t = product.rank
     n = len(elements)
+    layout, gd = _gram_weights(product)
+    norms = _element_forms(layout, t, nums, nums)  # |a_k|^2 = norms[k] / s_den
+    s_num = max(norms)  # s = |a_bar|^2 = s_num / s_den
+    s_den = cd * cd * gd
     bound = q ** (n * t)
     if bound - 1 > budget:
         raise dirichlet.BudgetError(f"scan of {bound - 1} denominators exceeds budget {budget}")
 
-    # w = c*b/sqrt(s) has w^2 = (cn^2 sd) b^2 / (cd^2 sn) over the common
-    # denominator cd of the coordinates, so beta = round(w) and the tolerance
-    # |c*b - beta*sqrt(s)| <= sqrt(s)/q, i.e. |w - beta| <= 1/q, are decided
-    # on integers
-    nums, cd = clear_denominators([c for e in elements for c in e.coords()])
-    w_den = cd * cd * s.numerator
-    w_nums = [n * n * s.denominator for n in nums]
+    # w = |c|*b/sqrt(s) has w^2 = num / s_num with num = x^2 gd b^2 for the
+    # numerator x of the coordinate c, so beta = round(w), exact ties to even,
+    # and the tolerance |c*b - beta*sqrt(s)| <= sqrt(s)/q, i.e.
+    # |w - beta| <= 1/q, are decided on squares of integers; per coordinate,
+    # (x, x^2 gd, 4 x^2 gd, x^2 gd q^2) times b^2 give num, 4 num and num q^2
+    qq = q * q
+    scaled = [(x, x * x * gd, 4 * x * x * gd, x * x * gd * qq) for x in nums]
 
     chosen = None
     for b in range(1, bound):
+        bb = b * b
         betas = []
-        for n, w_num in zip(nums, w_nums):
-            k = _round_sqrt_within(w_num * b * b, w_den, q) if n else 0
-            if k is None:
+        for x, w, w4, wq in scaled:
+            if not x:
+                betas.append(0)
+                continue
+            f = isqrt(w * bb // s_num)  # floor(w)
+            half = s_num * (2 * f + 1) ** 2  # 4 w^2 against (2f + 1)^2
+            if w4 * bb > half or (w4 * bb == half and f % 2):
+                f += 1  # w < f: w >= f - 1/q
+                if wq * bb < s_num * (f * q - 1) ** 2:
+                    break
+            elif wq * bb > s_num * (f * q + 1) ** 2:  # f <= w: w <= f + 1/q
                 break
-            betas.append(k if n > 0 else -k)
+            betas.append(f if x > 0 else -f)
         else:
             if any(betas):
                 chosen = (b, betas)
@@ -164,34 +203,35 @@ def approx_vector(
         raise ApproxError("no feasible denominator with nonzero approximation below Q^(nt)")
 
     b, betas = chosen
-    approx = []
-    at = 0
-    for _ in elements:
-        approx.append(product.from_coords([Fraction(x) for x in betas[at : at + t]]))
-        at += t
+    approx = [product.from_coords(betas[k : k + t]) for k in range(0, n * t, t)]
 
-    # conclusion (ii): |b_bar|^2 <= C_a^2 b^2 and b^2 <= C_b^2 |b_bar|^2
-    bbar_sq = max(e.norm_sq() for e in approx)
+    # conclusion (ii): |b_bar|^2 <= C_a^2 b^2 and b^2 <= C_b^2 |b_bar|^2,
+    # with |b_bar_k|^2 = bbar_norms[k] / gd
+    bbar_norms = _element_forms(layout, t, betas, betas)
+    bbar = max(bbar_norms)
     c_a_sq = ledger.value("C_a_sq")
     c_b_sq = ledger.value("C_b_sq")
-    if bbar_sq > c_a_sq * b * b:
+    if bbar * c_a_sq.denominator > c_a_sq.numerator * b * b * gd:
         raise CertificationError("approximation norm exceeds the certified upper constant")
-    if Fraction(b * b) > c_b_sq * bbar_sq:
+    if b * b * gd * c_b_sq.denominator > c_b_sq.numerator * bbar:
         raise CertificationError("denominator exceeds the certified multiple of the norm")
 
     # conclusion (iii), cross-multiplied: per element,
-    # ||a_k b - b_bar_k sqrt(s)||^2 <= C_c^2 s / q^2
+    # ||a_k b - b_bar_k sqrt(s)||^2 <= C_c^2 s / q^2, i.e. u <= v sqrt(s) with
+    # u = b^2 |a_k|^2 + s |b_bar_k|^2 - C_c^2 s / q^2 and v = 2b <a_k, b_bar_k>,
+    # both times s_den * gd * q^2 * den(C_c^2); <a_k, b_bar_k> = inners[k] / (cd gd)
     c_c_sq = ledger.value("C_c_sq")
-    rhs = c_c_sq * s / Fraction(q * q)
-    for a_k, b_k in zip(elements, approx):
-        u = Fraction(b * b) * a_k.norm_sq() + s * b_k.norm_sq() - rhs
-        v = 2 * b * _product_inner(a_k, b_k)
-        if not le_linear_sqrt(u, v, s):
+    qc = q * q * c_c_sq.denominator
+    inners = _element_forms(layout, t, nums, betas)
+    for a_sq, b_sq, inner in zip(norms, bbar_norms, inners):
+        u = qc * (b * b * a_sq * gd + s_num * b_sq) - c_c_sq.numerator * s_num * gd
+        v = 2 * b * inner * cd * gd * qc
+        if not le_linear_sqrt_int(u, v, s_num, s_den):
             raise CertificationError("direction error exceeds the certified constant")
 
     checks = {
         "denominator_bound": bound,
-        "norm_sq": s,
+        "norm_sq": Fraction(s_num, s_den),
         "upper_sq": c_a_sq,
         "lower_sq": c_b_sq,
         "direction_sq": c_c_sq,
@@ -286,19 +326,29 @@ def approx_weighted(
     if not (1 <= b < modulus):
         raise CertificationError("denominator escaped the certified range")
 
-    blocks = [
-        [[spec.zero() for _ in range(phi.source[i])] for _ in range(phi.target[i])]
-        for i, spec in enumerate(phi.product.factors)
+    # psi's entries as integer coordinate vectors: b at the certificate's
+    # identity pattern, the Dirichlet numerators at the L positions, 0 elsewhere
+    factors = phi.product.factors
+    coords = [
+        [[[0] * spec.rank for _ in range(phi.source[i])] for _ in range(phi.target[i])]
+        for i, spec in enumerate(factors)
     ]
-    for i in range(len(blocks)):
-        for j, c in enumerate(cert.columns[i]):
-            blocks[i][j][c] = phi.product.factors[i].integer(b)
+    for i, cols in enumerate(cert.columns):
+        for j, c in enumerate(cols):
+            coords[i][j][c][0] = b
     at = 0
     for (i, r, c) in positions:
-        spec = phi.product.factors[i]
-        blocks[i][r][c] = spec.element([Fraction(x) for x in beta[at : at + spec.rank]])
-        at += spec.rank
-    psi = BlockMorphism(phi.product, phi.source, phi.target, blocks)
+        coords[i][r][c] = beta[at : at + factors[i].rank]
+        at += factors[i].rank
+    psi = BlockMorphism.from_coords(phi.product, phi.source, phi.target, coords)
+    # |psi|^2 = psi_norm / gd, gd the lcm of the factors' gram_den
+    layout, gd = _gram_weights(phi.product)
+    psi_norm = max(
+        (w * spec.form_int(x, x)
+         for (spec, _, w), block in zip(layout, coords) for row in block for x in row),
+        default=0,
+    )
+    psi_norm_sq = Fraction(psi_norm, gd)
 
     # (iv) the section identity psi o i_r = [b] is psi_cert's a*I column
     # check, made when psi_cert is built
@@ -306,7 +356,7 @@ def approx_weighted(
         morphism=psi,
         scale=b,
         columns=cert.columns,
-        slack_sq=max(Fraction(1), psi.norm_sq() / Fraction(b * b)),
+        slack_sq=max(Fraction(1), psi_norm_sq / Fraction(b * b)),
     )
 
     # (ii) |psi|^2 <= C_psi^2 b^2 with the ledger formula
@@ -318,25 +368,29 @@ def approx_weighted(
         s_up * (c_w_up / c0_low + Fraction(1, q0)),
     )
     c_psi_sq = c_psi * c_psi
-    if psi.norm_sq() > c_psi_sq * b * b:
+    if psi_norm * c_psi_sq.denominator > c_psi_sq.numerator * b * b * gd:
         raise CertificationError("approximated morphism norm exceeds its certified bound")
 
-    # (iii), scale-normalized and cross-multiplied:
-    # per entry, ||a*psi_e - b*phi_e||^2 <= C'^2 a^2 / q^2 with C' = sum|tau|
+    # (iii), scale-normalized and cross-multiplied: per entry,
+    # ||a*psi_e - b*phi_e||^2 <= C'^2 a^2 / q^2 with C' = sum|tau|; over the
+    # entry's denominator pd, d = pd*(a*psi_e - b*phi_e) is an integer vector
+    # with ||d||^2 = form_int(d, d) / gram_den
     c_prime_sq = ledger.value("C_c_sq")
-    rhs = c_prime_sq * Fraction(a * a, q * q)
-    for i, block in enumerate(psi.blocks):
-        for r, row in enumerate(block):
-            for c, e in enumerate(row):
-                diff = e.scale(a) - phi.blocks[i][r][c].scale(b)
-                if diff.norm_sq() > rhs:
+    rhs_num = c_prime_sq.numerator * a * a
+    rhs_den = c_prime_sq.denominator * q * q
+    for spec, block, phi_block in zip(factors, coords, phi.blocks):
+        for row, phi_row in zip(block, phi_block):
+            for x, phi_e in zip(row, phi_row):
+                y, pd = clear_denominators(phi_e.coords)
+                d = [a * pd * xi - b * yi for xi, yi in zip(x, y)]
+                if spec.form_int(d, d) * rhs_den > rhs_num * pd * pd * spec.gram_den:
                     raise CertificationError("direction error exceeds the certified constant")
 
     checks = {
         "branch": "approximated",
         "c_psi_sq": c_psi_sq,
         "c_prime_sq": c_prime_sq,
-        "norm_sq": psi.norm_sq(),
+        "norm_sq": psi_norm_sq,
     }
     return WeightedApprox(
         morphism=psi,

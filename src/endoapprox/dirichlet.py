@@ -10,7 +10,10 @@ Both scans run on integers: the targets are cleared to numerators n_i over
 one common denominator D, so alpha_i * b lies within r/D of an integer,
 r = min(n_i * b mod D, D - (n_i * b mod D)), and b = D is always exact.
 The least feasible b is therefore at most D, and the scan stops at
-min(Q**m - 1, D).  `Fraction` appears only in the returned errors.
+min(Q**m - 1, D).  The scan advances the first non-integral target's
+residue by one addition per b (subtracting D when it reaches D) and
+multiplies out the other residues only at the b where that one is within
+tolerance.  `Fraction` appears only in the returned errors.
 """
 
 from __future__ import annotations
@@ -69,18 +72,25 @@ def dirichlet_approx(alpha, q: int, budget: int = DEFAULT_BUDGET) -> ApproxResul
     last = min(bound - 1, den)
     if last > budget:
         raise BudgetError(f"scan of {last} denominators exceeds budget {budget}")
-    # integral targets meet every tolerance; the others are kept as residues
-    active = [n % den for n in nums if n % den]
+    # integral targets meet every tolerance; the others are kept as residues,
+    # the first of which (0 when every target is integral) leads the scan
+    lead, *rest = [n % den for n in nums if n % den] or [0]
     # q * min(r, D - r) <= D  <=>  r <= D // q  or  r >= D - D // q
     lo = den // q
     hi = den - lo
+    r = 0  # lead * b mod D, advanced by one addition per b
     for b in range(1, last + 1):
-        for n in active:
+        r += lead
+        if r >= den:
+            r -= den
+        if lo < r < hi:
+            continue
+        for n in rest:
             if lo < n * b % den < hi:
                 break
         else:
-            residues = [n * b % den for n in active]
-            worst = max((min(r, den - r) for r in residues), default=0)
+            residues = [r] + [n * b % den for n in rest]
+            worst = max(min(x, den - x) for x in residues)
             return ApproxResult(
                 denominator=b,
                 numerators=tuple(_round_div(n * b, den) for n in nums),

@@ -116,14 +116,21 @@ def pow_upper(x: Fraction, e: Fraction) -> Fraction:
 
 
 def le_linear_sqrt(u: Fraction, v: Fraction, s: Fraction) -> bool:
-    """Decide u <= v*sqrt(s) exactly."""
-    if s < 0:
+    """Decide u <= v*sqrt(s) exactly, for rationals or integers."""
+    return le_linear_sqrt_int(
+        u.numerator * v.denominator, v.numerator * u.denominator, s.numerator, s.denominator
+    )
+
+
+def le_linear_sqrt_int(u: int, v: int, s_num: int, s_den: int) -> bool:
+    """Decide u <= v*sqrt(s_num/s_den) exactly on integers, s_den > 0."""
+    if s_num < 0:
         raise ValueError("negative radicand")
     if v >= 0:
         if u <= 0:
             return True
-        return u * u <= v * v * s
+        return u * u * s_den <= v * v * s_num
     # v < 0: rhs <= 0
     if u > 0:
         return False
-    return u * u >= v * v * s
+    return u * u * s_den >= v * v * s_num

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .model import GeneratorSet, ModelPoint, apply_morphism, orbit_gram, rank_of_point
+from .model import GeneratorSet, ModelPoint, apply_morphism, orbit_gram
 from .morphisms import BlockMorphism
 from .rings import RingElement, norm_equivalence_constants, submultiplicativity_sq
 
@@ -46,10 +46,12 @@ def point_lower_constants(p: ModelPoint, factor: int) -> PointConstants:
     s = len(slots)
     if s == 0:
         raise GeomNumError("no slots in the requested factor")
-    if rank_of_point(p)[factor] != s:
-        raise GeomNumError("point is not of full rank in the requested factor")
-
-    lam_low = linalg.min_eigenvalue_lower(orbit_gram(spec, slots))
+    # the orbit Gram is positive-definite exactly when the orbit has full
+    # rank, which min_eigenvalue_lower tests before it bounds anything
+    try:
+        lam_low = linalg.min_eigenvalue_lower(orbit_gram(spec, slots))
+    except ArithmeticError:
+        raise GeomNumError("point is not of full rank in the requested factor") from None
     if lam_low <= 0:
         raise GeomNumError("orbit Gram matrix is not positive-definite")
 

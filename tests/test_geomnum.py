@@ -14,7 +14,7 @@ from endoapprox.geomnum import (
 )
 from endoapprox.model import AmbientSpec, GeneratorSet, ModelSpace
 from endoapprox.pipeline import rand_lower_bound_case
-from endoapprox.rings import ProductRingSpec, gaussian_ring, integer_ring
+from endoapprox.rings import ProductRingSpec, gaussian_ring, integer_ring, reference_rings
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,24 @@ def test_rank_deficient_rejected(zs):
     t = zs.point([[zs.slot(0, torsion=[F(1, 2), 0])]])
     with pytest.raises(GeomNumError):
         point_lower_constants(t, 0)
+
+
+@pytest.mark.parametrize("tag", ["Z", "Zi", "Zw", "Hq"])
+@pytest.mark.parametrize("case", ["duplicated slot", "zero free part", "free rank 0"])
+def test_not_full_rank_named(tag, case):
+    # the orbit Gram's definiteness test decides full rank; no rank is computed
+    spec = reference_rings()[tag]
+    product = ProductRingSpec((spec,))
+    e1 = [[1] + [0] * (spec.rank - 1), [0] * spec.rank]
+    if case == "free rank 0":
+        space = ModelSpace(AmbientSpec(product, (1,)), (0,))
+        slots = [space.slot(0)]
+    else:
+        space = ModelSpace(AmbientSpec(product, (2,)), (2,))
+        other = e1 if case == "duplicated slot" else [[0] * spec.rank] * 2
+        slots = [space.slot(0, free=e1), space.slot(0, free=other)]
+    with pytest.raises(GeomNumError, match="^point is not of full rank in the requested factor$"):
+        point_lower_constants(space.point([slots]), 0)
 
 
 def test_scaling_invariance(zs):

@@ -1,6 +1,8 @@
 """Differential tests: the integer-residue scans of `dirichlet_approx`,
 `feasibility_oracle` and `approx_vector` against Fraction references
-written here. The references round and compare as the Fraction scans did:
+written here.  `dirichlet_approx` advances its first non-integral residue
+by addition, so the cases below put an integral target first, a negative
+numerator first, every target integral, and the benchmark's shape. The references round and compare as the Fraction scans did:
 round-half-even of alpha_i * b with the tolerance |alpha_i b - beta_i| <= 1/q,
 and, for the direction scan, the nearest integer to c*b/sqrt(s) with the
 tolerance decided on u <= v*sqrt(s)."""
@@ -107,6 +109,42 @@ def test_rational_half_ties(alpha, expected):
     # at q = 2 an exact half is within the closed tolerance, and rounds to even
     assert _got(dirichlet_approx(alpha, 2)) == expected == ref_dirichlet(alpha, 2)
     assert feasibility_oracle(alpha, 2) == ref_oracle(alpha, 2)
+
+
+def _least_feasible(table, q):
+    return next((b for b, err in table if err <= F(1, q)), None)
+
+
+@pytest.mark.parametrize("alpha, q", [
+    ([F(3), F(5, 7), F(-2, 9)], 4),      # the first target is integral: the next one leads
+    ([F(4), F(-6), F(11, 13)], 3),
+    ([F(-5, 7), F(2, 9)], 5),            # the first numerator is negative
+    ([F(-13, 11), F(-1, 3), F(7)], 3),
+    ([F(3), F(-2), F(0)], 2),            # every target integral: b = 1
+    ([F(-8), F(5)], 7),
+])
+def test_scan_lead_residue_cases(alpha, q):
+    res = dirichlet_approx(alpha, q)
+    assert _got(res) == ref_dirichlet(alpha, q), (alpha, q)
+    table = feasibility_oracle(alpha, q)
+    assert table == ref_oracle(alpha, q)
+    assert res.denominator == _least_feasible(table, q)
+    if all(a.denominator == 1 for a in alpha):
+        assert _got(res) == (1, tuple(int(a) for a in alpha), 0)
+
+
+def test_scan_matches_oracle_on_benchmark_shape():
+    # two targets with denominators 10^4 to 10^5, so D is near 10^9, at q = 240
+    rng = random.Random(20)
+    checked = 0
+    while checked < 3:
+        alpha = [F(rng.randint(-10**6, 10**6), rng.randint(10**4, 10**5)) for _ in range(2)]
+        res = dirichlet_approx(alpha, 240)
+        if res.denominator < 50:
+            continue
+        assert _got(res) == ref_dirichlet(alpha, 240), alpha
+        assert res.denominator == _least_feasible(feasibility_oracle(alpha, 240), 240)
+        checked += 1
 
 
 def _vector_case(rings, tag, coords):
