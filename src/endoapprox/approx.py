@@ -31,7 +31,6 @@ from typing import Callable
 from . import dirichlet
 from .exact import ceil_sqrt, le_linear_sqrt_int, sqrt_lower, sqrt_upper
 from .ledger import ConstantLedger, op_constant_sq
-from .linalg import clear_denominators
 from .model import apply_morphism, concat_points, divide
 from .morphisms import (
     BlockMorphism,
@@ -102,12 +101,6 @@ class VectorApprox:
     checks: dict
 
 
-def _product_inner(x: ProductElement, y: ProductElement) -> Fraction:
-    return sum(
-        (xe.ring.form(xe.coords, ye.coords) for xe, ye in zip(x.parts, y.parts)), Fraction(0)
-    )
-
-
 def _gram_weights(product: ProductRingSpec) -> tuple[list[tuple[RingSpec, int, int]], int]:
     """(layout, gd): gd the lcm of the factors' gram_den, and per factor
     (ring, offset of its coordinates in a product element, gd // gram_den),
@@ -156,7 +149,9 @@ def approx_vector(
     q0 = int(ledger.value("Q0"))
     if q < q0:
         raise ApproxError(f"modulus {q} below the ring threshold Q0={q0}")
-    nums, cd = clear_denominators([c for e in elements for c in e.coords()])
+    parts = [p for e in elements for p in e.parts]
+    cd = lcm(*(p.den for p in parts))
+    nums = [x * (cd // p.den) for p in parts for x in p.nums]
     if not any(nums):
         raise ApproxError("vector approximation needs a nontrivial vector")
 
@@ -306,13 +301,11 @@ def approx_weighted(
     # each factor's identity position, so its approximation at denominator
     # b is forced to b exactly and the rebuilt pattern is b * I
     positions = list(_weighted_l_positions(phi, cert))
-    targets: list[Fraction] = []
-    unit_len = 0
-    for spec in phi.product.factors:
-        targets.extend(spec.one().coords)
-        unit_len += spec.rank
+    targets = [x for spec in phi.product.factors for x in spec.one().nums]
+    unit_len = len(targets)
     for (i, r, c) in positions:
-        targets.extend(Fraction(x, a) for x in phi.blocks[i][r][c].coords)
+        e = phi.blocks[i][r][c]
+        targets.extend(Fraction(x, a * e.den) for x in e.nums)
     result = dirichlet.dirichlet_approx(targets, q, budget=budget)
     b = result.denominator
     beta = list(result.numerators[unit_len:])
@@ -381,8 +374,8 @@ def approx_weighted(
     for spec, block, phi_block in zip(factors, coords, phi.blocks):
         for row, phi_row in zip(block, phi_block):
             for x, phi_e in zip(row, phi_row):
-                y, pd = clear_denominators(phi_e.coords)
-                d = [a * pd * xi - b * yi for xi, yi in zip(x, y)]
+                pd = phi_e.den
+                d = [a * pd * xi - b * yi for xi, yi in zip(x, phi_e.nums)]
                 if spec.form_int(d, d) * rhs_den > rhs_num * pd * pd * spec.gram_den:
                     raise CertificationError("direction error exceeds the certified constant")
 

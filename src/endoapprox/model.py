@@ -19,16 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .dirichlet import BudgetError
 from .linalg import clear_denominators
-from .morphisms import AmbientSpec, BlockMorphism, MorphismError
-from .rings import RingSpec, as_fraction
+from .morphisms import AmbientSpec, BlockMorphism, MorphismError, rationalize_block
+from .rings import RingSpec
 
 
 class ModelError(ValueError):
-    pass
-
-
-class ResourceError(RuntimeError):
     pass
 
 
@@ -68,16 +65,17 @@ class ModelSpace:
         nu, t = self.free_ranks[factor], spec.rank
         tors = [0] * (2 * spec.dimension)
         for idx, v in enumerate(torsion):
-            tors[idx] = as_fraction(v) % 1
+            tors[idx] = v
         fr = [[0] * t for _ in range(nu)]
         for k, coeff in enumerate(free):
             for l, v in enumerate(coeff):
-                fr[k][l] = as_fraction(v)
+                fr[k][l] = v
         # over the least common denominator the numerators share no factor with it
-        tnums, tden = clear_denominators(tors)
         fnums, fden = clear_denominators([x for row in fr for x in row])
         return SlotValue(
-            tuple(tnums), tden, tuple(tuple(fnums[k * t : (k + 1) * t]) for k in range(nu)), fden
+            *_torsion_mod1(*clear_denominators(tors)),
+            tuple(tuple(fnums[k * t : (k + 1) * t]) for k in range(nu)),
+            fden,
         )
 
 
@@ -250,9 +248,9 @@ def _slot_int_mul(a: SlotValue, n: int) -> SlotValue:
 
 def _int_coords(e) -> list[int]:
     """The coordinates of an integral ring element as integers."""
-    if not e.is_integral():
+    if e.den != 1:
         raise ModelError("only integral ring elements act on model points")
-    return [c.numerator for c in e.coords]
+    return e.nums
 
 
 def _act_into(spec: RingSpec, e, tors: list[int], free, acc_tors, acc_free) -> None:
@@ -313,19 +311,13 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
 
 def torsion_matrices(phi: BlockMorphism) -> list[list[list[int]]]:
     """Per factor, the integer matrix of phi on the slots' torsion numerators:
-    the block of target row r and source column c is rho_int of entry (r, c),
-    the same blocks `apply_morphism` sums. phi maps the level-n torsion point
-    with numerators k (torsion k / n) to the one with numerators M k, so it
-    kills the point exactly when M k = 0 mod n."""
-    out = []
-    for spec, block in zip(phi.product.factors, phi.blocks):
-        m = []
-        for row in block:
-            images = [spec.rho_int(_int_coords(e)) for e in row]
-            for r in range(2 * spec.dimension):
-                m.append([x for image in images for x in image[r]])
-        out.append(m)
-    return out
+    the rationalized block, whose block of target row r and source column c
+    is rho_int of entry (r, c), the same blocks `apply_morphism` sums. phi
+    maps the level-n torsion point with numerators k (torsion k / n) to the
+    one with numerators M k, so it kills the point exactly when M k = 0 mod n."""
+    if not all(e.is_integral() for block in phi.blocks for row in block for e in row):
+        raise ModelError("only integral ring elements act on model points")
+    return [rationalize_block(spec, block) for spec, block in zip(phi.product.factors, phi.blocks)]
 
 
 def torsion_widths(space: ModelSpace) -> list[int]:
@@ -340,7 +332,7 @@ def torsion_count(space: ModelSpace, n: int, budget: int) -> int:
         raise ModelError("torsion level must be positive")
     total = n ** sum(torsion_widths(space))
     if total > budget:
-        raise ResourceError(f"torsion enumeration of {total} points exceeds budget {budget}")
+        raise BudgetError(f"torsion enumeration of {total} points exceeds budget {budget}")
     return total
 
 

@@ -111,14 +111,9 @@ class BlockMorphism:
 
     def norm_sq(self) -> Fraction:
         if self._norm_sq is None:
-            best = Fraction(0)
-            for block in self.blocks:
-                for row in block:
-                    for e in row:
-                        n = e.norm_sq()
-                        if n > best:
-                            best = n
-            self._norm_sq = best
+            self._norm_sq = max(
+                (e.norm_sq() for block in self.blocks for row in block for e in row), default=Fraction(0)
+            )
         return self._norm_sq
 
     def compose(self, other: "BlockMorphism") -> "BlockMorphism":
@@ -191,7 +186,7 @@ class BlockMorphism:
 
     def __hash__(self):
         return hash((self.source, self.target, tuple(
-            tuple(tuple(e.coords for e in row) for row in block) for block in self.blocks
+            tuple(tuple((e.nums, e.den) for e in row) for row in block) for block in self.blocks
         )))
 
     def __repr__(self):
@@ -199,17 +194,17 @@ class BlockMorphism:
 
 
 def rationalize_block(spec: RingSpec, block) -> linalg.Matrix:
-    """Replace each entry by its lattice-representation matrix."""
-    two_d = 2 * spec.dimension
-    rows = len(block)
-    cols = len(block[0]) if block else 0
-    out = linalg.zeros(rows * two_d, cols * two_d)
-    for i in range(rows):
-        for j in range(cols):
-            m = spec.rho(block[i][j])
-            for r in range(two_d):
-                for c in range(two_d):
-                    out[i * two_d + r][j * two_d + c] = m[r][c]
+    """Replace each entry by its lattice-representation matrix: the integer
+    images `rho_int` of the block's numerators, divided by its denominator
+    only when that is not 1, so an integral block stays in ints."""
+    nums, den = block_nums(block)
+    out = []
+    for row in nums:
+        images = [spec.rho_int(e) for e in row]
+        for r in range(2 * spec.dimension):
+            out.append([x for image in images for x in image[r]])
+    if den != 1:
+        out = [[Fraction(x, den) for x in row] for row in out]
     return out
 
 
@@ -316,13 +311,10 @@ def is_weighted(phi: BlockMorphism) -> WeightedCertificate | None:
                 continue
             r = nonzero[0]
             e = block[r][c]
-            coords = e.coords
-            if any(coords[l] != 0 for l in range(1, len(coords))):
+            a = e.nums[0]
+            if e.den != 1 or a <= 0 or any(e.nums[1:]):
                 continue
-            a = coords[0]
-            if a.denominator != 1 or a <= 0:
-                continue
-            per_factor = candidates.setdefault(int(a), [dict() for _ in phi.blocks])
+            per_factor = candidates.setdefault(a, [dict() for _ in phi.blocks])
             per_factor[i].setdefault(r, []).append(c)
     norm_sq = phi.norm_sq()
     for a in sorted(candidates, key=lambda a: (max(Fraction(1), norm_sq / Fraction(a * a)), a)):
@@ -398,8 +390,8 @@ def _left_multiple(spec: RingSpec, x: list[int], y: list[int]) -> tuple[list[int
 def block_nums(block) -> tuple[list[list[list[int]]], int]:
     """A block's entries as integer coordinate lists over the least common
     denominator of all their coordinates: (numerators, denominator)."""
-    den = lcm(*(c.denominator for row in block for e in row for c in e.coords))
-    nums = [[[c.numerator * (den // c.denominator) for c in e.coords] for e in row] for row in block]
+    den = lcm(*(e.den for row in block for e in row))
+    nums = [[[x * (den // e.den) for x in e.nums] for e in row] for row in block]
     return nums, den
 
 

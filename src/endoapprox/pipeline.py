@@ -37,7 +37,6 @@ from .model import (
     GeneratorSet,
     ModelPoint,
     ModelSpace,
-    ResourceError,
     apply_morphism,
     divide,
     torsion_count,
@@ -276,7 +275,7 @@ def rand_lower_bound_case(rng, gamma: GeneratorSet, factor: int, consts: PointCo
         for _ in range(space.counts[k]):
             free = []
             for _ in range(space.free_ranks[k]):
-                coeff = [Fraction(0)] * spec_k.rank
+                coeff = [0] * spec_k.rank
                 coeff[rng.randrange(spec_k.rank)] = Fraction(rng.randint(-den, den), den * den)
                 free.append(coeff)
             xi_slots[k].append(space.slot(k, free=free))
@@ -297,7 +296,7 @@ def _rand_point(rng, space: ModelSpace) -> ModelPoint:
                 for _ in range(2 * spec.dimension)
             ]
             free = [
-                [Fraction(rng.randint(-3, 3)) for _ in range(spec.rank)]
+                [rng.randint(-3, 3) for _ in range(spec.rank)]
                 for _ in range(space.free_ranks[i])
             ]
             fac.append(space.slot(i, torsion=torsion, free=free))
@@ -359,7 +358,7 @@ def check_kernel_inclusion(
     morphism's `torsion_matrices`, one factor at a time: both morphisms are
     block-diagonal, so the inclusion holds on the space exactly when it holds
     on every factor. A level whose count over the whole space exceeds
-    `budget` raises `ResourceError`."""
+    `budget` raises `BudgetError`."""
     for f in (psi, phi):
         if f.source != space.counts or f.product != space.product:
             raise MorphismError("morphism does not act on the torsion space")
@@ -394,7 +393,7 @@ def check_dirichlet(alpha: list[Fraction], q: int, budget: int) -> str | None:
 def check_kernel_degree(spec: RingSpec, a: int, budget: int) -> str | None:
     """kernel_degree(a) against the count of level-a torsion points that [a]
     kills on one slot of a dimension-1 factor, counted on residue vectors
-    through `torsion_matrices`; over `budget` raises `ResourceError`."""
+    through `torsion_matrices`; over `budget` raises `BudgetError`."""
     single = ProductRingSpec((spec,))
     space = ModelSpace(AmbientSpec(single, (1,)), (1,))
     (m,) = torsion_matrices(BlockMorphism.scalar(single, (1,), a))
@@ -435,7 +434,7 @@ def suite_rings(product: ProductRingSpec, trials: int, rng: random.Random) -> di
                 failures.append(failure)
                 continue
             b = _rand_element(rng, spec, 9)
-            if not spec.rho_respects_product(a.coords, b.coords):
+            if not spec.rho_respects_product(a.nums, b.nums):
                 failures.append(f"{spec.tag}: lattice representation broke on a product")
     return _suite("rings", count, failures)
 
@@ -484,7 +483,7 @@ def suite_weightify_torsion(scenario: Scenario, trials: int, rng: random.Random)
     space = scenario.space
     try:
         torsion_count(space, TORSION_LEVEL, scenario.torsion_budget)
-    except ResourceError:
+    except dirichlet.BudgetError:
         return _suite("weightify_torsion", 0, [])
     for _ in range(trials):
         count += 1
@@ -568,7 +567,7 @@ def suite_approx(product: ProductRingSpec, trials: int, rng: random.Random, budg
         n = rng.randint(1, 2) if product.rank <= 2 else 1
         vec = []
         for _ in range(n):
-            vec.append(product.from_coords([Fraction(rng.randint(-9, 9)) for _ in range(product.rank)]))
+            vec.append(product.from_coords([rng.randint(-9, 9) for _ in range(product.rank)]))
         if all(e.is_zero() for e in vec):
             continue
         q = q0 + rng.randint(0, 3)

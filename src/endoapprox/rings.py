@@ -2,10 +2,12 @@
 constants, a Rosati-style involution, a positive-definite norm form and a
 lattice (homology) representation.
 
-A ring element is its coordinate vector over the configured basis; all
-arithmetic goes through the structure constants, so it is exact, and the
-norm of an element is the rational value of the Gram form at its
-coordinates (squared norms everywhere, no radicals).
+A ring element is its coordinate vector over the configured basis, stored
+as integer numerators over one least denominator, the representation a
+model slot has; all arithmetic runs on those integers through the integer
+structure constants, so it is exact, and the norm of an element is the
+rational value of the Gram form at its coordinates (squared norms
+everywhere, no radicals).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -25,8 +28,13 @@ class RingError(ValueError):
     """Domain error raised for ill-formed ring data or mismatched elements."""
 
 
-def as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over a positive denominator, brought to lowest
+    terms in one gcd step (zero comes out over 1)."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,11 @@ class RingSpec:
     # -- elements ----------------------------------------------------------
 
     def element(self, coords) -> "RingElement":
-        coords = tuple(as_fraction(c) for c in coords)
-        if len(coords) != self.rank:
+        """The element with these int or Fraction coordinates."""
+        nums, den = linalg.clear_denominators(list(coords))
+        if len(nums) != self.rank:
             raise RingError(f"element of {self.tag} needs {self.rank} coordinates")
-        return RingElement(self, coords)
+        return RingElement(self, tuple(nums), den)
 
     def zero(self) -> "RingElement":
         return self.element([0] * self.rank)
@@ -195,19 +204,14 @@ class RingSpec:
 
     def rho(self, a: "RingElement") -> linalg.Matrix:
         """Image of an element under the lattice representation, summed in
-        integers over the coordinates' common denominator and divided once."""
-        nums, den = linalg.clear_denominators(a.coords)
-        return [[Fraction(x, den) for x in row] for row in self.rho_int(nums)]
+        integers over its denominator and divided once."""
+        return [[Fraction(x, a.den) for x in row] for row in self.rho_int(a.nums)]
 
     def rho_respects_product(self, a, b) -> bool:
-        """Whether rho(a) rho(b) == rho(a*b) for coordinate vectors a and b.
-
-        Each operand is cleared of its denominator first; both sides then
-        carry the same factor d_a * d_b, so the check runs exactly on the
-        integer images."""
-        an, _ = linalg.clear_denominators(a)
-        bn, _ = linalg.clear_denominators(b)
-        return linalg.mat_mul(self.rho_int(an), self.rho_int(bn)) == self.rho_int(self.mul_int(an, bn))
+        """Whether rho(a) rho(b) == rho(a*b) for integer or rational
+        coordinate vectors a and b. Replacing a and b by their numerators
+        scales both sides by d_a * d_b, so it gives the same answer."""
+        return linalg.mat_mul(self.rho_int(a), self.rho_int(b)) == self.rho_int(self.mul_int(a, b))
 
     def rho_int(self, coords) -> list[list[int]]:
         """Integer image sum_j coords[j] * lattice_rep[j] of integer
@@ -255,50 +259,63 @@ class RingSpec:
 
 @dataclass(frozen=True)
 class RingElement:
+    """An element as integer numerators over one denominator, nums[i] / den
+    its i-th coordinate, in lowest terms: den >= 1, gcd(den, *nums) == 1,
+    and zero over 1, so equal elements have equal fields.  `coords` is the
+    read-only Fraction view."""
+
     ring: RingSpec
-    coords: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def _check(self, other: "RingElement") -> None:
         if self.ring.tag != other.ring.tag:
             raise RingError(f"mixed rings: {self.ring.tag} vs {other.ring.tag}")
 
-    def __add__(self, other: "RingElement") -> "RingElement":
+    def _add(self, other: "RingElement", k: int) -> "RingElement":
+        """self + k*other over the lcm of the two denominators."""
         self._check(other)
-        return RingElement(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, k * (den // other.den)
+        return RingElement(self.ring, *_lowest([x * ka + y * kb for x, y in zip(self.nums, other.nums)], den))
+
+    def __add__(self, other: "RingElement") -> "RingElement":
+        return self._add(other, 1)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.ring, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._add(other, -1)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.ring, tuple(-a for a in self.coords))
+        return RingElement(self.ring, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        a, da = linalg.clear_denominators(self.coords)
-        b, db = linalg.clear_denominators(other.coords)
-        den = da * db
-        return RingElement(self.ring, tuple(Fraction(x, den) for x in self.ring.mul_int(a, b)))
+        return RingElement(self.ring, *_lowest(self.ring.mul_int(self.nums, other.nums), self.den * other.den))
 
     def scale(self, c) -> "RingElement":
-        c = as_fraction(c)
-        return RingElement(self.ring, tuple(c * a for a in self.coords))
+        """c times the element, for an int or Fraction c."""
+        return RingElement(self.ring, *_lowest([c.numerator * x for x in self.nums], c.denominator * self.den))
 
     def conj(self) -> "RingElement":
-        nums, den = linalg.clear_denominators(self.coords)
-        return RingElement(self.ring, tuple(Fraction(x, den) for x in self.ring.conj_int(nums)))
+        # the involution is an integer matrix that is its own inverse, so it
+        # keeps the numerators' common factor and the result in lowest terms
+        return RingElement(self.ring, tuple(self.ring.conj_int(self.nums)), self.den)
 
     def norm_sq(self) -> Fraction:
-        return self.ring.form(self.coords, self.coords)
+        return Fraction(self.ring.form_int(self.nums, self.nums), self.den * self.den * self.ring.gram_den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.nums)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return self.den == 1
 
     def sup_coord(self) -> Fraction:
-        return max((abs(c) for c in self.coords), default=Fraction(0))
+        return Fraction(max(map(abs, self.nums)), self.den)
 
     def __repr__(self) -> str:
         terms = [f"{c}*{l}" for c, l in zip(self.coords, self.ring.basis_labels) if c]

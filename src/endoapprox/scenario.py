@@ -219,6 +219,9 @@ def scenario_from_json(data) -> Scenario:
     morphisms = {
         name: morphism_from_json(product, obj) for name, obj in data.get("morphisms", {}).items()
     }
+    for name, phi in morphisms.items():
+        if not all(e.is_integral() for block in phi.blocks for row in block for e in row):
+            raise ScenarioError(f"morphism {name!r} has a non-integral entry")
     witness_specs = tuple(
         WitnessSpec(
             name=w["name"],

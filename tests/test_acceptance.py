@@ -9,7 +9,7 @@ import time
 from fractions import Fraction as F
 
 from endoapprox import dirichlet
-from endoapprox.approx import _product_inner, approx_vector, approx_weighted, derive_ledger
+from endoapprox.approx import approx_vector, approx_weighted, derive_ledger
 from endoapprox.cli import main
 from endoapprox.exact import le_linear_sqrt, sqrt_lower, sqrt_upper
 from endoapprox.geomnum import morphism_lower_bound_check, point_lower_constants
@@ -31,6 +31,7 @@ from endoapprox.reduction import InclusionWitness, gamma_embed, point_project
 from endoapprox.rings import ProductRingSpec, integer_ring, norm_equivalence_constants
 from endoapprox.scenario import load_scenario, rat_from_json, witness_from_json
 from endoapprox.thresholds import kernel_degree
+from reference import product_inner
 
 
 def _done(number: int, label: str, t0: float, limit: float) -> None:
@@ -87,7 +88,7 @@ def test_criterion_3_vector_and_weighted_conclusions(rings):
             s = max(e.norm_sq() for e in vec)
             for a_k, b_k in zip(vec, va.approximation):
                 u = F(b * b) * a_k.norm_sq() + s * b_k.norm_sq() - c_c_sq * s / F(q * q)
-                v = 2 * b * _product_inner(a_k, b_k)
+                v = 2 * b * product_inner(a_k, b_k)
                 assert le_linear_sqrt(u, v, s)
         one_up = sqrt_upper(ledger.value("one_norm_sq_max"))
         s_up = ledger.value("tau_sum_upper")

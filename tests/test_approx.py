@@ -12,6 +12,7 @@ from endoapprox.approx import (
     op_constant_sq,
 )
 from endoapprox.exact import le_linear_sqrt
+from reference import product_inner
 from endoapprox.model import AmbientSpec, ModelSpace, apply_morphism, concat_points
 from endoapprox.morphisms import (
     BlockMorphism,
@@ -95,10 +96,8 @@ def test_vector_conclusions_random(products, ledgers, tag, n):
         s = max(e.norm_sq() for e in vec)
         # direction bound, cross-multiplied: ||a_k b - bbar_k sqrt(s)||^2 <= C_c^2 s / q^2
         for a_k, b_k in zip(vec, va.approximation):
-            from endoapprox.approx import _product_inner
-
             u = F(b * b) * a_k.norm_sq() + s * b_k.norm_sq() - c_c_sq * s / F(q * q)
-            v = 2 * b * _product_inner(a_k, b_k)
+            v = 2 * b * product_inner(a_k, b_k)
             assert le_linear_sqrt(u, v, s)
 
 

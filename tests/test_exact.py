@@ -8,6 +8,7 @@ from endoapprox.exact import (
     floor_nth_root,
     floor_sqrt,
     le_linear_sqrt,
+    le_linear_sqrt_int,
     pow_bounds,
     sqrt_bounds,
 )
@@ -91,3 +92,14 @@ def test_le_linear_sqrt_sandwich():
         # exact sandwich: got <= c sqrt(s) < got + 1
         assert le_linear_sqrt(F(got), c, s)
         assert not le_linear_sqrt(F(got + 1), c, s)
+
+
+def test_le_linear_sqrt_int_boundaries():
+    # u = v * sqrt(s) holds with equality on each side of v = 0: -2 = -1 * sqrt(4/1)
+    assert le_linear_sqrt_int(-2, -1, 4, 1)
+    assert le_linear_sqrt_int(-3, -1, 4, 1)
+    assert not le_linear_sqrt_int(-1, -1, 4, 1)
+    assert le_linear_sqrt_int(2, 1, 4, 1)
+    assert not le_linear_sqrt_int(3, 1, 4, 1)
+    assert le_linear_sqrt_int(-1, -2, 1, 4)  # -1 = -2 * sqrt(1/4)
+    assert not le_linear_sqrt_int(-1, -3, 1, 4)

@@ -18,7 +18,6 @@ from endoapprox.approx import (
     CertificationError,
     VectorApprox,
     WeightedApprox,
-    _product_inner,
     _weighted_l_positions,
     approx_vector,
     approx_weighted,
@@ -29,6 +28,7 @@ from endoapprox.ledger import ConstantLedger
 from endoapprox.linalg import clear_denominators
 from endoapprox.morphisms import BlockMorphism, WeightedCertificate, is_weighted
 from endoapprox.rings import ProductRingSpec, reference_rings
+from reference import product_inner
 
 
 # -- the Fraction versions, verbatim ------------------------------------
@@ -137,7 +137,7 @@ def ref_approx_vector(
     rhs = c_c_sq * s / Fraction(q * q)
     for a_k, b_k in zip(elements, approx):
         u = Fraction(b * b) * a_k.norm_sq() + s * b_k.norm_sq() - rhs
-        v = 2 * b * _product_inner(a_k, b_k)
+        v = 2 * b * product_inner(a_k, b_k)
         if not ref_le_linear_sqrt(u, v, s):
             raise CertificationError("direction error exceeds the certified constant")
 

@@ -18,10 +18,10 @@ from math import gcd, lcm
 import pytest
 
 from endoapprox import linalg
+from endoapprox.dirichlet import BudgetError
 from endoapprox.model import (
     ModelError,
     ModelSpace,
-    ResourceError,
     apply_morphism,
     divide,
     orbit_gram,
@@ -325,7 +325,7 @@ def _outcome(check, *args):
     """A check's result, or the type and message of what it raised."""
     try:
         return check(*args)
-    except (ModelError, ResourceError, MorphismError) as err:
+    except (ModelError, BudgetError, MorphismError) as err:
         return type(err).__name__, str(err)
 
 
@@ -791,7 +791,7 @@ def test_kernel_degree_matches_reference(rings, tag):
             want = _outcome(ref_kernel_degree, spec, a, budget)
             assert _outcome(check_kernel_degree, spec, a, budget) == want
     assert _outcome(check_kernel_degree, spec, 3, 8) == (
-        "ResourceError", "torsion enumeration of 9 points exceeds budget 8"
+        "BudgetError", "torsion enumeration of 9 points exceeds budget 8"
     )
 
 

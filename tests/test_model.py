@@ -3,13 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from endoapprox.dirichlet import BudgetError
 from endoapprox.exact import le_linear_sqrt
 from endoapprox.model import (
     GeneratorSet,
     ModelError,
     ModelPoint,
     ModelSpace,
-    ResourceError,
     apply_morphism,
     concat_points,
     divide,
@@ -68,7 +68,7 @@ def test_torsion_enum_counts(zspace):
     assert len(list(torsion_enum(s1, 1))) == 1
     assert len(list(torsion_enum(s1, 2))) == 4
     assert len(list(torsion_enum(zspace, 3))) == 81
-    with pytest.raises(ResourceError):
+    with pytest.raises(BudgetError):
         list(torsion_enum(zspace, 100, budget=1000))
     # two factors with free ranks >= 1: zero free parts, torsion on the grid
     product = ProductRingSpec((integer_ring(), gaussian_ring()))

@@ -5,6 +5,7 @@ import pytest
 
 from endoapprox.approx import approx_vector, approx_weighted, derive_ledger
 from endoapprox.exact import le_linear_sqrt
+from reference import product_inner
 from endoapprox.model import (
     AmbientSpec,
     GeneratorSet,
@@ -55,10 +56,8 @@ def test_product_vector_approximation(mixed):
         assert bbar_sq <= c_a_sq * b * b
         assert F(b * b) <= c_b_sq * bbar_sq
         s = vec[0].norm_sq()
-        from endoapprox.approx import _product_inner
-
         u = F(b * b) * s + s * bbar_sq - c_c_sq * s / F(q * q)
-        v = 2 * b * _product_inner(vec[0], va.approximation[0])
+        v = 2 * b * product_inner(vec[0], va.approximation[0])
         assert le_linear_sqrt(u, v, s)
 
 

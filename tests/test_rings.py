@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -184,3 +185,104 @@ def test_product_constants_and_ledger_are_fresh_per_call(ring_zw):
     ledger.define("c0_sq", F(99), "planted")
     del ledger.entries["Q0"]
     assert derive_ledger(product).to_jsonable() == expected
+
+
+# -- integer numerators over one denominator, against a Fraction reference ----
+# The reference keeps an element as a tuple of Fractions and reads the ring's
+# mul_table, involution and gram as data; it calls no kernel of the program.
+
+
+def ref_mul(spec, x, y):
+    out = [F(0)] * spec.rank
+    for j, a in enumerate(x):
+        for k, b in enumerate(y):
+            for l, c in enumerate(spec.mul_table[j][k]):
+                out[l] += a * b * c
+    return tuple(out)
+
+
+def ref_conj(spec, x):
+    return tuple(sum((c * u for c, u in zip(row, x)), F(0)) for row in spec.involution)
+
+
+def ref_norm_sq(spec, x):
+    t = spec.rank
+    return sum((x[i] * spec.gram[i][j] * x[j] for i in range(t) for j in range(t)), F(0))
+
+
+def _ref_coords(rng, kind, t):
+    """Coordinates of one kind, each zero with probability 1/4."""
+    out = []
+    for _ in range(t):
+        if rng.random() < 0.25:
+            out.append(F(0))
+        elif kind == "integral":
+            out.append(F(rng.randint(-9, 9)))
+        elif kind == "rational":
+            out.append(F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 12))))
+        else:
+            out.append(F(rng.randint(-10**12, 10**12), rng.choice((1, rng.randint(1, 10**6)))))
+    return tuple(out)
+
+
+def _in_lowest_terms(e):
+    return e.den >= 1 and gcd(e.den, *e.nums) == 1 and (any(e.nums) or e.den == 1)
+
+
+@pytest.mark.parametrize("kind", ["integral", "rational", "huge"])
+@pytest.mark.parametrize("tag", ["Z", "Zi", "Zw", "Hq"])
+def test_element_matches_fraction_reference(rings, tag, kind):
+    spec = rings[tag]
+    t = spec.rank
+    rng = random.Random(f"{tag}-{kind}")
+    for _ in range(80):
+        x, y = _ref_coords(rng, kind, t), _ref_coords(rng, kind, t)
+        c = F(rng.randint(-6, 6), rng.randint(1, 6))
+        a, b = spec.element(x), spec.element(y)
+        cases = [
+            (a, x),
+            (a + b, tuple(u + v for u, v in zip(x, y))),
+            (a - b, tuple(u - v for u, v in zip(x, y))),
+            (a - a, (F(0),) * t),
+            (-a, tuple(-u for u in x)),
+            (a * b, ref_mul(spec, x, y)),
+            (a.conj(), ref_conj(spec, x)),
+            (a.scale(c), tuple(c * u for u in x)),
+            (a.scale(0), (F(0),) * t),
+        ]
+        for got, want in cases:
+            assert got.coords == want and all(type(u) is F for u in got.coords)
+            assert _in_lowest_terms(got), got
+            assert isinstance(got.nums, tuple) and all(type(n) is int for n in got.nums)
+            # built from other representations of the same coordinates: equal, same hash
+            same = spec.element([u.numerator if u.denominator == 1 else u for u in want])
+            assert got == same and hash(got) == hash(same)
+            assert got.is_zero() == all(u == 0 for u in want)
+            assert got.is_integral() == all(u.denominator == 1 for u in want)
+            assert got.sup_coord() == max(abs(u) for u in want)
+            norm = got.norm_sq()
+            assert norm == ref_norm_sq(spec, want) and type(norm) is F
+    half = [F(2, 4)] + [1] * (t - 1)
+    assert spec.element(half) == spec.element([F(1, 2)] + [F(1)] * (t - 1))
+    assert hash(spec.element(half)) == hash(spec.element([F(1, 2)] + [1] * (t - 1)))
+    assert (spec.element(half).nums, spec.element(half).den) == ((1,) + (2,) * (t - 1), 2)
+    assert (spec.zero().nums, spec.zero().den) == ((0,) * t, 1)
+
+
+def test_element_arithmetic_builds_no_fraction(rings, monkeypatch):
+    spec = rings["Hq"]
+    a, b = spec.element([F(1, 2), 3, F(-5, 6), 0]), spec.element([2, F(1, 3), 0, -1])
+    c = F(3, 4)
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    results = [a + b, a - b, -a, a * b, a.conj(), a.scale(c), a.scale(2), a - a]
+    flags = [(e.is_zero(), e.is_integral()) for e in results]
+    assert built == []
+    monkeypatch.undo()
+    assert F(1, 2) + F(1, 2) == 1 and flags[-1] == (True, True)

@@ -161,25 +161,34 @@ def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths, command, stem, 
         assert len(diagnostics) == 1 and diagnostics[0].startswith("WitnessError: ")
 
 
-def _z_basic_copy(tmp_path, scenario_paths, **params):
+def _z_basic_copy(tmp_path, scenario_paths, params, morphisms):
     data = json.loads(next(p for p in scenario_paths if p.stem == "z-basic").read_text())
     data["parameters"].update(params)
+    data["morphisms"].update(morphisms)
     copy = tmp_path / "z-basic.json"
     copy.write_text(json.dumps(data))
     return copy
 
 
-@pytest.mark.parametrize("params, message", [
-    ({"eps_sq": {"num": "0", "den": "1"}}, "ScenarioError: scenario requires eps_sq > 0"),
-    ({"eps_sq": {"num": "2", "den": "1"}, "k0_sq": {"num": "1", "den": "1"}},
+HALF = {"num": "1", "den": "2"}
+# phi_a = (2 | 5) with its first entry set to 1/2: over the integers, a
+# morphism over an order has integral entries
+PHI_A_HALF = {"phi_a": {"source": [2], "target": [1], "blocks": [[[[HALF], [{"num": "5", "den": "1"}]]]]}}
+
+
+@pytest.mark.parametrize("params, morphisms, message", [
+    ({"eps_sq": {"num": "0", "den": "1"}}, {}, "ScenarioError: scenario requires eps_sq > 0"),
+    ({"eps_sq": {"num": "2", "den": "1"}, "k0_sq": {"num": "1", "den": "1"}}, {},
      "ScenarioError: scenario requires K0^2 >= eps^2"),
-], ids=["eps-zero", "k0-below-eps"])
-def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, params, message):
-    path = _z_basic_copy(tmp_path, scenario_paths, **params)
-    assert main(["pipeline", "--scenario", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    ({}, PHI_A_HALF, "ScenarioError: morphism 'phi_a' has a non-integral entry"),
+], ids=["eps-zero", "k0-below-eps", "non-integral-morphism"])
+def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, params, morphisms, message):
+    path = _z_basic_copy(tmp_path, scenario_paths, params, morphisms)
+    for command in ("approx", "reduce", "pipeline", "verify", "thresholds", "report"):
+        assert main([command, "--scenario", str(path)]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1, command
 
 
 def test_cli_names_missing_scenario(tmp_path, capsys):
