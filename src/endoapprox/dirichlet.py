@@ -13,7 +13,8 @@ The least feasible b is therefore at most D, and the scan stops at
 min(Q**m - 1, D).  The scan advances the first non-integral target's
 residue by one addition per b (subtracting D when it reaches D) and
 multiplies out the other residues only at the b where that one is within
-tolerance.  `Fraction` appears only in the returned errors.
+tolerance.  `Fraction` appears only in the returned errors; the
+feasibility oracle's table is integers over D.
 """
 
 from __future__ import annotations
@@ -100,18 +101,23 @@ def dirichlet_approx(alpha, q: int, budget: int = DEFAULT_BUDGET) -> ApproxResul
     raise AssertionError("box principle violated; unreachable for q >= 2")
 
 
-def feasibility_oracle(alpha, q: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, Fraction]]:
-    """The full table (b, best error) for every 1 <= b < q**m.
+def feasibility_oracle(alpha, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, list[int]]:
+    """The full table of best errors for every 1 <= b < q**m, on integers:
+    (D, worst) with worst[b - 1] = max_i min(r_i, D - r_i), r_i = n_i * b mod
+    D, so the best error at b is worst[b - 1] / D and b is feasible exactly
+    when q * worst[b - 1] <= D.
 
-    Independent provenance source: best error per b is computed directly,
-    with no reference to the tolerance test used by dirichlet_approx.
+    Independent provenance source: every row is computed directly from the
+    numerators, with no reference to the tolerance test or the residue
+    stepping used by dirichlet_approx.
     """
     nums, den = _cleared(alpha, q)
     bound = q ** len(nums)
     if bound - 1 > budget:
         raise BudgetError(f"table of {bound - 1} rows exceeds budget {budget}")
-    table = []
-    for b in range(1, bound):
-        worst = max(min(r, den - r) for r in (n * b % den for n in nums))
-        table.append((b, Fraction(worst, den)))
-    return table
+    half = den // 2  # min(r, D - r) is r exactly when r <= D // 2
+    worst = None
+    for n in nums:
+        errors = [r if r <= half else den - r for r in [n * b % den for b in range(1, bound)]]
+        worst = errors if worst is None else list(map(max, worst, errors))
+    return den, worst

@@ -50,7 +50,10 @@ def mat_mul(a, b):
 
 def clear_denominators(values) -> tuple[list[int], int]:
     """(nums, den) with values[i] == nums[i] / den, den the least common
-    denominator of the rationals (or integers) in values."""
+    denominator of the rationals (or integers) in values; integers come
+    back at once over 1."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 

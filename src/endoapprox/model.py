@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .dirichlet import BudgetError
 from .linalg import clear_denominators
@@ -50,8 +52,18 @@ class ModelSpace:
     def product(self):
         return self.ambient.product
 
+    @cached_property
+    def _by_counts(self) -> dict[tuple[int, ...], "ModelSpace"]:
+        return {self.counts: self}
+
     def with_counts(self, counts) -> "ModelSpace":
-        return ModelSpace(self.ambient.with_counts(tuple(counts)), self.free_ranks)
+        """The space with these counts and the same rings and free ranks,
+        built once per counts and kept (not compared) on this space."""
+        counts = tuple(counts)
+        space = self._by_counts.get(counts)
+        if space is None:
+            space = self._by_counts[counts] = ModelSpace(self.ambient.with_counts(counts), self.free_ranks)
+        return space
 
     def zero(self) -> "ModelPoint":
         slots = tuple(tuple(self.slot(i) for _ in range(c)) for i, c in enumerate(self.counts))
@@ -79,8 +91,7 @@ class ModelSpace:
         )
 
 
-@dataclass(frozen=True)
-class SlotValue:
+class SlotValue(NamedTuple):
     """One ambient coordinate: torsion vector mod 1 plus free coefficients,
     as integer numerators over one denominator each.
 
@@ -88,6 +99,8 @@ class SlotValue:
     k is fnums[k] / fden.  Each denominator is the least one, so the
     numerators and their denominator share no common factor, and equal
     slots have equal fields.  `torsion` and `free` are the Fraction views.
+    A tuple of its four fields, so building, comparing and hashing a slot
+    run in C.
     """
 
     tnums: tuple[int, ...]
@@ -110,22 +123,40 @@ class SlotValue:
         return not any(self.tnums) and self.is_torsion()
 
 
-@dataclass(frozen=True)
-class ModelPoint:
-    space: ModelSpace
-    slots: tuple[tuple[SlotValue, ...], ...]
+_set = object.__setattr__
 
-    def __post_init__(self):
-        counts = self.space.counts
-        if len(self.slots) != len(counts) or any(
-            len(f) != c for f, c in zip(self.slots, counts)
-        ):
+
+class ModelPoint:
+    """A point of a model space: per factor, a tuple of its slots, whose
+    shape must match the space's counts.  Immutable; equal points have
+    equal fields."""
+
+    __slots__ = ("space", "slots")
+
+    def __init__(self, space: ModelSpace, slots: tuple[tuple[SlotValue, ...], ...]):
+        if tuple(map(len, slots)) != tuple(space.counts):
             raise ModelError("slot shape does not match the space")
+        _set(self, "space", space)
+        _set(self, "slots", slots)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ModelPoint:
+            return NotImplemented
+        return self.slots == other.slots and (self.space is other.space or self.space == other.space)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.slots))
+
+    def __repr__(self) -> str:
+        return f"ModelPoint(space={self.space!r}, slots={self.slots!r})"
 
     # -- group structure ---------------------------------------------------
 
     def _check(self, other: "ModelPoint") -> None:
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise ModelError("points live in different spaces")
 
     def __add__(self, other: "ModelPoint") -> "ModelPoint":
@@ -165,13 +196,16 @@ class ModelPoint:
         return Fraction(_free_form(spec, s.fnums, s.fnums), s.fden * s.fden * spec.gram_den)
 
     def height(self) -> Fraction:
-        best = Fraction(0)
-        for i, fac in enumerate(self.slots):
-            for j in range(len(fac)):
-                h = self.slot_height(i, j)
-                if h > best:
-                    best = h
-        return best
+        """The largest slot height, found by comparing each slot's form
+        value over its denominator as integer cross-products; one Fraction
+        is built, for the result."""
+        best, best_den = 0, 1
+        for spec, fac in zip(self.space.product.factors, self.slots):
+            for s in fac:
+                h, den = _free_form(spec, s.fnums, s.fnums), s.fden * s.fden * spec.gram_den
+                if h * best_den > best * den:
+                    best, best_den = h, den
+        return Fraction(best, best_den)
 
 
 def _free_form(spec: RingSpec, a, b) -> int:
@@ -210,6 +244,8 @@ def orbit_gram(spec: RingSpec, slots) -> list[list[Fraction]]:
 def _torsion_mod1(nums, den: int) -> tuple[tuple[int, ...], int]:
     """Torsion numerators nums / den reduced mod 1 and to the least
     denominator: (numerators in [0, den'), den')."""
+    if den == 1:
+        return (0,) * len(nums), 1
     nums = [x % den for x in nums]
     g = gcd(den, *nums)
     if g > 1:
@@ -219,6 +255,8 @@ def _torsion_mod1(nums, den: int) -> tuple[tuple[int, ...], int]:
 
 def _free_lowest(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Free numerators rows / den over the least denominator."""
+    if den == 1:
+        return tuple(map(tuple, rows)), 1
     g = gcd(den, *(x for row in rows for x in row))
     if g > 1:
         return tuple(tuple(x // g for x in row) for row in rows), den // g

@@ -349,16 +349,57 @@ def _kills(m: list[list[int]], k: tuple[int, ...], level: int) -> bool:
     return all(sum(a * b for a, b in zip(row, k)) % level == 0 for row in m)
 
 
+def _escapes(a: list[list[int]], b: list[list[int]], width: int, level: int) -> bool:
+    """Whether some k in [0, level)^width has a k = 0 and b k != 0 mod `level`.
+
+    The walk visits k in `itertools.product(range(level), repeat=width)`
+    order and keeps the residues of a k and b k as one running integer.
+    Each step changes a run of trailing digits j, j+1, ...: digit j goes up
+    by one and the ones after it wrap from level - 1 to 0, which is also +1
+    mod `level`, so the step adds step[j], the sum of columns j onwards.
+    k = 0 is skipped: b kills it.
+
+    The residues sit in fields of w bits, those of a k lowest.  step[j] is
+    added with its entries reduced mod `level`, so a field then holds some
+    s < 2 * level, and s >= level exactly when s + 2^(w-1) - level sets the
+    field's top bit; `level` is taken off those fields.  No field overflows
+    into the next, because 2^(w-1) >= 2 * level."""
+    rows = [*a, *b]
+    w = level.bit_length() + 2
+    ones = sum(1 << (w * i) for i in range(len(rows)))
+    top_bits = ones << (w - 1)
+    offset = top_bits - level * ones
+    step = [
+        sum((sum(row[j:]) % level) << (w * i) for i, row in enumerate(rows)) for j in range(width)
+    ]
+    a_mask = (1 << (w * len(a))) - 1
+    res = 0
+    digits = [0] * width
+    last = level - 1
+    while True:
+        j = width - 1
+        while j >= 0 and digits[j] == last:
+            digits[j] = 0
+            j -= 1
+        if j < 0:
+            return False
+        digits[j] += 1
+        res += step[j]
+        res -= (((res + offset) & top_bits) >> (w - 1)) * level
+        if not res & a_mask and res > a_mask:
+            return True
+
+
 def check_kernel_inclusion(
     psi: BlockMorphism, phi: BlockMorphism, space: ModelSpace, budget: int
 ) -> str | None:
     """Every torsion point of level 1 to TORSION_LEVEL that psi kills, phi kills too.
 
     Decided on integer residue vectors k in [0, level)^N through each
-    morphism's `torsion_matrices`, one factor at a time: both morphisms are
-    block-diagonal, so the inclusion holds on the space exactly when it holds
-    on every factor. A level whose count over the whole space exceeds
-    `budget` raises `BudgetError`."""
+    morphism's `torsion_matrices`, one factor at a time (`_escapes`): both
+    morphisms are block-diagonal, so the inclusion holds on the space
+    exactly when it holds on every factor. A level whose count over the
+    whole space exceeds `budget` raises `BudgetError`."""
     for f in (psi, phi):
         if f.source != space.counts or f.product != space.product:
             raise MorphismError("morphism does not act on the torsion space")
@@ -366,26 +407,28 @@ def check_kernel_inclusion(
     for level in range(1, TORSION_LEVEL + 1):
         torsion_count(space, level, budget)
         for a, b, width in zip(m_psi, m_phi, torsion_widths(space)):
-            for k in itertools.product(range(level), repeat=width):
-                if _kills(a, k, level) and not _kills(b, k, level):
-                    return f"kernel escaped at torsion level {level}"
+            if _escapes(a, b, width, level):
+                return f"kernel escaped at torsion level {level}"
     return None
 
 
 def check_dirichlet(alpha: list[Fraction], q: int, budget: int) -> str | None:
     """dirichlet_approx against the exhaustive oracle: b in [1, q^m), every
-    |alpha_i b - beta_i| <= 1/q, the least feasible b and the oracle's error at b."""
+    |alpha_i b - beta_i| <= 1/q, the least feasible b and the oracle's error at b.
+    Decided on integers: with alpha_i = n_i / d_i, |n_i b - beta_i d_i| q <= d_i;
+    the oracle's table is worst-residue numerators w over its denominator D,
+    b is feasible exactly when q w_b <= D, and the error at b is w_b / D."""
     res = dirichlet.dirichlet_approx(alpha, q, budget=budget)
-    b, tol = res.denominator, Fraction(1, q)
-    if not 1 <= b < q ** len(alpha) or res.error > tol or any(
-        abs(a * b - beta) > tol for a, beta in zip(alpha, res.numerators)
+    b, err = res.denominator, res.error
+    if not 1 <= b < q ** len(alpha) or err.numerator * q > err.denominator or any(
+        abs(a.numerator * b - beta * a.denominator) * q > a.denominator
+        for a, beta in zip(alpha, res.numerators)
     ):
         return f"contract failed at alpha={alpha} q={q}"
-    table = dirichlet.feasibility_oracle(alpha, q, budget=budget)
-    feasible = [c for c, err in table if err <= tol]
-    if not feasible or b != feasible[0]:
+    den, worst = dirichlet.feasibility_oracle(alpha, q, budget=budget)
+    if q * worst[b - 1] > den or q * min(worst[: b - 1], default=den) <= den:
         return f"not the minimal feasible denominator at alpha={alpha} q={q}"
-    if res.error != dict(table)[b]:
+    if err.numerator * den != worst[b - 1] * err.denominator:
         return f"error differs from the oracle's at alpha={alpha} q={q}"
     return None
 
@@ -511,10 +554,11 @@ def suite_model(scenario: Scenario, trials: int, rng: random.Random) -> dict:
         x = _rand_point(rng, space)
         y = _rand_point(rng, space)
         z = _rand_point(rng, space)
-        if (x + y) + z != x + (y + z) or x + y != y + x or not (x - x).is_zero():
+        xy = x + y  # shared by the group law, the triangle and additivity
+        if xy + z != x + (y + z) or xy != y + x or not (x - x).is_zero():
             failures.append("group law failed")
             continue
-        hx, hy, hxy = x.height(), y.height(), (x + y).height()
+        hx, hy, hxy = x.height(), y.height(), xy.height()
         # h(x+y) <= h(x) + h(y) + 2 sqrt(h(x) h(y)), decided exactly
         if not le_linear_sqrt(hxy - hx - hy, Fraction(2), hx * hy):
             failures.append("height triangle inequality failed")
@@ -528,10 +572,11 @@ def suite_model(scenario: Scenario, trials: int, rng: random.Random) -> dict:
             failures.append("divide/multiply identity failed")
             continue
         phi = rand_row_morphism(rng, space)
-        if apply_morphism(phi, x + y) != apply_morphism(phi, x) + apply_morphism(phi, y):
+        phi_x = apply_morphism(phi, x)  # shared by additivity and the height bound
+        if apply_morphism(phi, xy) != phi_x + apply_morphism(phi, y):
             failures.append("morphism additivity failed")
             continue
-        image_h = apply_morphism(phi, x).height()
+        image_h = phi_x.height()
         if hx == 0:
             if image_h != 0:
                 failures.append("torsion points must map to torsion")

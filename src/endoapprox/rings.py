@@ -49,8 +49,9 @@ class RingSpec:
     lattice_rep[j] is the integer matrix (size 2*dimension) by which
     basis_j acts on the homology of the simple factor.
     The ring constants (`norm_equivalence_constants`,
-    `submultiplicativity_sq`, `lambda_min_nonzero`) are derived once per
-    ring, on first use, and not compared either.
+    `submultiplicativity_sq`, `lambda_min_nonzero`) and the nonzero
+    structure constants `mul_int` sums over are derived once per ring, on
+    first use, and not compared either.
     """
 
     tag: str
@@ -187,13 +188,6 @@ class RingSpec:
             for k in range(j + 1, self.rank)
         )
 
-    def form(self, x, y) -> Fraction:
-        """The Gram bilinear form x^T G y on coordinate vectors, summed in
-        integers over the coordinates' denominators and divided once."""
-        xn, dx = linalg.clear_denominators(x)
-        yn, dy = (xn, dx) if y is x else linalg.clear_denominators(y)
-        return Fraction(self.form_int(xn, yn), dx * dy * self.gram_den)
-
     def form_int(self, x, y) -> int:
         """x^T (gram_den * G) y on integer coordinate vectors."""
         total = 0
@@ -226,22 +220,24 @@ class RingSpec:
                             orow[k] += c * v
         return out
 
+    @cached_property
+    def _mul_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The nonzero structure constants as (j, k, l, c): coordinate l of
+        basis_j * basis_k is c."""
+        return tuple(
+            (j, k, l, c)
+            for j, row in enumerate(self.mul_table)
+            for k, cell in enumerate(row)
+            for l, c in enumerate(cell)
+            if c
+        )
+
     def mul_int(self, a, b) -> list[int]:
         """Coordinates of the product of two elements with integer
-        coordinates, through the integer structure constants."""
+        coordinates, summed over the nonzero structure constants."""
         out = [0] * self.rank
-        table = self.mul_table
-        for j, x in enumerate(a):
-            if not x:
-                continue
-            row = table[j]
-            for k, y in enumerate(b):
-                if not y:
-                    continue
-                xy = x * y
-                for l, c in enumerate(row[k]):
-                    if c:
-                        out[l] += xy * c
+        for j, k, l, c in self._mul_terms:
+            out[l] += a[j] * b[k] * c
         return out
 
     def conj_int(self, coords) -> list[int]:

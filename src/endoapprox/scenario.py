@@ -8,12 +8,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators
-from .morphisms import AmbientSpec, BlockMorphism, SpecialCertificate, WeightedCertificate
+from .model import GeneratorSet, ModelError, ModelPoint, ModelSpace, empty_generators
+from .morphisms import (
+    AmbientSpec,
+    BlockMorphism,
+    MorphismError,
+    SpecialCertificate,
+    WeightedCertificate,
+)
 from .reduction import InclusionWitness
-from .rings import ProductRingSpec, RingSpec
+from .rings import ProductRingSpec, RingError, RingSpec
 from .thresholds import ConjecturalOracle, FinitenessThresholds, VarietyCard, finiteness_thresholds
 
 SCHEMA = "endoapprox/scenario/1"
@@ -194,6 +201,15 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_json(data) -> Scenario:
+    """The scenario the data describes.  Ring, morphism or point data that
+    its own constructor refuses raises `ScenarioError`, naming that error."""
+    try:
+        return _scenario_from_json(data)
+    except (ModelError, MorphismError, RingError) as err:
+        raise ScenarioError(f"{type(err).__name__}: {err}") from err
+
+
+def _scenario_from_json(data) -> Scenario:
     if data.get("schema") != SCHEMA:
         raise ScenarioError(f"unsupported scenario schema: {data.get('schema')!r}")
     rings = [_ring_from_json(r) for r in data["rings"]]
@@ -350,4 +366,44 @@ def _weighted_to_json(cert) -> dict:
 
 
 def dump_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    """The report as JSON text: keys sorted, one space of indent per level,
+    ASCII only, and a newline at the end.  Only dicts with str keys, lists,
+    str, int, bool and None are written; anything else, a float above all,
+    raises TypeError."""
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append `value` to out; `newline` ends a line and indents the next one
+    to the value's own level."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        out.append(str(value))
+    elif type(value) is str:
+        out.append(encode_basestring_ascii(value))
+    elif type(value) is list:
+        inner = newline + " "
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append("," + inner if i else inner)
+            _write(item, inner, out)
+        out.append(newline + "]" if value else "]")
+    elif type(value) is dict:
+        inner = newline + " "
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if type(key) is not str:
+                raise TypeError(f"report key {key!r} is not a str")
+            out.append(("," + inner if i else inner) + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+        out.append(newline + "}" if value else "}")
+    else:
+        raise TypeError(f"a report cannot hold {type(value).__name__} {value!r}")

@@ -33,14 +33,18 @@ def test_thirds_matches_oracle():
     # b = 3 (error 0) is present further down the table.
     alpha = [F(2, 3), F(1, 3)]
     res = dirichlet_approx(alpha, 3)
-    table = feasibility_oracle(alpha, 3)
-    feasible = [b for b, err in table if err <= F(1, 3)]
+    den, worst = feasibility_oracle(alpha, 3)
+    feasible = [b for b, w in enumerate(worst, 1) if 3 * w <= den]
     assert res.denominator == feasible[0] == 1
-    assert (3, F(0)) in table
+    assert den == 3 and worst[3 - 1] == 0
 
 
 def test_oracle_table_examples():
-    assert feasibility_oracle([F(1, 2)], 2) == [(1, F(1, 2))]
+    # one row, b = 1: 1/2 is 1/2 from an integer, over D = 2
+    assert feasibility_oracle([F(1, 2)], 2) == (2, [1])
+    den, worst = feasibility_oracle([F(1, 3), F(-2, 5), F(4)], 2)
+    assert den == 15 and worst == [6, 5, 3, 6, 5, 6, 5]
+    assert all(type(w) is int for w in worst)
     with pytest.raises(DirichletError):
         feasibility_oracle([], 3)
     with pytest.raises(DirichletError):

@@ -9,7 +9,6 @@ against the separate elimination loops it replaced, kept here as
 references."""
 
 import copy
-import itertools
 import random
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -61,6 +60,8 @@ from endoapprox.rings import (
 )
 from endoapprox.scenario import load_scenario
 from endoapprox.thresholds import kernel_degree
+
+import reference
 
 KINDS = ("integral", "rational", "large")
 
@@ -139,21 +140,8 @@ def ref_conj(spec, coords):
     return [sum((F(r) * F(c) for r, c in zip(row, coords)), F(0)) for row in spec.involution]
 
 
-def ref_form(spec, x, y):
-    """The Gram form x^T G y summed in Fractions."""
-    g = spec.gram
-    total = F(0)
-    for i, xi in enumerate(x):
-        if xi:
-            row = g[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * row[j] * yj
-    return total
-
-
 def ref_free_inner(spec, a, b):
-    return sum((ref_form(spec, x, y) for x, y in zip(a, b)), F(0))
+    return sum((reference.gram_form(spec, x, y) for x, y in zip(a, b)), F(0))
 
 
 def ref_height(p):
@@ -477,12 +465,20 @@ def test_form_and_conj_match_fraction_reference(rings, two_factor, mixed, kind):
         assert gcd(spec.gram_den, *(x for row in spec.gram_int for x in row)) == 1
         for _ in range(40):
             x, y = _coords(rng, kind, t), _coords(rng, kind, t)
-            got = spec.form(x, y)
-            assert got == ref_form(spec, x, y) and type(got) is F
+            (xn, dx), (yn, dy) = _cleared(x), _cleared(y)
+            got = spec.form_int(xn, yn)
+            assert type(got) is int
+            assert F(got, dx * dy * spec.gram_den) == reference.gram_form(spec, x, y)
             a = spec.element(x)
-            assert a.norm_sq() == ref_form(spec, a.coords, a.coords)
+            assert a.norm_sq() == reference.gram_form(spec, a.coords, a.coords)
             conj = a.conj()
             assert list(conj.coords) == ref_conj(spec, x) and _all_fractions(conj.coords)
+
+
+def _cleared(values):
+    """Integer numerators over the least common denominator of the values."""
+    den = lcm(*(F(v).denominator for v in values))
+    return [int(v * den) for v in values], den
 
 
 def _rational_block(rng, spec):
@@ -759,6 +755,7 @@ def test_kernel_inclusion_matches_reference(rings, two_factor):
             for a, b in cases:
                 for budget in (total, total - 1):
                     want = _outcome(ref_kernel_inclusion, a, b, space, budget)
+                    assert _outcome(reference.kernel_inclusion, a, b, space, budget) == want
                     assert _outcome(check_kernel_inclusion, a, b, space, budget) == want
                     if isinstance(want, str):
                         levels.append(int(want.rsplit(" ", 1)[1]))
@@ -798,45 +795,6 @@ def test_kernel_degree_matches_reference(rings, tag):
 # -- ring laws --------------------------------------------------------------
 
 
-def ref_validate(self) -> None:
-    """The Fraction `RingSpec.validate` this module checks the integer one
-    against, kept verbatim."""
-    t = self.rank
-    basis = [self.basis_element(j) for j in range(t)]
-    one = self.one()
-    for j in range(t):
-        if basis[0] * basis[j] != basis[j] or basis[j] * basis[0] != basis[j]:
-            raise RingError(f"{self.tag}: first basis element is not unital")
-    for j, k, l in itertools.product(range(t), repeat=3):
-        if (basis[j] * basis[k]) * basis[l] != basis[j] * (basis[k] * basis[l]):
-            raise RingError(f"{self.tag}: multiplication is not associative")
-    for j in range(t):
-        if basis[j].conj().conj() != basis[j]:
-            raise RingError(f"{self.tag}: involution is not an involution")
-    for j, k in itertools.product(range(t), repeat=2):
-        if (basis[j] * basis[k]).conj() != basis[k].conj() * basis[j].conj():
-            raise RingError(f"{self.tag}: involution is not an anti-automorphism")
-    if one.conj() != one:
-        raise RingError(f"{self.tag}: involution does not fix the identity")
-    g = [list(row) for row in self.gram]
-    for i in range(t):
-        for j in range(t):
-            if g[i][j] != g[j][i]:
-                raise RingError(f"{self.tag}: gram form is not symmetric")
-    if not linalg.positive_definite(g):
-        raise RingError(f"{self.tag}: gram form is not positive-definite")
-    # lattice representation: unital ring homomorphism, faithful
-    rho = [self.rho(b) for b in basis]
-    if self.rho(one) != linalg.identity(2 * self.dimension):
-        raise RingError(f"{self.tag}: lattice representation is not unital")
-    for j, k in itertools.product(range(t), repeat=2):
-        if linalg.mat_mul(rho[j], rho[k]) != self.rho(basis[j] * basis[k]):
-            raise RingError(f"{self.tag}: lattice representation does not respect products")
-    flat = [[x for row in m for x in row] for m in rho]
-    if linalg.rank(flat) != t:
-        raise RingError(f"{self.tag}: lattice representation is not faithful")
-
-
 def _fields(spec) -> dict:
     return {f.name: getattr(spec, f.name) for f in fields(RingSpec) if f.init}
 
@@ -853,7 +811,7 @@ def _change_basis(spec, cols, tag):
     def new_coords(old):
         return tuple(d * sum(a * x for a, x in zip(row, old)) for row in adj)
 
-    gram = [[spec.form(x, y) for y in cols] for x in cols]
+    gram = [[reference.gram_form(spec, x, y) for y in cols] for x in cols]
     return RingSpec(
         tag=tag,
         rank=t,
@@ -964,7 +922,7 @@ def test_validate_accepts_what_the_fraction_reference_accepts(rings, scenario_pa
     assert len(cases) > 3 * 4
     for spec in cases:
         spec.validate()
-        ref_validate(spec)
+        reference.validate(spec)
 
 
 def _dual_numbers():
@@ -1010,12 +968,13 @@ def test_validate_raises_the_fraction_reference_message(rings):
         with pytest.raises(RingError) as got:
             RingSpec(**data)
         # the reference reads only the init fields, so it runs on an
-        # unchecked copy of a valid ring carrying the faulty data
+        # unchecked copy of a valid ring carrying the faulty data; that copy
+        # keeps the valid ring's derived tables, which the reference never reads
         unchecked = copy.copy(rings["Z"])
         for name, value in data.items():
             object.__setattr__(unchecked, name, value)
         with pytest.raises(RingError) as ref:
-            ref_validate(unchecked)
+            reference.validate(unchecked)
         assert str(got.value) == str(ref.value) == f"{data['tag']}: {message}"
         seen.add(message)
     # "involution does not fix the identity" cannot be planted: an

@@ -8,14 +8,20 @@ and, for the direction scan, the nearest integer to c*b/sqrt(s) with the
 tolerance decided on u <= v*sqrt(s)."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from endoapprox import dirichlet
 from endoapprox.approx import approx_vector, derive_ledger
 from endoapprox.dirichlet import dirichlet_approx, feasibility_oracle
+from endoapprox.pipeline import check_dirichlet
 from endoapprox.exact import ceil_sqrt, floor_sqrt, le_linear_sqrt
 from endoapprox.rings import ProductRingSpec
+
+import reference
+from reference import oracle_rows
 
 
 def ref_dirichlet(alpha, q):
@@ -97,7 +103,69 @@ def test_rational_scan_and_oracle_match_reference():
         res = dirichlet_approx(alpha, q)
         assert _got(res) == ref_dirichlet(alpha, q), (alpha, q)
         assert res.bound == q ** len(alpha)
-        assert feasibility_oracle(alpha, q) == ref_oracle(alpha, q), (alpha, q)
+        table = feasibility_oracle(alpha, q)
+        assert oracle_rows(table) == ref_oracle(alpha, q) == reference.feasibility_oracle(alpha, q), (alpha, q)
+        assert all(type(w) is int for w in table[1])
+
+
+def ref_check_dirichlet(alpha, q, res):
+    """The Fraction decisions of `check_dirichlet` on the Fraction-row oracle:
+    which check, if any, refuses the result."""
+    b, tol = res.denominator, F(1, q)
+    if not 1 <= b < q ** len(alpha) or res.error > tol or any(
+        abs(a * b - beta) > tol for a, beta in zip(alpha, res.numerators)
+    ):
+        return "contract failed"
+    table = reference.feasibility_oracle(alpha, q)
+    feasible = [c for c, err in table if err <= tol]
+    if not feasible or b != feasible[0]:
+        return "not the minimal feasible denominator"
+    if res.error != dict(table)[b]:
+        return "error differs from the oracle's"
+    return None
+
+
+def _planted_results(rng, alpha, q, res):
+    """The true result and faulty ones: another row's denominator and error,
+    a numerator one off, and an error nudged either way or past the tolerance."""
+    b, err = rng.choice(reference.feasibility_oracle(alpha, q))
+    out = [res, replace(res, denominator=b, numerators=tuple(round(a * b) for a in alpha), error=err)]
+    i = rng.randrange(len(alpha))
+    nums = list(res.numerators)
+    nums[i] += rng.choice((-1, 1))
+    out.append(replace(res, numerators=tuple(nums)))
+    out.append(replace(res, error=res.error + F(1, 997)))
+    out.append(replace(res, error=F(1, q) + F(1, 10**6)))
+    if res.error > 0:
+        out.append(replace(res, error=res.error - F(1, 10**6)))
+    return out
+
+
+# b = 1 meets the tolerance with equality: 1/2 at q = 2, 1/3 at q = 3
+BOUNDARY_TARGETS = [([F(1, 2), F(1, 4)], 2), ([F(1, 3), F(2, 9)], 3), ([F(-5, 2)], 2)]
+
+
+def test_check_dirichlet_decides_as_the_fraction_reference(monkeypatch):
+    rng = random.Random(611)
+    planted = {}
+    monkeypatch.setattr(dirichlet, "dirichlet_approx", lambda alpha, q, budget: planted["res"])
+    kinds = set()
+    for alpha, q in BOUNDARY_TARGETS + [_rand_target(rng) for _ in range(150)]:
+        res = dirichlet_approx(alpha, q)
+        planted_rows = []
+        if (alpha, q) in BOUNDARY_TARGETS:  # every row of the table, in turn
+            planted_rows = [replace(res, denominator=b, numerators=tuple(round(a * b) for a in alpha), error=err)
+                            for b, err in reference.feasibility_oracle(alpha, q)]
+        for res in planted_rows + _planted_results(rng, alpha, q, res):
+            planted["res"] = res
+            want = ref_check_dirichlet(alpha, q, res)
+            got = check_dirichlet(alpha, q, 2_000_000)
+            assert (got is None) == (want is None), (alpha, q, res)
+            if want is not None:
+                assert got == f"{want} at alpha={alpha} q={q}"
+            kinds.add(want)
+    assert kinds == {None, "contract failed", "not the minimal feasible denominator",
+                     "error differs from the oracle's"}
 
 
 @pytest.mark.parametrize("alpha, expected", [
@@ -108,11 +176,11 @@ def test_rational_scan_and_oracle_match_reference():
 def test_rational_half_ties(alpha, expected):
     # at q = 2 an exact half is within the closed tolerance, and rounds to even
     assert _got(dirichlet_approx(alpha, 2)) == expected == ref_dirichlet(alpha, 2)
-    assert feasibility_oracle(alpha, 2) == ref_oracle(alpha, 2)
+    assert oracle_rows(feasibility_oracle(alpha, 2)) == ref_oracle(alpha, 2)
 
 
 def _least_feasible(table, q):
-    return next((b for b, err in table if err <= F(1, q)), None)
+    return next((b for b, err in oracle_rows(table) if err <= F(1, q)), None)
 
 
 @pytest.mark.parametrize("alpha, q", [
@@ -127,7 +195,7 @@ def test_scan_lead_residue_cases(alpha, q):
     res = dirichlet_approx(alpha, q)
     assert _got(res) == ref_dirichlet(alpha, q), (alpha, q)
     table = feasibility_oracle(alpha, q)
-    assert table == ref_oracle(alpha, q)
+    assert oracle_rows(table) == ref_oracle(alpha, q)
     assert res.denominator == _least_feasible(table, q)
     if all(a.denominator == 1 for a in alpha):
         assert _got(res) == (1, tuple(int(a) for a in alpha), 0)

@@ -1,6 +1,7 @@
 """No module of the package imports another module's private names, no
 function takes a parameter it never reads, no `assert` guards a runtime
-check, and no float appears.
+check, no float appears, and no module writes JSON but through the one
+report writer.
 
 A `from .x import _name` couples two layers through a helper that `x` does
 not offer as part of its interface; a helper another layer needs gets a
@@ -10,7 +11,10 @@ the program relies on raises a named error instead. No module uses a
 float: everything stays exact, so a float literal, the name `float` or a
 `math` function outside the integer ones in EXACT_MATH is refused (an
 `int / int` escapes this check; the type assertions of the tests cover
-it). Modules are parsed with `ast`, not imported.
+it). `scenario.dump_report` writes every report and refuses any value but
+dict, list, str, int, bool and None, so no module calls `json.dump` or
+`json.dumps`, which would write a float. Modules are parsed with `ast`,
+not imported.
 """
 
 import ast
@@ -167,3 +171,42 @@ def test_no_floats_in_package():
         f"{path.name}:{found}" for path in sorted(PACKAGE.glob("*.py")) for found in floats(path.read_text())
     ]
     assert not offenders, f"floats in the package: {offenders}"
+
+
+def json_writers(source: str) -> list[str]:
+    """The calls of `json.dump` or `json.dumps` in a module, however the
+    module or the function was imported, as "line: what"."""
+    tree = ast.parse(source)
+    modules, functions = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "json"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and not node.level:
+            functions.update({a.asname or a.name: a.name for a in node.names if a.name in ("dump", "dumps")})
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Attribute) and f.attr in ("dump", "dumps") and getattr(f.value, "id", None) in modules:
+            found.append((node.lineno, f"json.{f.attr}"))
+        elif isinstance(f, ast.Name) and f.id in functions:
+            found.append((node.lineno, f"json.{functions[f.id]}"))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_json_writer_detector():
+    source = (
+        "import json\nimport json as j\nfrom json import dumps as d, loads\n"
+        "x = json.dumps({})\ny = j.dump({}, f)\nz = d([1])\nw = loads('1')\n"
+        "v = json.loads('1')\nother.dumps(1)\n"
+    )
+    assert json_writers(source) == ["4: json.dumps", "5: json.dump", "6: json.dumps"]
+    assert json_writers("from json.encoder import encode_basestring_ascii\ns = encode_basestring_ascii('x')\n") == []
+
+
+def test_no_json_writer_but_the_report_writer():
+    offenders = [
+        f"{path.name}:{found}" for path in sorted(PACKAGE.glob("*.py")) for found in json_writers(path.read_text())
+    ]
+    assert not offenders, f"JSON written past scenario.dump_report: {offenders}"

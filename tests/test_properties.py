@@ -14,8 +14,9 @@ from endoapprox.scenario import load_scenario
 
 def last_feasible(res, alpha, q, *_):
     """The largest feasible denominator below q^m in place of the least."""
-    b, err = [row for row in dirichlet.feasibility_oracle(alpha, q) if row[1] <= F(1, q)][-1]
-    return replace(res, denominator=b, numerators=tuple(round(a * b) for a in alpha), error=err)
+    den, worst = dirichlet.feasibility_oracle(alpha, q)
+    b = max(c for c, w in enumerate(worst, 1) if q * w <= den)
+    return replace(res, denominator=b, numerators=tuple(round(a * b) for a in alpha), error=F(worst[b - 1], den))
 
 
 # suite: (module, function, fault applied to the function's result and

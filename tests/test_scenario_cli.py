@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from endoapprox.cli import main
 from endoapprox.pipeline import run_pipeline, run_property_suites
 from endoapprox.scenario import (
     ScenarioError,
+    dump_report,
     load_scenario,
     morphism_from_json,
     morphism_to_json,
@@ -161,10 +163,11 @@ def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths, command, stem, 
         assert len(diagnostics) == 1 and diagnostics[0].startswith("WitnessError: ")
 
 
-def _z_basic_copy(tmp_path, scenario_paths, params, morphisms):
+def _z_basic_copy(tmp_path, scenario_paths, params, morphisms, ring=None):
     data = json.loads(next(p for p in scenario_paths if p.stem == "z-basic").read_text())
     data["parameters"].update(params)
     data["morphisms"].update(morphisms)
+    data["rings"][0].update(ring or {})
     copy = tmp_path / "z-basic.json"
     copy.write_text(json.dumps(data))
     return copy
@@ -176,14 +179,21 @@ HALF = {"num": "1", "den": "2"}
 PHI_A_HALF = {"phi_a": {"source": [2], "target": [1], "blocks": [[[[HALF], [{"num": "5", "den": "1"}]]]]}}
 
 
-@pytest.mark.parametrize("params, morphisms, message", [
-    ({"eps_sq": {"num": "0", "den": "1"}}, {}, "ScenarioError: scenario requires eps_sq > 0"),
-    ({"eps_sq": {"num": "2", "den": "1"}, "k0_sq": {"num": "1", "den": "1"}}, {},
+# phi_a = (2 | 5) declared with 3 source columns; a ring Gram form [[-1]]
+PHI_A_SOURCE_3 = {"phi_a": {"source": [3], "target": [1], "blocks": PHI_A_HALF["phi_a"]["blocks"]}}
+GRAM_NEGATIVE = {"gram": [[{"num": "-1", "den": "1"}]]}
+
+
+@pytest.mark.parametrize("params, morphisms, ring, message", [
+    ({"eps_sq": {"num": "0", "den": "1"}}, {}, None, "ScenarioError: scenario requires eps_sq > 0"),
+    ({"eps_sq": {"num": "2", "den": "1"}, "k0_sq": {"num": "1", "den": "1"}}, {}, None,
      "ScenarioError: scenario requires K0^2 >= eps^2"),
-    ({}, PHI_A_HALF, "ScenarioError: morphism 'phi_a' has a non-integral entry"),
-], ids=["eps-zero", "k0-below-eps", "non-integral-morphism"])
-def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, params, morphisms, message):
-    path = _z_basic_copy(tmp_path, scenario_paths, params, morphisms)
+    ({}, PHI_A_HALF, None, "ScenarioError: morphism 'phi_a' has a non-integral entry"),
+    ({}, PHI_A_SOURCE_3, None, "ScenarioError: MorphismError: factor 0: expected 3 columns"),
+    ({}, {}, GRAM_NEGATIVE, "ScenarioError: RingError: Z: gram form is not positive-definite"),
+], ids=["eps-zero", "k0-below-eps", "non-integral-morphism", "morphism-shape", "gram-negative"])
+def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, params, morphisms, ring, message):
+    path = _z_basic_copy(tmp_path, scenario_paths, params, morphisms, ring)
     for command in ("approx", "reduce", "pipeline", "verify", "thresholds", "report"):
         assert main([command, "--scenario", str(path)]) == 1, command
         captured = capsys.readouterr()
@@ -198,3 +208,33 @@ def test_cli_names_missing_scenario(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("FileNotFoundError: ") and str(missing) in captured.err
     assert captured.err.count("\n") == 1
+
+
+def _report_value(rng, depth):
+    """A random report value: nested dicts and lists of str (some non-ASCII
+    or needing escapes), int, bool and None."""
+    kind = rng.randrange(7 if depth < 3 else 4)
+    if kind == 0:
+        return rng.choice(["", "ok", 'a "quoted" \\ line\n', "\u00e9\u03b5 \u2264 1/q", "\x00\x1f"])
+    if kind == 1:
+        return rng.choice([0, -1, 7, 10**40, -(10**25)])
+    if kind == 2:
+        return rng.choice([True, False])
+    if kind == 3:
+        return None
+    if kind == 4:
+        return [_report_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    keys = ["b", "a", "Z", "a b", "\u00e9", "10", "9"]
+    return {k: _report_value(rng, depth + 1) for k in rng.sample(keys, rng.randrange(5))}
+
+
+def test_dump_report_writes_what_json_dumps_wrote():
+    rng = random.Random(9)
+    for _ in range(300):
+        report = {"ok": True, "body": _report_value(rng, 0)}
+        want = json.dumps(report, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+        assert dump_report(report) == want
+    assert dump_report({}) == "{}\n"
+    for bad in (0.5, (1, 2), F(1, 2), {1: 2}, {"x": [1.0]}, {"x": {"y": set()}}):
+        with pytest.raises(TypeError):
+            dump_report({"value": bad})
