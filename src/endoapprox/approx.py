@@ -268,7 +268,7 @@ def approx_weighted(
     """A weighted morphism psi with small norm close in direction to phi.
 
     The off-pattern entries are approximated relative to the weighted
-    scale: the Dirichlet targets are the rational coordinate vectors of
+    scale: the Dirichlet targets are the integer coordinate vectors of
     the entries divided by a, and the identity pattern of psi carries the
     Dirichlet denominator itself, so psi o i_r = [b] holds exactly.
     """
@@ -305,7 +305,7 @@ def approx_weighted(
     unit_len = len(targets)
     for (i, r, c) in positions:
         e = phi.blocks[i][r][c]
-        targets.extend(Fraction(x, a * e.den) for x in e.nums)
+        targets.extend(Fraction(x, a) for x in e.nums)
     result = dirichlet.dirichlet_approx(targets, q, budget=budget)
     b = result.denominator
     beta = list(result.numerators[unit_len:])
@@ -365,8 +365,8 @@ def approx_weighted(
         raise CertificationError("approximated morphism norm exceeds its certified bound")
 
     # (iii), scale-normalized and cross-multiplied: per entry,
-    # ||a*psi_e - b*phi_e||^2 <= C'^2 a^2 / q^2 with C' = sum|tau|; over the
-    # entry's denominator pd, d = pd*(a*psi_e - b*phi_e) is an integer vector
+    # ||a*psi_e - b*phi_e||^2 <= C'^2 a^2 / q^2 with C' = sum|tau|; both
+    # entries lie in the order, so d = a*psi_e - b*phi_e is an integer vector
     # with ||d||^2 = form_int(d, d) / gram_den
     c_prime_sq = ledger.value("C_c_sq")
     rhs_num = c_prime_sq.numerator * a * a
@@ -374,9 +374,8 @@ def approx_weighted(
     for spec, block, phi_block in zip(factors, coords, phi.blocks):
         for row, phi_row in zip(block, phi_block):
             for x, phi_e in zip(row, phi_row):
-                pd = phi_e.den
-                d = [a * pd * xi - b * yi for xi, yi in zip(x, phi_e.nums)]
-                if spec.form_int(d, d) * rhs_den > rhs_num * pd * pd * spec.gram_den:
+                d = [a * xi - b * yi for xi, yi in zip(x, phi_e.nums)]
+                if spec.form_int(d, d) * rhs_den > rhs_num * spec.gram_den:
                     raise CertificationError("direction error exceeds the certified constant")
 
     checks = {

@@ -284,18 +284,11 @@ def _slot_int_mul(a: SlotValue, n: int) -> SlotValue:
     )
 
 
-def _int_coords(e) -> list[int]:
-    """The coordinates of an integral ring element as integers."""
-    if e.den != 1:
-        raise ModelError("only integral ring elements act on model points")
-    return e.nums
-
-
-def _act_into(spec: RingSpec, e, tors: list[int], free, acc_tors, acc_free) -> None:
-    """Add the action of an integral ring element on a slot, given by integer
-    numerators, to the accumulators: lattice representation on torsion,
-    module multiplication on each free coefficient."""
-    coords = _int_coords(e)
+def _act_into(spec: RingSpec, coords, tors: list[int], free, acc_tors, acc_free) -> None:
+    """Add the action of an element of the order, given by its integer
+    coordinates, on a slot, given by integer numerators, to the
+    accumulators: lattice representation on torsion, module multiplication
+    on each free coefficient."""
     if any(tors):
         for r, row in enumerate(spec.rho_int(coords)):
             acc_tors[r] += sum(m * t for m, t in zip(row, tors))
@@ -341,7 +334,7 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
             acc_free = [[0] * spec.rank for _ in range(nu)]
             for c, e in enumerate(row):
                 if not e.is_zero():
-                    _act_into(spec, e, tors[c], free[c], acc_tors, acc_free)
+                    _act_into(spec, e.nums, tors[c], free[c], acc_tors, acc_free)
             fac.append(_slot_from_nums(acc_tors, tden, acc_free, fden))
         out_slots.append(tuple(fac))
     return ModelPoint(target_space, tuple(out_slots))
@@ -353,8 +346,6 @@ def torsion_matrices(phi: BlockMorphism) -> list[list[list[int]]]:
     is rho_int of entry (r, c), the same blocks `apply_morphism` sums. phi
     maps the level-n torsion point with numerators k (torsion k / n) to the
     one with numerators M k, so it kills the point exactly when M k = 0 mod n."""
-    if not all(e.is_integral() for block in phi.blocks for row in block for e in row):
-        raise ModelError("only integral ring elements act on model points")
     return [rationalize_block(spec, block) for spec, block in zip(phi.product.factors, phi.blocks)]
 
 

@@ -54,7 +54,10 @@ class AmbientSpec:
 
 
 class BlockMorphism:
-    """Per-factor matrices over the factor rings; source/target multi-indices."""
+    """Per-factor matrices over the factor rings; source/target multi-indices.
+
+    Every entry lies in its factor's order: construction refuses an entry
+    with a denominator, so no block carries one."""
 
     __slots__ = ("product", "source", "target", "blocks", "_norm_sq")
 
@@ -68,12 +71,14 @@ class BlockMorphism:
         for i, (block, spec) in enumerate(zip(blocks, product.factors)):
             if len(block) != self.target[i]:
                 raise MorphismError(f"factor {i}: expected {self.target[i]} rows")
-            for row in block:
+            for r, row in enumerate(block):
                 if len(row) != self.source[i]:
                     raise MorphismError(f"factor {i}: expected {self.source[i]} columns")
-                for e in row:
+                for c, e in enumerate(row):
                     if e.ring.tag != spec.tag:
                         raise MorphismError(f"factor {i}: entry from wrong ring {e.ring.tag}")
+                    if e.den != 1:
+                        raise MorphismError(f"factor {i}: entry ({r}, {c}) is not integral")
         self.blocks = blocks
         self._norm_sq = None
 
@@ -186,7 +191,7 @@ class BlockMorphism:
 
     def __hash__(self):
         return hash((self.source, self.target, tuple(
-            tuple(tuple((e.nums, e.den) for e in row) for row in block) for block in self.blocks
+            tuple(tuple(e.nums for e in row) for row in block) for block in self.blocks
         )))
 
     def __repr__(self):
@@ -194,17 +199,13 @@ class BlockMorphism:
 
 
 def rationalize_block(spec: RingSpec, block) -> linalg.Matrix:
-    """Replace each entry by its lattice-representation matrix: the integer
-    images `rho_int` of the block's numerators, divided by its denominator
-    only when that is not 1, so an integral block stays in ints."""
-    nums, den = block_nums(block)
+    """Replace each integral entry by its lattice-representation matrix, the
+    integer image `rho_int` of its coordinates."""
     out = []
-    for row in nums:
-        images = [spec.rho_int(e) for e in row]
+    for row in block:
+        images = [spec.rho_int(e.nums) for e in row]
         for r in range(2 * spec.dimension):
             out.append([x for image in images for x in image[r]])
-    if den != 1:
-        out = [[Fraction(x, den) for x in row] for row in out]
     return out
 
 
@@ -312,7 +313,7 @@ def is_weighted(phi: BlockMorphism) -> WeightedCertificate | None:
             r = nonzero[0]
             e = block[r][c]
             a = e.nums[0]
-            if e.den != 1 or a <= 0 or any(e.nums[1:]):
+            if a <= 0 or any(e.nums[1:]):
                 continue
             per_factor = candidates.setdefault(a, [dict() for _ in phi.blocks])
             per_factor[i].setdefault(r, []).append(c)
@@ -387,14 +388,6 @@ def _left_multiple(spec: RingSpec, x: list[int], y: list[int]) -> tuple[list[int
     return a, b
 
 
-def block_nums(block) -> tuple[list[list[list[int]]], int]:
-    """A block's entries as integer coordinate lists over the least common
-    denominator of all their coordinates: (numerators, denominator)."""
-    den = lcm(*(e.den for row in block for e in row))
-    nums = [[[x * (den // e.den) for x in e.nums] for e in row] for row in block]
-    return nums, den
-
-
 def off_scalar(spec: RingSpec, left, right, scale: int) -> tuple[int, int] | None:
     """The first entry (i, j) where left @ right differs from scale * I, for
     square blocks of integer coordinate lists; None when they are equal."""
@@ -411,24 +404,26 @@ def off_scalar(spec: RingSpec, left, right, scale: int) -> tuple[int, int] | Non
 
 
 def gauss_reduce(spec: RingSpec, delta0) -> tuple[list[list[RingElement]], int]:
-    """Left-only Gauss elimination: a matrix delta0' and positive integer a
-    with delta0' @ delta0 == a * I, entries staying in the order.
+    """Left-only Gauss elimination of a block over the order: a matrix
+    delta0' and positive integer a with delta0' @ delta0 == a * I, entries
+    staying in the order.
 
-    The block is cleared to N = D * delta0, D the common denominator of its
-    coordinates, and N is eliminated on integer coordinate lists.  Rows are
+    The block is eliminated on integer coordinate lists.  Rows are
     multiplied on the left only (no commutation) by left common multiples;
     the diagonal is cleared to integers through the adjugate of each
     entry's integer right-multiplication matrix, merged by least common
-    multiple, so N' @ N == m * I.  The result is D * N' and m with their
-    common content taken out, checked in integers against N.
+    multiple.  The result and its scale have their common content taken
+    out and are checked in integers against the block.
     """
     n = len(delta0)
     if n == 0:
         return [], 1
     if any(len(row) != n for row in delta0):
         raise MorphismError("gauss reduction needs a square block")
+    if any(e.den != 1 for row in delta0 for e in row):
+        raise MorphismError("gauss reduction needs an integral block")
     mul, t = spec.mul_int, spec.rank
-    nums, den = block_nums(delta0)
+    nums = [[e.nums for e in row] for row in delta0]
     work = [list(row) for row in nums]
     unit, zero = [1] + [0] * (t - 1), [0] * t
     trans = [[unit if i == j else zero for j in range(n)] for i in range(n)]
@@ -468,15 +463,15 @@ def gauss_reduce(spec: RingSpec, delta0) -> tuple[list[list[RingElement]], int]:
 
     m = lcm(*scales)
     out = [
-        [[den * (m // scales[c]) * v for v in mul(clearers[c], trans[c][j])] for j in range(n)]
+        [[(m // scales[c]) * v for v in mul(clearers[c], trans[c][j])] for j in range(n)]
         for c in range(n)
     ]
     content = gcd(m, *(v for row in out for e in row for v in e))
     out = [[[v // content for v in e] for e in row] for row in out]
     m //= content
 
-    # final exactness check: delta0' @ delta0 == m * I, that is delta0' @ N == m * D * I
-    if off_scalar(spec, out, nums, m * den) is not None:
+    # final exactness check: delta0' @ delta0 == m * I
+    if off_scalar(spec, out, nums, m) is not None:
         raise MorphismError("gauss reduction identity check failed")
     return [[spec.element(e) for e in row] for row in out], m
 

@@ -47,7 +47,6 @@ from .morphisms import (
     AmbientSpec,
     BlockMorphism,
     MorphismError,
-    block_nums,
     embedding_ir,
     gauss_reduce,
     is_weighted,
@@ -323,19 +322,18 @@ def check_norm_sandwich(a: RingElement, c0_sq: Fraction, c1_sq: Fraction) -> str
 
 def check_gauss_identity(spec: RingSpec, block) -> str | None:
     """gauss_reduce of a full-rank block gives a scale a >= 1 and an
-    integral reduced block with reduced * block = a I, decided in integers:
-    reduced * (D * block) = a D I for D the block's common denominator."""
+    integral reduced block with reduced * block = a I, decided in integers."""
     try:
         reduced, a = gauss_reduce(spec, block)
     except MorphismError as err:
         return f"{spec.tag}: gauss failed: {err}"
     if a < 1:
         return f"{spec.tag}: non-positive scale"
-    left, e = block_nums(reduced)
-    if e != 1:
+    if not all(e.is_integral() for row in reduced for e in row):
         return f"{spec.tag}: reduced block leaves the order"
-    right, d = block_nums(block)
-    at = off_scalar(spec, left, right, a * d)
+    left = [[e.nums for e in row] for row in reduced]
+    right = [[e.nums for e in row] for row in block]
+    at = off_scalar(spec, left, right, a)
     if at is not None:
         return f"{spec.tag}: reduced * block != {a} I at {at}"
     return None

@@ -171,8 +171,7 @@ def specialize(
                 n = lcm(n, c.denominator)
     for fac in y.slots:
         for slot in fac:
-            for tcoord in slot.torsion:
-                n = lcm(n, tcoord.denominator)
+            n = lcm(n, slot.tden)
 
     product = phi.product
     g_blocks = []

@@ -11,16 +11,10 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .model import GeneratorSet, ModelError, ModelPoint, ModelSpace, empty_generators
-from .morphisms import (
-    AmbientSpec,
-    BlockMorphism,
-    MorphismError,
-    SpecialCertificate,
-    WeightedCertificate,
-)
+from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators
+from .morphisms import AmbientSpec, BlockMorphism, SpecialCertificate, WeightedCertificate
 from .reduction import InclusionWitness
-from .rings import ProductRingSpec, RingError, RingSpec
+from .rings import ProductRingSpec, RingSpec
 from .thresholds import ConjecturalOracle, FinitenessThresholds, VarietyCard, finiteness_thresholds
 
 SCHEMA = "endoapprox/scenario/1"
@@ -201,11 +195,14 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_from_json(data) -> Scenario:
-    """The scenario the data describes.  Ring, morphism or point data that
-    its own constructor refuses raises `ScenarioError`, naming that error."""
+    """The scenario the data describes.  Data that its own constructor
+    refuses, or that lacks a field, holds a value of the wrong type or
+    divides by zero, raises `ScenarioError`, naming that error."""
     try:
         return _scenario_from_json(data)
-    except (ModelError, MorphismError, RingError) as err:
+    except ScenarioError:
+        raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
         raise ScenarioError(f"{type(err).__name__}: {err}") from err
 
 
@@ -235,9 +232,6 @@ def _scenario_from_json(data) -> Scenario:
     morphisms = {
         name: morphism_from_json(product, obj) for name, obj in data.get("morphisms", {}).items()
     }
-    for name, phi in morphisms.items():
-        if not all(e.is_integral() for block in phi.blocks for row in block for e in row):
-            raise ScenarioError(f"morphism {name!r} has a non-integral entry")
     witness_specs = tuple(
         WitnessSpec(
             name=w["name"],
@@ -249,6 +243,10 @@ def _scenario_from_json(data) -> Scenario:
         )
         for w in data.get("witnesses", [])
     )
+    for ws in witness_specs:
+        for ref, table in ((ws.morphism, morphisms), (ws.x, points), (ws.xi, points), (ws.y, points)):
+            if ref is not None and ref not in table:
+                raise ScenarioError(f"witness {ws.name!r} names {ref!r}, which the scenario lacks")
 
     card = None
     if "variety_card" in data:

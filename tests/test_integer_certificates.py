@@ -371,8 +371,9 @@ def test_vector_matches_fraction_reference(name):
 
 def _rand_weighted(rng, product, q):
     """(phi, cert, exponent): phi = (a*I | L) in each factor, with one row
-    per factor and L rational, in the approximated branch.  The exponent is
-    the Dirichlet target count, so the box principle keeps b below q^m."""
+    per factor and L over the order, in the approximated branch.  The
+    exponent is the Dirichlet target count, so the box principle keeps b
+    below q^m."""
     t = product.rank
     m = 2 * t
     a = rng.randint(q**m, 2 * q**m)
@@ -380,7 +381,8 @@ def _rand_weighted(rng, product, q):
     blocks = []
     at = 0
     for spec in product.factors:
-        entry = [x * rng.randint(1, a) for x in coords[at : at + spec.rank]]
+        # integral: the coordinates' numerators, each times a draw in [1, a]
+        entry = [x.numerator * rng.randint(1, a) for x in coords[at : at + spec.rank]]
         blocks.append([[spec.integer(a), spec.element(entry)]])
         at += spec.rank
     counts = (1,) * product.n_factors

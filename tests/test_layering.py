@@ -13,14 +13,17 @@ float: everything stays exact, so a float literal, the name `float` or a
 `int / int` escapes this check; the type assertions of the tests cover
 it). `scenario.dump_report` writes every report and refuses any value but
 dict, list, str, int, bool and None, so no module calls `json.dump` or
-`json.dumps`, which would write a float. Modules are parsed with `ast`,
-not imported.
+`json.dumps`, which would write a float. The test oracles in
+`tests/reference.py` compute without the program's kernels, so from the
+package they import only the exception classes in REFERENCE_IMPORTS. Modules
+are parsed with `ast`, not imported.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "endoapprox"
+REFERENCE = Path(__file__).resolve().parent / "reference.py"
 
 
 def private_imports(source: str) -> list[str]:
@@ -210,3 +213,46 @@ def test_no_json_writer_but_the_report_writer():
         f"{path.name}:{found}" for path in sorted(PACKAGE.glob("*.py")) for found in json_writers(path.read_text())
     ]
     assert not offenders, f"JSON written past scenario.dump_report: {offenders}"
+
+
+REFERENCE_IMPORTS = {
+    "endoapprox.dirichlet.BudgetError",
+    "endoapprox.dirichlet.DirichletError",
+    "endoapprox.model.ModelError",
+    "endoapprox.morphisms.MorphismError",
+    "endoapprox.rings.RingError",
+}
+
+
+def package_imports(source: str) -> list[str]:
+    """What a module imports from the `endoapprox` package, however deep the
+    import statement, as "line: endoapprox.module.name"; a whole module
+    imported reads "line: endoapprox.module"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "endoapprox"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "endoapprox":
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names]
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_package_import_detector():
+    source = (
+        "import endoapprox\nimport endoapprox.model as m\nimport json, endoapprox.rings\n"
+        "from endoapprox import linalg\nfrom endoapprox.model import ModelError, apply_morphism as am\n"
+        "from fractions import Fraction\nimport endoapproximate\n"
+        "def f():\n    from endoapprox.dirichlet import BudgetError\n"
+    )
+    assert package_imports(source) == [
+        "1: endoapprox", "2: endoapprox.model", "3: endoapprox.rings", "4: endoapprox.linalg",
+        "5: endoapprox.model.ModelError", "5: endoapprox.model.apply_morphism",
+        "9: endoapprox.dirichlet.BudgetError",
+    ]
+
+
+def test_reference_imports_only_exception_classes():
+    imported = package_imports(REFERENCE.read_text())
+    assert imported
+    offenders = [found for found in imported if found.split(": ")[1] not in REFERENCE_IMPORTS]
+    assert not offenders, f"tests/reference.py imports from the program: {offenders}"

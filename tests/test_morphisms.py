@@ -179,14 +179,15 @@ def test_certificate_rejected_on_construction(products, build, match):
 
 def test_gauss_reduce_clears_by_left_common_multiples(ring_z, ring_zi, ring_hq):
     # [[y, 0], [x, 1]] is cleared below its first pivot by a left common
-    # multiple a*x == b*y: commutative, quaternion, and from rational x, y
-    # the integral pair of d*x and d*y, d their common denominator
+    # multiple a*x == b*y: commutative and quaternion; the last two pairs
+    # are 6x, 6y for x, y with coordinates (1/2, 1, 0, -1/3), (0, 2/3, 1, 1)
+    # and (1/2, 1), (0, 1/3), whose denominators an order does not allow
     pairs = [
         (ring_z.integer(2), ring_z.integer(3)),
         (ring_zi.element([1, 1]), ring_zi.element([0, 1])),
         (ring_hq.element([0, 1, 0, 0]), ring_hq.element([0, 0, 1, 0])),
-        (ring_hq.element([F(1, 2), 1, 0, F(-1, 3)]), ring_hq.element([0, F(2, 3), 1, 1])),
-        (ring_zi.element([F(1, 2), 1]), ring_zi.element([0, F(1, 3)])),
+        (ring_hq.element([3, 6, 0, -2]), ring_hq.element([0, 4, 6, 6])),
+        (ring_zi.element([3, 6]), ring_zi.element([0, 2])),
     ]
     for x, y in pairs:
         spec = x.ring
@@ -215,23 +216,32 @@ def test_gauss_examples(ring_z, ring_zi, ring_hq):
 
 
 def test_gauss_non_integral_blocks(ring_zi):
-    # [[1/2 + i]] once failed its adjugate clearing; both blocks now reduce
-    # N = 2 * block and return 2 * N' with the content of (2 N', a) taken out
+    # a block with an entry outside the order, such as [[1/2 + i]], is
+    # refused before elimination, and check_gauss_identity names the refusal
     half_i = ring_zi.element([F(1, 2), 1])
-    cases = [
-        ([[half_i]], [[ring_zi.element([2, -4])]], 5),
-        ([[half_i, ring_zi.one()], [ring_zi.one(), ring_zi.integer(2)]], None, 4),
-    ]
-    for block, want, want_a in cases:
-        reduced, a = gauss_reduce(ring_zi, block)
-        assert a == want_a and (want is None or reduced == want)
-        n = len(block)
-        assert all(e.is_integral() for row in reduced for e in row)
-        for i in range(n):
-            for j in range(n):
-                acc = sum((reduced[i][p] * block[p][j] for p in range(n)), ring_zi.zero())
-                assert acc == ring_zi.integer(a if i == j else 0)
-        assert check_gauss_identity(ring_zi, block) is None
+    for block in ([[half_i]], [[half_i, ring_zi.one()], [ring_zi.one(), ring_zi.integer(2)]]):
+        with pytest.raises(MorphismError, match="^gauss reduction needs an integral block$"):
+            gauss_reduce(ring_zi, block)
+        assert check_gauss_identity(ring_zi, block) == "Zi: gauss failed: gauss reduction needs an integral block"
+    # the integral multiple [[1 + 2i]] of [[1/2 + i]] reduces
+    reduced, a = gauss_reduce(ring_zi, [[half_i.scale(2)]])
+    assert a == 5 and reduced == [[ring_zi.element([1, -2])]]
+
+
+def test_non_integral_entries_are_refused(products):
+    # every way of building a morphism checks that its entries lie in the order
+    pz, pzi = products["Z"], products["Zi"]
+    with pytest.raises(MorphismError, match=r"^factor 0: entry \(0, 1\) is not integral$"):
+        _mor(pz, (2,), (1,), [[[[2], [F(5, 3)]]]])
+    with pytest.raises(MorphismError, match=r"^factor 0: entry \(1, 0\) is not integral$"):
+        _mor(pzi, (1,), (2,), [[[[1, 0]], [[0, F(1, 2)]]]])
+    spec = pzi.factors[0]
+    half = spec.element([F(1, 2), 0])
+    with pytest.raises(MorphismError, match=r"^factor 0: entry \(0, 0\) is not integral$"):
+        BlockMorphism(pzi, (1,), (1,), [[[half]]])
+    # the same entries over the order build, and so does 2 * half
+    assert _mor(pz, (2,), (1,), [[[[2], [5]]]]).norm_sq() == 25
+    assert BlockMorphism(pzi, (1,), (1,), [[[half.scale(2)]]]) == BlockMorphism.identity(pzi, (1,))
 
 
 def test_gauss_rejects_rank_deficient(ring_z):

@@ -95,6 +95,16 @@ def test_specialize_examples(zsetup):
     assert [e.coords[0] for row in g_mor.blocks[0] for e in row] == [1, 3]
     assert y2.int_mul(3) == apply_morphism(g_mor, gamma.point)
 
+    # y = torsion (1/4, 1/2) in slot 0 plus gamma/2 in slot 1: N = 4 clears
+    # the torsion as well as the coefficient, G = (0, 2)
+    y3 = space_g.point([[space_g.slot(0, torsion=[F(1, 4), F(1, 2)]), space_g.slot(0, free=[[F(1, 2)]])]])
+    w3 = InclusionWitness(morphism=phi, x=space_g.zero() - y3, xi=space_g.zero(), xi_bound_sq=F(0),
+                          y=y3, weighted=is_weighted(phi))
+    n, g_mor = specialize(w3, gamma, F(25)).group_data
+    assert n == 4
+    assert [e.coords[0] for row in g_mor.blocks[0] for e in row] == [0, 2]
+    assert y3.int_mul(4) == apply_morphism(g_mor, gamma.point)
+
 
 def test_specialize_rejects_outside_span(zsetup):
     pz, ledger, amb, space_g, space_s, gamma, phi = zsetup

@@ -163,37 +163,56 @@ def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths, command, stem, 
         assert len(diagnostics) == 1 and diagnostics[0].startswith("WitnessError: ")
 
 
-def _z_basic_copy(tmp_path, scenario_paths, params, morphisms, ring=None):
+def _z_basic_copy(tmp_path, scenario_paths, edit):
+    """A copy of z-basic.json with `edit` applied to its data."""
     data = json.loads(next(p for p in scenario_paths if p.stem == "z-basic").read_text())
-    data["parameters"].update(params)
-    data["morphisms"].update(morphisms)
-    data["rings"][0].update(ring or {})
+    edit(data)
     copy = tmp_path / "z-basic.json"
     copy.write_text(json.dumps(data))
     return copy
 
 
+def _update(*path, **fields):
+    """An edit that updates the dict at `path` with `fields`."""
+    def edit(data):
+        for key in path:
+            data = data[key]
+        data.update(fields)
+    return edit
+
+
 HALF = {"num": "1", "den": "2"}
 # phi_a = (2 | 5) with its first entry set to 1/2: over the integers, a
 # morphism over an order has integral entries
-PHI_A_HALF = {"phi_a": {"source": [2], "target": [1], "blocks": [[[[HALF], [{"num": "5", "den": "1"}]]]]}}
+PHI_A_HALF = {"source": [2], "target": [1], "blocks": [[[[HALF], [{"num": "5", "den": "1"}]]]]}
 
 
 # phi_a = (2 | 5) declared with 3 source columns; a ring Gram form [[-1]]
-PHI_A_SOURCE_3 = {"phi_a": {"source": [3], "target": [1], "blocks": PHI_A_HALF["phi_a"]["blocks"]}}
-GRAM_NEGATIVE = {"gram": [[{"num": "-1", "den": "1"}]]}
+PHI_A_SOURCE_3 = {"source": [3], "target": [1], "blocks": PHI_A_HALF["blocks"]}
+GRAM_NEGATIVE = [[{"num": "-1", "den": "1"}]]
 
 
-@pytest.mark.parametrize("params, morphisms, ring, message", [
-    ({"eps_sq": {"num": "0", "den": "1"}}, {}, None, "ScenarioError: scenario requires eps_sq > 0"),
-    ({"eps_sq": {"num": "2", "den": "1"}, "k0_sq": {"num": "1", "den": "1"}}, {}, None,
+def _drop_parameters(data):
+    del data["parameters"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_update("parameters", eps_sq={"num": "0", "den": "1"}), "ScenarioError: scenario requires eps_sq > 0"),
+    (_update("parameters", eps_sq={"num": "2", "den": "1"}, k0_sq={"num": "1", "den": "1"}),
      "ScenarioError: scenario requires K0^2 >= eps^2"),
-    ({}, PHI_A_HALF, None, "ScenarioError: morphism 'phi_a' has a non-integral entry"),
-    ({}, PHI_A_SOURCE_3, None, "ScenarioError: MorphismError: factor 0: expected 3 columns"),
-    ({}, {}, GRAM_NEGATIVE, "ScenarioError: RingError: Z: gram form is not positive-definite"),
-], ids=["eps-zero", "k0-below-eps", "non-integral-morphism", "morphism-shape", "gram-negative"])
-def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, params, morphisms, ring, message):
-    path = _z_basic_copy(tmp_path, scenario_paths, params, morphisms, ring)
+    (_update("morphisms", phi_a=PHI_A_HALF), "ScenarioError: MorphismError: factor 0: entry (0, 0) is not integral"),
+    (_update("morphisms", phi_a=PHI_A_SOURCE_3), "ScenarioError: MorphismError: factor 0: expected 3 columns"),
+    (_update("rings", 0, gram=GRAM_NEGATIVE), "ScenarioError: RingError: Z: gram form is not positive-definite"),
+    (_update("witnesses", 0, x="nope"), "ScenarioError: witness 'w_a' names 'nope', which the scenario lacks"),
+    (_update("witnesses", 1, morphism="nope"), "ScenarioError: witness 'w_b' names 'nope', which the scenario lacks"),
+    (_update("parameters", eps_sq={"num": "1", "den": "0"}), "ScenarioError: ZeroDivisionError: Fraction(1, 0)"),
+    (_drop_parameters, "ScenarioError: KeyError: 'parameters'"),
+], ids=[
+    "eps-zero", "k0-below-eps", "non-integral-morphism", "morphism-shape", "gram-negative",
+    "witness-unknown-point", "witness-unknown-morphism", "zero-denominator", "no-parameters",
+])
+def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, edit, message):
+    path = _z_basic_copy(tmp_path, scenario_paths, edit)
     for command in ("approx", "reduce", "pipeline", "verify", "thresholds", "report"):
         assert main([command, "--scenario", str(path)]) == 1, command
         captured = capsys.readouterr()
