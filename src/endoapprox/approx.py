@@ -23,10 +23,9 @@ its constants are in the ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import dirichlet
 from .exact import ceil_sqrt, le_linear_sqrt_int, sqrt_lower, sqrt_upper
@@ -93,8 +92,7 @@ def derive_ledger(product: ProductRingSpec) -> ConstantLedger:
 # -- vectors over the product ring ----------------------------------------
 
 
-@dataclass(frozen=True)
-class VectorApprox:
+class VectorApprox(NamedTuple):
     denominator: int
     approximation: tuple[ProductElement, ...]
     bound: int  # exclusive bound Q**(n*t)
@@ -237,8 +235,7 @@ def approx_vector(
 # -- weighted morphisms -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightedApprox:
+class WeightedApprox(NamedTuple):
     morphism: BlockMorphism
     denominator: int
     certificate: WeightedCertificate
@@ -398,8 +395,7 @@ def approx_weighted(
 # -- special morphisms and witness transport --------------------------------
 
 
-@dataclass(frozen=True)
-class SpecialApprox:
+class SpecialApprox(NamedTuple):
     morphism: BlockMorphism
     certificate: SpecialCertificate
     denominator: int

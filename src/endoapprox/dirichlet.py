@@ -19,7 +19,6 @@ feasibility oracle's table is integers over D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import clear_denominators
@@ -36,16 +35,37 @@ class BudgetError(RuntimeError):
 DEFAULT_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
-class ApproxResult:
-    denominator: int
-    numerators: tuple[int, ...]
-    error: Fraction
-    bound: int  # the exclusive denominator bound Q**m
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if not (1 <= self.denominator < self.bound):
+
+class ApproxResult:
+    """A denominator b with its numerators and error, 1 <= b < bound (the
+    exclusive denominator bound Q**m); construction checks the range.
+    Immutable."""
+
+    __slots__ = ("denominator", "numerators", "error", "bound")
+
+    def __init__(self, denominator: int, numerators: tuple[int, ...], error: Fraction, bound: int):
+        if not (1 <= denominator < bound):
             raise DirichletError("denominator outside the guaranteed range")
+        _set(self, "denominator", denominator)
+        _set(self, "numerators", numerators)
+        _set(self, "error", error)
+        _set(self, "bound", bound)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.denominator, self.numerators, self.error, self.bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not ApproxResult:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _cleared(alpha, q: int) -> tuple[list[int], int]:

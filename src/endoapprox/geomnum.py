@@ -14,8 +14,8 @@ change: the contract is only the inequality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .model import GeneratorSet, ModelPoint, apply_morphism, orbit_gram
@@ -27,8 +27,7 @@ class GeomNumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PointConstants:
+class PointConstants(NamedTuple):
     """(c_sq, eps0_sq) certified for one factor of a full-rank point:
     c_sq * sum |b_i|^2 h(p_i) <= h(sum b_i (p_i - xi_i)) whenever every
     h(xi_i) <= eps0_sq."""

@@ -8,7 +8,6 @@ checked and why it is valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -16,21 +15,47 @@ class LedgerError(KeyError):
     pass
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class LedgerEntry:
-    name: str
-    value: Fraction
-    formula: str
-    inputs: tuple[tuple[str, str], ...] = ()
+    """One positive constant with its formula and inputs.  Immutable."""
 
-    def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError(f"ledger constant {self.name} must be positive, got {self.value}")
+    __slots__ = ("name", "value", "formula", "inputs")
+
+    def __init__(self, name: str, value: Fraction, formula: str, inputs: tuple[tuple[str, str], ...] = ()):
+        if value <= 0:
+            raise ValueError(f"ledger constant {name} must be positive, got {value}")
+        _set(self, "name", name)
+        _set(self, "value", value)
+        _set(self, "formula", formula)
+        _set(self, "inputs", inputs)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.name, self.value, self.formula, self.inputs)
+
+    def __eq__(self, other):
+        if other.__class__ is not LedgerEntry:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass
 class ConstantLedger:
-    entries: dict[str, LedgerEntry] = field(default_factory=dict)
+    """The constants by name; `define` adds one."""
+
+    def __init__(self, entries: dict[str, LedgerEntry] | None = None):
+        self.entries = {} if entries is None else entries
+
+    def __eq__(self, other):
+        if other.__class__ is not ConstantLedger:
+            return NotImplemented
+        return self.entries == other.entries
 
     def define(self, name: str, value: Fraction, formula: str, **inputs) -> LedgerEntry:
         entry = LedgerEntry(

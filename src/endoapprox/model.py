@@ -15,7 +15,6 @@ divisibility, torsion of height zero) holds exactly by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -31,18 +30,31 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class ModelSpace:
-    """An ambient power together with per-factor free-module ranks."""
+    """An ambient power together with per-factor free-module ranks.
+    Immutable; it keeps a `__dict__` for the spaces `with_counts` built."""
 
-    ambient: AmbientSpec
-    free_ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.free_ranks) != self.ambient.product.n_factors:
+    def __init__(self, ambient: AmbientSpec, free_ranks: tuple[int, ...]):
+        if len(free_ranks) != ambient.product.n_factors:
             raise ModelError("one free rank per ring factor required")
-        if any(r < 0 for r in self.free_ranks):
+        if any(r < 0 for r in free_ranks):
             raise ModelError("free ranks must be non-negative")
+        _set(self, "ambient", ambient)
+        _set(self, "free_ranks", free_ranks)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ModelSpace:
+            return NotImplemented
+        return (self.ambient, self.free_ranks) == (other.ambient, other.free_ranks)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.free_ranks))
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -121,9 +133,6 @@ class SlotValue(NamedTuple):
 
     def is_zero(self) -> bool:
         return not any(self.tnums) and self.is_torsion()
-
-
-_set = object.__setattr__
 
 
 class ModelPoint:
@@ -437,26 +446,38 @@ def concat_points(x: ModelPoint, p: ModelPoint) -> ModelPoint:
     return ModelPoint(space, slots)
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """Free generators of a finite-rank subgroup, grouped by factor.
 
     Each generator is a single-slot point of its factor; the free parts of
     the ring orbit must be rationally independent (full rank), and the
     generators must be torsion-free so integer relations N*y = G*gamma stay
-    exact in the model.
+    exact in the model.  Immutable.
     """
 
-    space: ModelSpace  # counts = rank multi-index s
-    point: ModelPoint
+    __slots__ = ("space", "point")
 
-    def __post_init__(self):
-        if self.point.space != self.space:
+    def __init__(self, space: ModelSpace, point: ModelPoint):
+        # space.counts is the rank multi-index s
+        if point.space != space:
             raise ModelError("generator point must live in the declared space")
-        if any(any(s.tnums) for fac in self.point.slots for s in fac):
+        if any(any(s.tnums) for fac in point.slots for s in fac):
             raise ModelError("generators must be torsion-free")
-        if rank_of_point(self.point) != self.space.counts:
+        if rank_of_point(point) != space.counts:
             raise ModelError("generators are not free (rank condition fails)")
+        _set(self, "space", space)
+        _set(self, "point", point)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not GeneratorSet:
+            return NotImplemented
+        return (self.space, self.point) == (other.space, other.point)
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.point))
 
     def generator(self, factor: int, index: int) -> SlotValue:
         return self.point.slots[factor][index]

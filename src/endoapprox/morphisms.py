@@ -13,7 +13,6 @@ keeps every composition exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -27,19 +26,33 @@ class MorphismError(ValueError):
 
 MultiIndex = tuple[int, ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class AmbientSpec:
-    """A power of the product variety: per-factor coordinate counts."""
+    """A power of the product variety: per-factor coordinate counts.
+    Immutable."""
 
-    product: ProductRingSpec
-    counts: MultiIndex
+    __slots__ = ("product", "counts")
 
-    def __post_init__(self):
-        if len(self.counts) != self.product.n_factors:
+    def __init__(self, product: ProductRingSpec, counts: MultiIndex):
+        if len(counts) != product.n_factors:
             raise MorphismError("one count per ring factor required")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise MorphismError("coordinate counts must be non-negative")
+        _set(self, "product", product)
+        _set(self, "counts", counts)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AmbientSpec:
+            return NotImplemented
+        return (self.product, self.counts) == (other.product, other.counts)
+
+    def __hash__(self) -> int:
+        return hash((self.product, self.counts))
 
     @property
     def total(self) -> int:
@@ -233,21 +246,41 @@ def rank_and_codim(phi: BlockMorphism, ambient: AmbientSpec) -> tuple[MultiIndex
     return tuple(ranks), codim
 
 
-@dataclass(frozen=True)
 class WeightedCertificate:
     """Scale a with per-factor column selections realizing a*I inside the
     morphism it certifies; construction checks it, so a false one raises.
+    Immutable.
 
     columns[i][j] is the source column of factor i whose image is a times
     the j-th target basis vector; slack_sq certifies |phi|^2 <= slack_sq*a^2.
     """
 
-    morphism: BlockMorphism
-    scale: int
-    columns: tuple[tuple[int, ...], ...]
-    slack_sq: Fraction
+    __slots__ = ("morphism", "scale", "columns", "slack_sq")
 
-    def __post_init__(self):
+    def __init__(
+        self, morphism: BlockMorphism, scale: int, columns: tuple[tuple[int, ...], ...], slack_sq: Fraction
+    ):
+        _set(self, "morphism", morphism)
+        _set(self, "scale", scale)
+        _set(self, "columns", columns)
+        _set(self, "slack_sq", slack_sq)
+        self._verify()
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.morphism, self.scale, self.columns, self.slack_sq)
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightedCertificate:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _verify(self) -> None:
         phi = self.morphism
         if self.scale < 1:
             raise MorphismError("weighted scale must be a positive integer")
@@ -270,23 +303,38 @@ class WeightedCertificate:
             raise MorphismError("norm exceeds the certified weighted slack")
 
 
-@dataclass(frozen=True)
 class SpecialCertificate:
     """A special morphism phi_tilde = (phi|phi') with a weighted certificate
     for its left block phi; construction checks it, so a false one raises.
+    Immutable.
 
     slack_sq certifies |phi_tilde|^2 <= slack_sq * |phi|^2.
     """
 
-    morphism: BlockMorphism
-    weighted: WeightedCertificate
-    slack_sq: Fraction
+    __slots__ = ("morphism", "weighted", "slack_sq")
+
+    def __init__(self, morphism: BlockMorphism, weighted: WeightedCertificate, slack_sq: Fraction):
+        _set(self, "morphism", morphism)
+        _set(self, "weighted", weighted)
+        _set(self, "slack_sq", slack_sq)
+        self._verify()
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not SpecialCertificate:
+            return NotImplemented
+        return (self.morphism, self.weighted, self.slack_sq) == (other.morphism, other.weighted, other.slack_sq)
+
+    def __hash__(self) -> int:
+        return hash((self.morphism, self.weighted, self.slack_sq))
 
     @property
     def left_counts(self) -> MultiIndex:
         return self.weighted.morphism.source
 
-    def __post_init__(self):
+    def _verify(self) -> None:
         phi = self.weighted.morphism
         if self.morphism.split_columns(phi.source)[0] != phi:
             raise MorphismError("weighted certificate is not for the left block")

@@ -2,17 +2,17 @@
 translation through the section, the pair embedding/projection pair, and
 the rank consistency check for special morphisms.
 
-A witness checks itself when it is built: `InclusionWitness` verifies its
-kernel equation and height bound in `__post_init__`, and that its
-certificates (which check themselves) are for its morphism.  So no
-unchecked witness exists and `dataclasses.replace` re-checks every changed
-copy.  The transformers take verified witnesses, re-derive the height
-bound they claim for the output perturbation, and build verified outputs.
+A witness checks itself when it is built: `InclusionWitness.__init__`
+verifies its kernel equation and height bound, and that its certificates
+(which check themselves) are for its morphism.  So no unchecked witness
+exists, and a changed copy is a new witness built through the constructor,
+which checks it again.  The transformers take verified witnesses, re-derive
+the height bound they claim for the output perturbation, and build verified
+outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -39,6 +39,9 @@ from .morphisms import (
 )
 
 
+_set = object.__setattr__
+
+
 class WitnessError(ValueError):
     pass
 
@@ -47,7 +50,6 @@ class ConsistencyError(AssertionError):
     """A structurally impossible state was observed; indicates corrupted inputs."""
 
 
-@dataclass(frozen=True)
 class InclusionWitness:
     """A certificate that a point lies in a kernel translated by a small ball.
 
@@ -59,26 +61,53 @@ class InclusionWitness:
     A pair witness carries the special certificate's weighted certificate
     as its own; its special (pair) or weighted (plain) certificate is for
     its morphism.  Construction verifies all of this; a false witness raises.
+    Immutable.
     """
 
-    morphism: BlockMorphism
-    x: ModelPoint
-    xi: ModelPoint
-    xi_bound_sq: Fraction
-    p: ModelPoint | None = None
-    y: ModelPoint | None = None
-    weighted: WeightedCertificate | None = None
-    special: SpecialCertificate | None = None
-    group_data: tuple[int, BlockMorphism] | None = None
+    __slots__ = ("morphism", "x", "xi", "xi_bound_sq", "p", "y", "weighted", "special", "group_data")
+
+    def __init__(
+        self,
+        morphism: BlockMorphism,
+        x: ModelPoint,
+        xi: ModelPoint,
+        xi_bound_sq: Fraction,
+        p: ModelPoint | None = None,
+        y: ModelPoint | None = None,
+        weighted: WeightedCertificate | None = None,
+        special: SpecialCertificate | None = None,
+        group_data: tuple[int, BlockMorphism] | None = None,
+    ):
+        _set(self, "morphism", morphism)
+        _set(self, "x", x)
+        _set(self, "xi", xi)
+        _set(self, "xi_bound_sq", xi_bound_sq)
+        _set(self, "p", p)
+        _set(self, "y", y)
+        _set(self, "weighted", weighted)
+        _set(self, "special", special)
+        _set(self, "group_data", group_data)
+        self.verify()
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not InclusionWitness:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def argument(self) -> ModelPoint:
         base = self.x if self.p is None else concat_points(self.x, self.p)
         if self.y is not None:
             base = base + self.y
         return base + self.xi
-
-    def __post_init__(self):
-        self.verify()
 
     def verify(self) -> None:
         if self.xi.height() > self.xi_bound_sq:
@@ -140,7 +169,11 @@ def weighted_witness(w: InclusionWitness, ambient: AmbientSpec) -> tuple[Inclusi
     if w.weighted is not None:
         return w, False
     cert, weightified = weighted_normal_form(w.morphism, ambient)
-    return replace(w, morphism=cert.morphism, weighted=cert), weightified
+    rebuilt = InclusionWitness(
+        morphism=cert.morphism, x=w.x, xi=w.xi, xi_bound_sq=w.xi_bound_sq, p=w.p, y=w.y,
+        weighted=cert, special=w.special, group_data=w.group_data,
+    )
+    return rebuilt, weightified
 
 
 def specialize(
@@ -301,6 +334,8 @@ def point_project(
     if w.x.height() > k0_sq:
         raise WitnessError("witness point exceeds the configured height bound")
     _, special = rank_check_special(w, ambient)
-    return translate_witness(
-        replace(w, morphism=special.morphism, weighted=special.weighted, special=special), ledger
+    certified = InclusionWitness(
+        morphism=special.morphism, x=w.x, xi=w.xi, xi_bound_sq=w.xi_bound_sq, p=w.p, y=w.y,
+        weighted=special.weighted, special=special, group_data=w.group_data,
     )
+    return translate_witness(certified, ledger)

@@ -13,7 +13,6 @@ everywhere, no radicals).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -37,7 +36,9 @@ def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class RingSpec:
     """An order (or quaternion order) presented by structure constants.
 
@@ -54,19 +55,26 @@ class RingSpec:
     first use, and not compared either.
     """
 
-    tag: str
-    rank: int
-    dimension: int
-    basis_labels: tuple[str, ...]
-    mul_table: tuple[tuple[tuple[int, ...], ...], ...]
-    involution: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    lattice_rep: tuple[tuple[tuple[int, ...], ...], ...]
-    gram_int: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    gram_den: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        t = self.rank
+    def __init__(
+        self,
+        tag: str,
+        rank: int,
+        dimension: int,
+        basis_labels: tuple[str, ...],
+        mul_table: tuple[tuple[tuple[int, ...], ...], ...],
+        involution: tuple[tuple[int, ...], ...],
+        gram: tuple[tuple[Fraction, ...], ...],
+        lattice_rep: tuple[tuple[tuple[int, ...], ...], ...],
+    ):
+        _set(self, "tag", tag)
+        _set(self, "rank", rank)
+        _set(self, "dimension", dimension)
+        _set(self, "basis_labels", basis_labels)
+        _set(self, "mul_table", mul_table)
+        _set(self, "involution", involution)
+        _set(self, "gram", gram)
+        _set(self, "lattice_rep", lattice_rep)
+        t = rank
         if t < 1 or self.dimension < 1:
             raise RingError("rank and dimension must be positive")
         if len(self.basis_labels) != t or len(self.mul_table) != t:
@@ -83,9 +91,24 @@ class RingSpec:
         ):
             raise RingError("lattice representation must be rank matrices of size 2*dimension")
         nums, den = linalg.clear_denominators([x for row in self.gram for x in row])
-        object.__setattr__(self, "gram_int", tuple(tuple(nums[i * t : (i + 1) * t]) for i in range(t)))
-        object.__setattr__(self, "gram_den", den)
+        _set(self, "gram_int", tuple(tuple(nums[i * t : (i + 1) * t]) for i in range(t)))
+        _set(self, "gram_den", den)
         self.validate()
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.tag, self.rank, self.dimension, self.basis_labels, self.mul_table,
+                self.involution, self.gram, self.lattice_rep)
+
+    def __eq__(self, other):
+        if other.__class__ is not RingSpec:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     # -- elements ----------------------------------------------------------
 
@@ -253,16 +276,29 @@ class RingSpec:
         return [[col[i] for col in cols] for i in range(t)]
 
 
-@dataclass(frozen=True)
 class RingElement:
     """An element as integer numerators over one denominator, nums[i] / den
     its i-th coordinate, in lowest terms: den >= 1, gcd(den, *nums) == 1,
     and zero over 1, so equal elements have equal fields.  `coords` is the
-    read-only Fraction view."""
+    read-only Fraction view.  Immutable."""
 
-    ring: RingSpec
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("ring", "nums", "den")
+
+    def __init__(self, ring: RingSpec, nums: tuple[int, ...], den: int):
+        _set(self, "ring", ring)
+        _set(self, "nums", nums)
+        _set(self, "den", den)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not RingElement:
+            return NotImplemented
+        return (self.ring, self.nums, self.den) == (other.ring, other.nums, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.ring, self.nums, self.den))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -380,18 +416,29 @@ def submultiplicativity_sq(ring: RingSpec) -> Fraction:
     return ring._submultiplicativity
 
 
-@dataclass(frozen=True)
 class ProductRingSpec:
-    """Ordered product of pairwise distinct simple-factor rings."""
+    """Ordered product of pairwise distinct simple-factor rings.  Immutable."""
 
-    factors: tuple[RingSpec, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        tags = [f.tag for f in self.factors]
+    def __init__(self, factors: tuple[RingSpec, ...]):
+        tags = [f.tag for f in factors]
         if len(set(tags)) != len(tags):
             raise RingError("product factors must carry distinct tags")
-        if not self.factors:
+        if not factors:
             raise RingError("product of zero rings")
+        _set(self, "factors", factors)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ProductRingSpec:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @property
     def rank(self) -> int:
@@ -427,10 +474,25 @@ class ProductRingSpec:
         return ProductElement(self, tuple(parts))
 
 
-@dataclass(frozen=True)
 class ProductElement:
-    product: ProductRingSpec
-    parts: tuple[RingElement, ...]
+    """One element per factor of a product ring.  Immutable."""
+
+    __slots__ = ("product", "parts")
+
+    def __init__(self, product: ProductRingSpec, parts: tuple[RingElement, ...]):
+        _set(self, "product", product)
+        _set(self, "parts", parts)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ProductElement:
+            return NotImplemented
+        return (self.product, self.parts) == (other.product, other.parts)
+
+    def __hash__(self) -> int:
+        return hash((self.product, self.parts))
 
     def norm_sq(self) -> Fraction:
         return sum((p.norm_sq() for p in self.parts), Fraction(0))

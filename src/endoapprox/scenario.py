@@ -6,10 +6,10 @@ thresholds data and search budgets, all in JSON with rationals written as
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators
 from .morphisms import AmbientSpec, BlockMorphism, SpecialCertificate, WeightedCertificate
@@ -76,14 +76,24 @@ def ring_to_json(spec: RingSpec) -> dict:
 
 
 def point_from_json(space_g: ModelSpace, obj) -> ModelPoint:
+    """The point the data describes; its counts, and the torsion and free
+    parts of each slot, must fit the space's ring factors and free ranks."""
     counts = tuple(int(c) for c in obj["counts"])
     space = space_g.with_counts(counts)
+    if len(obj["slots"]) != len(counts):
+        raise ScenarioError("slot count mismatch in point")
     slots = []
     for i, fac in enumerate(obj["slots"]):
         if len(fac) != counts[i]:
             raise ScenarioError("slot count mismatch in point")
+        spec, nu = space.product.factors[i], space.free_ranks[i]
         built = []
         for slot in fac:
+            if len(slot.get("torsion", [])) > 2 * spec.dimension:
+                raise ScenarioError(f"factor {i}: torsion part longer than {2 * spec.dimension}")
+            free = slot.get("free", [])
+            if len(free) > nu or any(len(coeff) > spec.rank for coeff in free):
+                raise ScenarioError(f"factor {i}: free part exceeds free rank {nu} over rank {spec.rank}")
             built.append(
                 space.slot(
                     i,
@@ -134,8 +144,7 @@ def morphism_to_json(phi: BlockMorphism) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class WitnessSpec:
+class WitnessSpec(NamedTuple):
     name: str
     morphism: str
     x: str
@@ -144,31 +153,61 @@ class WitnessSpec:
     y: str | None = None
 
 
-@dataclass
 class Scenario:
-    name: str
-    seed: int
-    budget: int
-    torsion_budget: int
-    product: ProductRingSpec
-    ambient: AmbientSpec
-    space: ModelSpace
-    eps_sq: Fraction
-    k0_sq: Fraction
-    eta: Fraction
-    gamma: GeneratorSet
-    points: dict[str, ModelPoint] = field(default_factory=dict)
-    morphisms: dict[str, BlockMorphism] = field(default_factory=dict)
-    witness_specs: tuple[WitnessSpec, ...] = ()
-    card: VarietyCard | None = None
-    oracle: ConjecturalOracle | None = None
-    targets: tuple[tuple[str, Fraction], ...] = ()
+    """Everything a scenario file describes; `cli` overrides `seed` and
+    `budget` in place."""
 
-    def __post_init__(self):
-        if self.eps_sq <= 0:
-            raise ScenarioError(f"scenario requires eps_sq > 0, got {self.eps_sq}")
-        if self.k0_sq < self.eps_sq:
+    def __init__(
+        self,
+        name: str,
+        seed: int,
+        budget: int,
+        torsion_budget: int,
+        product: ProductRingSpec,
+        ambient: AmbientSpec,
+        space: ModelSpace,
+        eps_sq: Fraction,
+        k0_sq: Fraction,
+        eta: Fraction,
+        gamma: GeneratorSet,
+        points: dict[str, ModelPoint] | None = None,
+        morphisms: dict[str, BlockMorphism] | None = None,
+        witness_specs: tuple[WitnessSpec, ...] = (),
+        card: VarietyCard | None = None,
+        oracle: ConjecturalOracle | None = None,
+        targets: tuple[tuple[str, Fraction], ...] = (),
+    ):
+        if eps_sq <= 0:
+            raise ScenarioError(f"scenario requires eps_sq > 0, got {eps_sq}")
+        if k0_sq < eps_sq:
             raise ScenarioError("scenario requires K0^2 >= eps^2")
+        if torsion_budget < 1:
+            raise ScenarioError(f"scenario requires torsion_budget >= 1, got {torsion_budget}")
+        for tag, deg in targets:
+            if deg <= 0:
+                raise ScenarioError(f"target {tag!r} requires a positive degree, got {deg}")
+        self.name = name
+        self.seed = seed
+        self.budget = budget
+        self.torsion_budget = torsion_budget
+        self.product = product
+        self.ambient = ambient
+        self.space = space
+        self.eps_sq = eps_sq
+        self.k0_sq = k0_sq
+        self.eta = eta
+        self.gamma = gamma
+        self.points = {} if points is None else points
+        self.morphisms = {} if morphisms is None else morphisms
+        self.witness_specs = witness_specs
+        self.card = card
+        self.oracle = oracle
+        self.targets = targets
+
+    def __eq__(self, other):
+        if other.__class__ is not Scenario:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def thresholds(self) -> FinitenessThresholds:
         """finiteness_thresholds at this scenario's card, oracle, eta, K0^2, ambient total and targets."""
@@ -190,7 +229,12 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    data = json.loads(Path(path).read_text())
+    """The scenario in the JSON file at `path`; text that is not JSON
+    raises `ScenarioError`, naming the decoder's error."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as err:  # JSONDecodeError, or UnicodeDecodeError from the bytes
+        raise ScenarioError(f"{type(err).__name__}: {err}") from err
     return scenario_from_json(data)
 
 
@@ -207,6 +251,8 @@ def scenario_from_json(data) -> Scenario:
 
 
 def _scenario_from_json(data) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"a scenario is a JSON object, not {type(data).__name__}")
     if data.get("schema") != SCHEMA:
         raise ScenarioError(f"unsupported scenario schema: {data.get('schema')!r}")
     rings = [_ring_from_json(r) for r in data["rings"]]

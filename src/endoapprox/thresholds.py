@@ -10,8 +10,8 @@ derived: the oracle maps (ambient tag, eta) to a positive rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import pow_lower, pow_upper
 
@@ -20,28 +20,46 @@ class ThresholdError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class VarietyCard:
-    """Degree/dimension data of the subvariety and its ambient."""
+    """Degree/dimension data of the subvariety and its ambient.  Immutable."""
 
-    ambient_tag: str
-    deg_v: Fraction
-    dim_d: int
-    cod_v: int
-    deg_ambient: Fraction
-    ambient_dim: int
+    __slots__ = ("ambient_tag", "deg_v", "dim_d", "cod_v", "deg_ambient", "ambient_dim")
 
-    def __post_init__(self):
-        if self.deg_v <= 0 or self.deg_ambient <= 0:
+    def __init__(
+        self, ambient_tag: str, deg_v: Fraction, dim_d: int, cod_v: int, deg_ambient: Fraction, ambient_dim: int
+    ):
+        if deg_v <= 0 or deg_ambient <= 0:
             raise ThresholdError("degrees must be positive")
-        if self.dim_d < 0 or self.cod_v < 1:
+        if dim_d < 0 or cod_v < 1:
             raise ThresholdError("dimension must be non-negative and codimension positive")
-        if self.dim_d + self.cod_v != self.ambient_dim:
+        if dim_d + cod_v != ambient_dim:
             raise ThresholdError("dimension + codimension must equal the ambient dimension")
+        _set(self, "ambient_tag", ambient_tag)
+        _set(self, "deg_v", deg_v)
+        _set(self, "dim_d", dim_d)
+        _set(self, "cod_v", cod_v)
+        _set(self, "deg_ambient", deg_ambient)
+        _set(self, "ambient_dim", ambient_dim)
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.ambient_tag, self.deg_v, self.dim_d, self.cod_v, self.deg_ambient, self.ambient_dim)
+
+    def __eq__(self, other):
+        if other.__class__ is not VarietyCard:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class ConjecturalOracle:
+class ConjecturalOracle(NamedTuple):
     """Supplied constants c(ambient, eta) > 0; never computed here."""
 
     values: tuple[tuple[str, Fraction, Fraction], ...]
@@ -81,8 +99,7 @@ def kernel_degree(a: int, ranks, dims) -> int:
     return a**exponent
 
 
-@dataclass(frozen=True)
-class MuBounds:
+class MuBounds(NamedTuple):
     bound_phi: Fraction  # lower bound for mu(phi(V+y))
     bound_big_phi: Fraction  # lower bound for mu(Phi(V+y))
     eps1_lower: Fraction
@@ -140,8 +157,7 @@ def mu_lower_bounds(
     return MuBounds(bound_phi=bound_phi, bound_big_phi=bound_big, eps1_lower=e1, eps2_lower=e2)
 
 
-@dataclass(frozen=True)
-class ThresholdCase:
+class ThresholdCase(NamedTuple):
     case: int  # 1: |phi| <= m (image ball), 2: |phi| >= m (extension ball)
     at_boundary: bool
     ball_radius_sq: Fraction
@@ -149,8 +165,7 @@ class ThresholdCase:
     radius_large_sq: Fraction
 
 
-@dataclass(frozen=True)
-class FinitenessThresholds:
+class FinitenessThresholds(NamedTuple):
     m_upper: Fraction
     eps1_star_sq: Fraction
     eps1_lower: Fraction

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -134,7 +133,7 @@ def test_constants_all_min(zs):
     free = [[[rng.randint(-1000, 1000)] for _ in range(3)] for _ in range(3)]
     p3 = s3.point([[s3.slot(0, free=f) for f in free]])
     both = point_constants_all(p3)
-    assert both == replace(point_lower_constants(p3, 0), factor=-1)
+    assert both == point_lower_constants(p3, 0)._replace(factor=-1)
     vecs = [[x for (x,) in f] for f in free]
     gram = [[F(sum(x * y for x, y in zip(u, v))) for v in vecs] for u in vecs]
     for i in range(3):

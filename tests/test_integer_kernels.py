@@ -10,7 +10,6 @@ references."""
 
 import copy
 import random
-from dataclasses import fields, replace
 from fractions import Fraction as F
 from math import gcd, lcm
 
@@ -447,8 +446,8 @@ def test_mul_and_rho_match_fraction_reference(rings, two_factor, kind):
 def _gram_rings(rings, two_factor, mixed):
     """Every ring case plus two whose Gram forms have non-unit denominators."""
     skewed = [
-        replace(rings["Z"], tag="Zs", gram=((F(7, 3),),)),
-        replace(rings["Zi"], tag="Zis", gram=((F(3, 2), F(1, 5)), (F(1, 5), F(5, 7)))),
+        RingSpec(**dict(_fields(rings["Z"]), tag="Zs", gram=((F(7, 3),),))),
+        RingSpec(**dict(_fields(rings["Zi"]), tag="Zis", gram=((F(3, 2), F(1, 5)), (F(1, 5), F(5, 7))))),
     ]
     return _ring_cases(rings, two_factor) + list(mixed.factors) + skewed
 
@@ -768,8 +767,12 @@ def test_kernel_degree_matches_reference(rings, tag):
 # -- ring laws --------------------------------------------------------------
 
 
+RING_FIELDS = ("tag", "rank", "dimension", "basis_labels", "mul_table", "involution", "gram", "lattice_rep")
+
+
 def _fields(spec) -> dict:
-    return {f.name: getattr(spec, f.name) for f in fields(RingSpec) if f.init}
+    """The arguments that build `spec` again."""
+    return {name: getattr(spec, name) for name in RING_FIELDS}
 
 
 def _change_basis(spec, cols, tag):

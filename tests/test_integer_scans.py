@@ -8,14 +8,13 @@ and, for the direction scan, the nearest integer to c*b/sqrt(s) with the
 tolerance decided on u <= v*sqrt(s)."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from endoapprox import dirichlet
 from endoapprox.approx import approx_vector, derive_ledger
-from endoapprox.dirichlet import dirichlet_approx, feasibility_oracle
+from endoapprox.dirichlet import ApproxResult, dirichlet_approx, feasibility_oracle
 from endoapprox.pipeline import check_dirichlet
 from endoapprox.exact import ceil_sqrt, floor_sqrt, le_linear_sqrt
 from endoapprox.rings import ProductRingSpec
@@ -129,15 +128,15 @@ def _planted_results(rng, alpha, q, res):
     """The true result and faulty ones: another row's denominator and error,
     a numerator one off, and an error nudged either way or past the tolerance."""
     b, err = rng.choice(reference.feasibility_oracle(alpha, q))
-    out = [res, replace(res, denominator=b, numerators=tuple(round(a * b) for a in alpha), error=err)]
+    out = [res, ApproxResult(b, tuple(round(a * b) for a in alpha), err, res.bound)]
     i = rng.randrange(len(alpha))
     nums = list(res.numerators)
     nums[i] += rng.choice((-1, 1))
-    out.append(replace(res, numerators=tuple(nums)))
-    out.append(replace(res, error=res.error + F(1, 997)))
-    out.append(replace(res, error=F(1, q) + F(1, 10**6)))
+    out.append(ApproxResult(res.denominator, tuple(nums), res.error, res.bound))
+    out.append(ApproxResult(res.denominator, res.numerators, res.error + F(1, 997), res.bound))
+    out.append(ApproxResult(res.denominator, res.numerators, F(1, q) + F(1, 10**6), res.bound))
     if res.error > 0:
-        out.append(replace(res, error=res.error - F(1, 10**6)))
+        out.append(ApproxResult(res.denominator, res.numerators, res.error - F(1, 10**6), res.bound))
     return out
 
 
@@ -154,7 +153,7 @@ def test_check_dirichlet_decides_as_the_fraction_reference(monkeypatch):
         res = dirichlet_approx(alpha, q)
         planted_rows = []
         if (alpha, q) in BOUNDARY_TARGETS:  # every row of the table, in turn
-            planted_rows = [replace(res, denominator=b, numerators=tuple(round(a * b) for a in alpha), error=err)
+            planted_rows = [ApproxResult(b, tuple(round(a * b) for a in alpha), err, res.bound)
                             for b, err in reference.feasibility_oracle(alpha, q)]
         for res in planted_rows + _planted_results(rng, alpha, q, res):
             planted["res"] = res

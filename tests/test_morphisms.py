@@ -1,4 +1,3 @@
-import copy
 import random
 from fractions import Fraction as F
 
@@ -106,7 +105,7 @@ def test_isogeny_extension_rejects_singular_extension(products):
     # guard.
     pz = products["Z"]
     phi = _mor(pz, (2,), (1,), [[[[2], [5]]]])
-    cert = copy.copy(WeightedCertificate(morphism=phi, scale=2, columns=((0,),), slack_sq=F(25, 4)))
+    cert = WeightedCertificate(morphism=phi, scale=2, columns=((0,),), slack_sq=F(25, 4))
     object.__setattr__(cert, "morphism", _mor(pz, (2,), (1,), [[[[0], [5]]]]))
     with pytest.raises(MorphismError, match="isogeny extension is not invertible"):
         isogeny_extension(cert)

@@ -2,12 +2,12 @@
 run report that property's failure message in its suite, with `ok` false.
 Each fault is monkeypatched in for one test only."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from endoapprox import dirichlet, pipeline
+from endoapprox.dirichlet import ApproxResult
 from endoapprox.morphisms import BlockMorphism, is_weighted
 from endoapprox.scenario import load_scenario
 
@@ -16,7 +16,7 @@ def last_feasible(res, alpha, q, *_):
     """The largest feasible denominator below q^m in place of the least."""
     den, worst = dirichlet.feasibility_oracle(alpha, q)
     b = max(c for c, w in enumerate(worst, 1) if q * w <= den)
-    return replace(res, denominator=b, numerators=tuple(round(a * b) for a in alpha), error=F(worst[b - 1], den))
+    return ApproxResult(b, tuple(round(a * b) for a in alpha), F(worst[b - 1], den), res.bound)
 
 
 # suite: (module, function, fault applied to the function's result and
@@ -35,7 +35,7 @@ FAULTS = {
         "kernel escaped",
     ),
     "geomnum": (
-        pipeline, "point_lower_constants", lambda c, *_: replace(c, c_sq=c.c_sq * 10**6),
+        pipeline, "point_lower_constants", lambda c, *_: c._replace(c_sq=c.c_sq * 10**6),
         "factor 0: lower bound violated",
     ),
 }

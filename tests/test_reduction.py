@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -276,6 +275,14 @@ def test_witness_rejects_certificate_for_another_morphism(zsetup):
                          weighted=cert.weighted, special=cert)
 
 
+WITNESS_FIELDS = ("morphism", "x", "xi", "xi_bound_sq", "p", "y", "weighted", "special", "group_data")
+
+
+def _rebuilt(w, **changes):
+    """w with `changes`, built through the constructor, which checks it."""
+    return InclusionWitness(**{name: changes.get(name, getattr(w, name)) for name in WITNESS_FIELDS})
+
+
 def test_pair_witness_rejects_tampered_group_data(scenario_paths):
     # (N, G) must match the special morphism (N phi | phi G); (N+1, 7G)
     # keeps N positive and G's shape but breaks N * right == left o G
@@ -284,7 +291,7 @@ def test_pair_witness_rejects_tampered_group_data(scenario_paths):
         pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
         n, g_mor = pw.group_data
         with pytest.raises(WitnessError, match="group datum"):
-            replace(pw, group_data=(n + 1, g_mor.scale_int(7)))
+            _rebuilt(pw, group_data=(n + 1, g_mor.scale_int(7)))
 
 
 def test_pair_witness_rejects_mismatched_weighted(scenario_paths):
@@ -293,14 +300,15 @@ def test_pair_witness_rejects_mismatched_weighted(scenario_paths):
     scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
     for _, w in scenario.witnesses():
         pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
-        looser = replace(pw.weighted, slack_sq=pw.weighted.slack_sq + 1)
+        cert = pw.weighted
+        looser = WeightedCertificate(cert.morphism, cert.scale, cert.columns, cert.slack_sq + 1)
         with pytest.raises(WitnessError, match="weighted certificate differs"):
-            replace(pw, weighted=looser)
+            _rebuilt(pw, weighted=looser)
 
 
 # every witness and certificate object a command creates on z-basic.json is
 # checked exactly once, on construction: a witness by `verify`, a certificate
-# in `__post_init__`; the third field is the number of objects created
+# in `_verify`; the third field is the number of objects created
 @pytest.mark.parametrize("command, cls, count", [
     (cmd_reduce, InclusionWitness, 18),
     (run_pipeline, InclusionWitness, 12),
@@ -312,7 +320,7 @@ def test_pair_witness_rejects_mismatched_weighted(scenario_paths):
         "pipeline-weighted", "pipeline-special"])
 def test_each_witness_verified_once(monkeypatch, scenario_paths, command, cls, count):
     # the objects are kept alive so that their ids stay distinct
-    check = "verify" if cls is InclusionWitness else "__post_init__"
+    check = "verify" if cls is InclusionWitness else "_verify"
     created, checked = [], []
     init, check_fn = cls.__init__, getattr(cls, check)
 

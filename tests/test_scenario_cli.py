@@ -163,12 +163,13 @@ def test_cli_bad_witness_exits_nonzero(tmp_path, scenario_paths, command, stem, 
         assert len(diagnostics) == 1 and diagnostics[0].startswith("WitnessError: ")
 
 
-def _z_basic_copy(tmp_path, scenario_paths, edit):
-    """A copy of z-basic.json with `edit` applied to its data."""
-    data = json.loads(next(p for p in scenario_paths if p.stem == "z-basic").read_text())
-    edit(data)
-    copy = tmp_path / "z-basic.json"
-    copy.write_text(json.dumps(data))
+def _scenario_copy(tmp_path, scenario_paths, edit, stem="z-basic"):
+    """A copy of a bundled scenario with `edit` applied to its data; an edit
+    that returns a str writes that text in place of the data."""
+    data = json.loads(next(p for p in scenario_paths if p.stem == stem).read_text())
+    text = edit(data)
+    copy = tmp_path / f"{stem}.json"
+    copy.write_text(json.dumps(data) if text is None else text)
     return copy
 
 
@@ -196,6 +197,13 @@ def _drop_parameters(data):
     del data["parameters"]
 
 
+def _free_rank_zero(data):
+    data["ambient"]["free_ranks"][1] = 0
+
+
+_free_rank_zero.stem = "two-factor"  # whose points have a free part in factor 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (_update("parameters", eps_sq={"num": "0", "den": "1"}), "ScenarioError: scenario requires eps_sq > 0"),
     (_update("parameters", eps_sq={"num": "2", "den": "1"}, k0_sq={"num": "1", "den": "1"}),
@@ -207,17 +215,37 @@ def _drop_parameters(data):
     (_update("witnesses", 1, morphism="nope"), "ScenarioError: witness 'w_b' names 'nope', which the scenario lacks"),
     (_update("parameters", eps_sq={"num": "1", "den": "0"}), "ScenarioError: ZeroDivisionError: Fraction(1, 0)"),
     (_drop_parameters, "ScenarioError: KeyError: 'parameters'"),
+    (lambda data: '{"schema": ', "ScenarioError: JSONDecodeError: Expecting value: line 1 column 12 (char 11)"),
+    (lambda data: "[1, 2]", "ScenarioError: a scenario is a JSON object, not list"),
+    (_free_rank_zero, "ScenarioError: factor 1: free part exceeds free rank 0 over rank 1"),
+    (_update("targets", 1, deg=0), "ScenarioError: target 'Ar2' requires a positive degree, got 0"),
+    (_update("parameters", torsion_budget=0), "ScenarioError: scenario requires torsion_budget >= 1, got 0"),
 ], ids=[
     "eps-zero", "k0-below-eps", "non-integral-morphism", "morphism-shape", "gram-negative",
     "witness-unknown-point", "witness-unknown-morphism", "zero-denominator", "no-parameters",
+    "truncated", "top-level-list", "free-rank-zero", "target-degree-zero", "torsion-budget-zero",
 ])
 def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, edit, message):
-    path = _z_basic_copy(tmp_path, scenario_paths, edit)
+    path = _scenario_copy(tmp_path, scenario_paths, edit, getattr(edit, "stem", "z-basic"))
     for command in ("approx", "reduce", "pipeline", "verify", "thresholds", "report"):
         assert main([command, "--scenario", str(path)]) == 1, command
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1, command
+
+
+def test_cli_seed_and_budget_overrides(tmp_path, scenario_paths):
+    path = next(p for p in scenario_paths if p.stem == "z-basic")
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--scenario", str(path), "--seed", "7", "--out", str(out)]) == 0
+    assert load_scenario(path).seed != 7 and json.loads(out.read_text())["seed"] == 7
+    path = next(p for p in scenario_paths if p.stem == "z-approximating")
+    out = tmp_path / "approx.json"
+    assert main(["approx", "--scenario", str(path), "--budget", "1", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["morphisms"]
+    assert [row["diagnostic"] for row in rows if not row["ok"]] == [
+        "BudgetError: scan of 3 denominators exceeds budget 1"
+    ]
 
 
 def test_cli_names_missing_scenario(tmp_path, capsys):
