@@ -448,15 +448,6 @@ class ProductRingSpec:
     def n_factors(self) -> int:
         return len(self.factors)
 
-    def element(self, parts) -> "ProductElement":
-        parts = tuple(parts)
-        if len(parts) != len(self.factors):
-            raise RingError("product element needs one part per factor")
-        for part, spec in zip(parts, self.factors):
-            if part.ring.tag != spec.tag:
-                raise RingError("product element part belongs to the wrong factor")
-        return ProductElement(self, parts)
-
     def from_coords(self, coords) -> "ProductElement":
         coords = list(coords)
         if len(coords) != self.rank:
@@ -511,12 +502,6 @@ class ProductElement:
 
     def __add__(self, other: "ProductElement") -> "ProductElement":
         return ProductElement(self.product, tuple(a + b for a, b in zip(self.parts, other.parts)))
-
-    def __sub__(self, other: "ProductElement") -> "ProductElement":
-        return ProductElement(self.product, tuple(a - b for a, b in zip(self.parts, other.parts)))
-
-    def scale(self, c) -> "ProductElement":
-        return ProductElement(self.product, tuple(p.scale(c) for p in self.parts))
 
 
 def product_constants(product: ProductRingSpec) -> dict[str, Fraction]:

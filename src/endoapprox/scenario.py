@@ -19,6 +19,9 @@ from .thresholds import ConjecturalOracle, FinitenessThresholds, VarietyCard, fi
 
 SCHEMA = "endoapprox/scenario/1"
 REPORT_SCHEMA = "endoapprox/report/1"
+# the largest ring rank, slot count and free rank a scenario may declare;
+# load allocates per ring coordinate, slot and free rank
+_SIZE_CAP = 64
 
 
 def report_envelope(kind: str, scenario: "Scenario") -> dict:
@@ -255,6 +258,12 @@ def _scenario_from_json(data) -> Scenario:
         raise ScenarioError(f"a scenario is a JSON object, not {type(data).__name__}")
     if data.get("schema") != SCHEMA:
         raise ScenarioError(f"unsupported scenario schema: {data.get('schema')!r}")
+    sizes = [("ring rank", r["rank"]) for r in data["rings"]]
+    sizes += [("slot count", c) for c in data["ambient"]["counts"]]
+    sizes += [("free rank", c) for c in data["ambient"]["free_ranks"]]
+    for what, size in sizes:
+        if int(size) > _SIZE_CAP:
+            raise ScenarioError(f"{what} {int(size)} exceeds the size cap {_SIZE_CAP}")
     rings = [_ring_from_json(r) for r in data["rings"]]
     product = ProductRingSpec(tuple(rings))
     counts = tuple(int(c) for c in data["ambient"]["counts"])

@@ -5,8 +5,9 @@ Fractions or plain integers, calling no kernel of the program.
 Several are an earlier version of a program kernel, kept as it was with the
 kernels it called replaced by the copies here: the model's slot and point
 arithmetic (`Slot`, `Point`, `apply_morphism`), the Fraction-row
-`feasibility_oracle`, the itertools `kernel_inclusion` loop and the
-Fraction `validate` of a ring's laws."""
+`feasibility_oracle`, the itertools `kernel_inclusion` loop, the Fraction
+`validate` of a ring's laws and the stepping `dirichlet_scan` that visited
+every denominator."""
 
 import itertools
 from dataclasses import dataclass
@@ -375,6 +376,37 @@ def feasibility_oracle(alpha, q: int, budget: int = 2_000_000) -> list[tuple[int
         worst = max(min(r, den - r) for r in (n * b % den for n in nums))
         table.append((b, Fraction(worst, den)))
     return table
+
+
+def dirichlet_scan(alpha, q: int) -> tuple[int, tuple[int, ...], Fraction, int]:
+    """(b, numerators, error, bound) at the least b <= min(q**m - 1, D) with
+    every n_i * b mod D within D // q of 0: the stepping scan, advancing the
+    first non-integral residue by one addition per b and multiplying out
+    the others only where that one is within tolerance."""
+    alpha = [Fraction(a) for a in alpha]
+    den = lcm(*(a.denominator for a in alpha))
+    nums = [a.numerator * (den // a.denominator) for a in alpha]
+    bound = q ** len(nums)
+    lead, *rest = [n % den for n in nums if n % den] or [0]
+    lo = den // q
+    hi = den - lo
+    r = 0
+    for b in range(1, min(bound - 1, den) + 1):
+        r += lead
+        if r >= den:
+            r -= den
+        if lo < r < hi:
+            continue
+        if all(not lo < n * b % den < hi for n in rest):
+            worst = max(min(x, den - x) for x in [r] + [n * b % den for n in rest])
+            betas = []
+            for n in nums:
+                t, rem = divmod(n * b, den)
+                if 2 * rem > den or (2 * rem == den and t % 2):
+                    t += 1
+                betas.append(t)
+            return b, tuple(betas), Fraction(worst, den), bound
+    return None
 
 
 def oracle_rows(table) -> list[tuple[int, Fraction]]:

@@ -1,8 +1,12 @@
 """Differential tests: the integer-residue scans of `dirichlet_approx`,
 `feasibility_oracle` and `approx_vector` against Fraction references
-written here.  `dirichlet_approx` advances its first non-integral residue
-by addition, so the cases below put an integral target first, a negative
-numerator first, every target integral, and the benchmark's shape. The references round and compare as the Fraction scans did:
+written here, and `dirichlet_approx` against the stepping scan in
+`reference.dirichlet_scan`.  `dirichlet_approx` leads with its first
+non-integral residue and jumps between the b where that one is within
+tolerance, so the cases below put an integral target first, a negative
+numerator first, every target integral, the benchmark's shape, and leads
+so close to a/p that the scan must step past its table of jumps. The
+references round and compare as the Fraction scans did:
 round-half-even of alpha_i * b with the tolerance |alpha_i b - beta_i| <= 1/q,
 and, for the direction scan, the nearest integer to c*b/sqrt(s) with the
 tolerance decided on u <= v*sqrt(s)."""
@@ -15,7 +19,7 @@ import pytest
 from endoapprox import dirichlet
 from endoapprox.approx import approx_vector, derive_ledger
 from endoapprox.dirichlet import ApproxResult, dirichlet_approx, feasibility_oracle
-from endoapprox.pipeline import check_dirichlet
+from endoapprox.pipeline import check_dirichlet, rand_dirichlet_target
 from endoapprox.exact import ceil_sqrt, floor_sqrt, le_linear_sqrt
 from endoapprox.rings import ProductRingSpec
 
@@ -212,6 +216,59 @@ def test_scan_matches_oracle_on_benchmark_shape():
         assert _got(res) == ref_dirichlet(alpha, 240), alpha
         assert res.denominator == _least_feasible(feasibility_oracle(alpha, 240), 240)
         checked += 1
+
+
+# (q, m): every m from 1 to 4 at small q, fewer targets where q**m is large
+SWEEP_SHAPES = [(5, 1), (5, 2), (5, 3), (5, 4), (11, 1), (11, 2), (11, 3), (11, 4),
+                (90, 1), (90, 2), (90, 3), (240, 1), (240, 2), (3000, 1), (3000, 2)]
+
+
+def _sweep_target(rng, m, kind):
+    """m targets over denominators from 3*10^4 to 10^5 (one near 10^9 when
+    m = 1), so that D is near 10^9, led by a target of `kind`: "any",
+    "negative", "integral", or "near" a/p for p in {2, 3, 7} to within 1/D,
+    which holds the lead residue near the window's edge for long stretches."""
+    alpha = [F(rng.randint(-10**6, 10**6), rng.randint(3 * 10**4, 10**5)) for _ in range(m)]
+    if m == 1:
+        alpha[0] = F(rng.randint(-10**10, 10**10), rng.randint(10**9 - 10**6, 10**9))
+    if kind == "negative":
+        alpha[0] = -abs(alpha[0]) - 1
+    elif kind == "integral":
+        alpha[0] = F(rng.randint(-9, 9))
+    elif kind == "near":
+        p = rng.choice((2, 3, 7))
+        k = rng.randint(10**4, 10**5)
+        alpha[0] = F(rng.randint(-9 * p, 9 * p) * k + rng.choice((-1, 1)), p * k)
+    return alpha
+
+
+def test_scan_matches_stepping_reference_sweep():
+    rng = random.Random(271)
+    kinds = ("any", "negative", "integral", "near")
+    for q, m in SWEEP_SHAPES:
+        for i in range(12 if q ** m <= 10**5 else 4):
+            alpha = _sweep_target(rng, m, kinds[i % 4])
+            res = dirichlet_approx(alpha, q, budget=10**12)
+            got = (res.denominator, res.numerators, res.error, res.bound)
+            assert got == reference.dirichlet_scan(alpha, q), (alpha, q)
+
+
+def test_one_target_convergent_walk_on_criterion_1_targets():
+    # the draws of acceptance criterion 1; with one non-integral target the
+    # scan walks convergent denominators, so its b must be the oracle's least
+    # feasible row and its error that row's
+    rng = random.Random(20260809)
+    checked = 0
+    for _ in range(1000):
+        alpha, q = rand_dirichlet_target(rng, 500)
+        if sum(a.denominator != 1 for a in alpha) != 1:
+            continue
+        res = dirichlet_approx(alpha, q)
+        den, worst = feasibility_oracle(alpha, q)
+        assert res.denominator == next(b for b, w in enumerate(worst, 1) if q * w <= den), (alpha, q)
+        assert res.error == F(worst[res.denominator - 1], den)
+        checked += 1
+    assert checked > 300
 
 
 def _vector_case(rings, tag, coords):

@@ -204,6 +204,13 @@ def _free_rank_zero(data):
 _free_rank_zero.stem = "two-factor"  # whose points have a free part in factor 1
 
 
+def _free_rank_huge(data):
+    data["ambient"]["free_ranks"][1] = 10**9
+
+
+_free_rank_huge.stem = "two-factor"
+
+
 @pytest.mark.parametrize("edit, message", [
     (_update("parameters", eps_sq={"num": "0", "den": "1"}), "ScenarioError: scenario requires eps_sq > 0"),
     (_update("parameters", eps_sq={"num": "2", "den": "1"}, k0_sq={"num": "1", "den": "1"}),
@@ -220,10 +227,12 @@ _free_rank_zero.stem = "two-factor"  # whose points have a free part in factor 1
     (_free_rank_zero, "ScenarioError: factor 1: free part exceeds free rank 0 over rank 1"),
     (_update("targets", 1, deg=0), "ScenarioError: target 'Ar2' requires a positive degree, got 0"),
     (_update("parameters", torsion_budget=0), "ScenarioError: scenario requires torsion_budget >= 1, got 0"),
+    (_free_rank_huge, "ScenarioError: free rank 1000000000 exceeds the size cap 64"),
 ], ids=[
     "eps-zero", "k0-below-eps", "non-integral-morphism", "morphism-shape", "gram-negative",
     "witness-unknown-point", "witness-unknown-morphism", "zero-denominator", "no-parameters",
     "truncated", "top-level-list", "free-rank-zero", "target-degree-zero", "torsion-budget-zero",
+    "free-rank-over-cap",
 ])
 def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, edit, message):
     path = _scenario_copy(tmp_path, scenario_paths, edit, getattr(edit, "stem", "z-basic"))
@@ -232,6 +241,21 @@ def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, edit, mess
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1, command
+
+
+def test_cli_reports_within_a_small_torsion_budget(tmp_path, scenario_paths):
+    # a torsion budget of 3 affords the level-1 kernel-degree check (1 point)
+    # but not level 2 (4 points): the thresholds suite stops there and
+    # counts only the checks it ran
+    path = _scenario_copy(tmp_path, scenario_paths, _update("parameters", torsion_budget=3))
+    for command in ("verify", "report"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 0, command
+        report = json.loads(out.read_text())
+        assert report["ok"], command
+        suites = report["suites"] if command == "verify" else report["sections"]["verify"]["suites"]
+        thresholds = next(s for s in suites if s["suite"] == "thresholds")
+        assert thresholds["trials"] == 2 and thresholds["failures"] == 0  # level 1 and the boundary
 
 
 def test_cli_seed_and_budget_overrides(tmp_path, scenario_paths):
