@@ -13,17 +13,15 @@ The least feasible b is therefore at most D, and the scan never passes
 min(Q**m - 1, D), the count the budget is checked against.  The scan
 visits only the b where the first non-integral target's residue (the lead)
 is within D // Q of 0, and multiplies out the other residues there:
-- With one non-integral target the least such b is a record of the
-  distance to the nearest integer, so a continued-fraction convergent
-  denominator of the lead over D (Khinchin, *Continued Fractions*, ch. II);
-  the scan walks the convergents.
-- With more, two consecutive visits differ by a step g whose lead residue
-  is within 2 * (D // Q) of 0.  The scan keeps a table of every such g up
-  to its largest, extends it by stepping one b at a time only when no
-  entry lands in the window, and so stays exact; by the three-gap theorem
+- The first visit is a record of the lead's distance to the nearest
+  integer, so a continued-fraction convergent denominator of the lead
+  over D (Khinchin, *Continued Fractions*, ch. II); the scan walks the
+  convergents to it.  With one non-integral target it is the answer.
+- Two consecutive visits differ by a step g whose lead residue is within
+  2 * (D // Q) of 0.  The scan keeps a table of every such g up to its
+  largest, extends it by stepping one b at a time only when no entry
+  lands in the window, and so stays exact; by the three-gap theorem
   (Slater, 1967) the table stays short.
-- When Q <= 4 the window is half the circle or more and the table would
-  hold nearly every g, so the scan steps one addition per b instead.
 `Fraction` appears only in the returned errors; the feasibility oracle's
 table is integers over D.
 """
@@ -109,14 +107,7 @@ def dirichlet_approx(alpha, q: int, budget: int = DEFAULT_BUDGET) -> ApproxResul
     residues = [n % den for n in nums if n % den]
     # q * min(r, D - r) <= D  <=>  r <= D // q  or  r >= D - D // q
     lo = den // q
-    if not residues:
-        b = 1
-    elif len(residues) == 1:
-        b = _first_convergent(residues[0], den, lo)
-    elif q <= 4:
-        b = _first_step(residues, den, lo, last)
-    else:
-        b = _first_hit(residues, den, lo)
+    b = _first_hit(residues, den, lo) if residues else 1
     worst = max((min(x, den - x) for x in (n * b % den for n in residues)), default=0)
     return ApproxResult(
         denominator=b,
@@ -140,40 +131,27 @@ def _first_convergent(lead: int, den: int, lo: int) -> int:
         prev, b = b, a * b + prev
 
 
-def _first_step(residues: list[int], den: int, lo: int, last: int) -> int:
-    """The least b <= last with every n * b mod D within lo of 0, advancing
-    the lead residue by one addition per b."""
-    lead, *rest = residues
-    hi = den - lo
-    r = 0  # lead * b mod D, advanced by one addition per b
-    for b in range(1, last + 1):
-        r += lead
-        if r >= den:
-            r -= den
-        if lo < r < hi:
-            continue
-        for n in rest:
-            if lo < n * b % den < hi:
-                break
-        else:
-            return b
-    raise AssertionError("box principle violated; unreachable for q >= 2")
-
-
 def _first_hit(residues: list[int], den: int, lo: int) -> int:
     """The least b with every n * b mod D within lo of 0, visiting only the
-    b where the lead residue is.  Between two such b the lead residue moves
-    by at most 2 * lo, so the step is an entry of `gaps`: every g with
-    g * lead mod D within 2 * lo of 0, in increasing g, complete up to its
-    largest entry and extended by stepping past it when no entry lands."""
+    b where the lead residue is, the first of them a convergent denominator.
+    Between two such b the lead residue moves by at most 2 * lo, so the step
+    is an entry of `gaps`: every g with g * lead mod D within 2 * lo of 0,
+    in increasing g, complete up to its largest entry and extended by
+    stepping past it when no entry lands."""
     lead, *rest = residues
     hi = den - lo
     near = 2 * lo
     far = den - near
     gaps: list[tuple[int, int]] = []  # (g, g * lead mod D)
     top = top_r = 0  # the table holds every qualifying g <= top
-    b = r = 0  # b = 0 leaves residue 0, inside the window
+    b = _first_convergent(lead, den, lo)
+    r = lead * b % den
     while True:
+        for n in rest:
+            if lo < n * b % den < hi:
+                break
+        else:
+            return b
         for g, rg in gaps:
             x = r + rg
             if x >= den:
@@ -197,11 +175,6 @@ def _first_hit(residues: list[int], den: int, lo: int) -> int:
             top, top_r = g, rg
         b += g
         r = x
-        for n in rest:
-            if lo < n * b % den < hi:
-                break
-        else:
-            return b
 
 
 def feasibility_oracle(alpha, q: int, budget: int = DEFAULT_BUDGET) -> tuple[int, list[int]]:

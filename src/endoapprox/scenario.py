@@ -19,8 +19,9 @@ from .thresholds import ConjecturalOracle, FinitenessThresholds, VarietyCard, fi
 
 SCHEMA = "endoapprox/scenario/1"
 REPORT_SCHEMA = "endoapprox/report/1"
-# the largest ring rank, slot count and free rank a scenario may declare;
-# load allocates per ring coordinate, slot and free rank
+# the largest ring rank, slot count (per factor and in total) and free rank
+# a scenario may declare; load allocates per ring coordinate, slot and free
+# rank, and pipeline's moduli grow with the total slot count
 _SIZE_CAP = 64
 
 
@@ -243,13 +244,14 @@ def load_scenario(path) -> Scenario:
 
 def scenario_from_json(data) -> Scenario:
     """The scenario the data describes.  Data that its own constructor
-    refuses, or that lacks a field, holds a value of the wrong type or
-    divides by zero, raises `ScenarioError`, naming that error."""
+    refuses, or that lacks a field, holds a value of the wrong type, holds
+    a number too large to convert or divides by zero, raises
+    `ScenarioError`, naming that error."""
     try:
         return _scenario_from_json(data)
     except ScenarioError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
         raise ScenarioError(f"{type(err).__name__}: {err}") from err
 
 
@@ -258,15 +260,15 @@ def _scenario_from_json(data) -> Scenario:
         raise ScenarioError(f"a scenario is a JSON object, not {type(data).__name__}")
     if data.get("schema") != SCHEMA:
         raise ScenarioError(f"unsupported scenario schema: {data.get('schema')!r}")
-    sizes = [("ring rank", r["rank"]) for r in data["rings"]]
-    sizes += [("slot count", c) for c in data["ambient"]["counts"]]
-    sizes += [("free rank", c) for c in data["ambient"]["free_ranks"]]
+    counts = tuple(int(c) for c in data["ambient"]["counts"])
+    sizes = [("ring rank", int(r["rank"])) for r in data["rings"]]
+    sizes += [("slot count", c) for c in counts] + [("total slot count", sum(counts))]
+    sizes += [("free rank", int(c)) for c in data["ambient"]["free_ranks"]]
     for what, size in sizes:
-        if int(size) > _SIZE_CAP:
-            raise ScenarioError(f"{what} {int(size)} exceeds the size cap {_SIZE_CAP}")
+        if size > _SIZE_CAP:
+            raise ScenarioError(f"{what} {size} exceeds the size cap {_SIZE_CAP}")
     rings = [_ring_from_json(r) for r in data["rings"]]
     product = ProductRingSpec(tuple(rings))
-    counts = tuple(int(c) for c in data["ambient"]["counts"])
     free_ranks = tuple(int(c) for c in data["ambient"]["free_ranks"])
     ambient = AmbientSpec(product, counts)
     space = ModelSpace(ambient, free_ranks)
@@ -287,6 +289,9 @@ def _scenario_from_json(data) -> Scenario:
     morphisms = {
         name: morphism_from_json(product, obj) for name, obj in data.get("morphisms", {}).items()
     }
+    for name, phi in morphisms.items():
+        if phi.source != counts:
+            raise ScenarioError(f"morphism {name!r} has source {list(phi.source)}, not the ambient counts {list(counts)}")
     witness_specs = tuple(
         WitnessSpec(
             name=w["name"],

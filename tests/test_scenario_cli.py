@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,21 @@ def _free_rank_huge(data):
 _free_rank_huge.stem = "two-factor"
 
 
+def _free_rank_infinite(data):
+    data["ambient"]["free_ranks"][1] = "INF"
+    return json.dumps(data).replace('"INF"', "1e400")  # json reads 1e400 as a float infinity
+
+
+_free_rank_infinite.stem = "two-factor"
+
+
+def _slot_total_over_cap(data):
+    data["ambient"]["counts"] = [33, 32]
+
+
+_slot_total_over_cap.stem = "two-factor"
+
+
 @pytest.mark.parametrize("edit, message", [
     (_update("parameters", eps_sq={"num": "0", "den": "1"}), "ScenarioError: scenario requires eps_sq > 0"),
     (_update("parameters", eps_sq={"num": "2", "den": "1"}, k0_sq={"num": "1", "den": "1"}),
@@ -228,11 +247,15 @@ _free_rank_huge.stem = "two-factor"
     (_update("targets", 1, deg=0), "ScenarioError: target 'Ar2' requires a positive degree, got 0"),
     (_update("parameters", torsion_budget=0), "ScenarioError: scenario requires torsion_budget >= 1, got 0"),
     (_free_rank_huge, "ScenarioError: free rank 1000000000 exceeds the size cap 64"),
+    (_free_rank_infinite, "ScenarioError: OverflowError: cannot convert float infinity to integer"),
+    (_slot_total_over_cap, "ScenarioError: total slot count 65 exceeds the size cap 64"),
+    (_update("ambient", counts=[3]),
+     "ScenarioError: morphism 'phi_a' has source [2], not the ambient counts [3]"),
 ], ids=[
     "eps-zero", "k0-below-eps", "non-integral-morphism", "morphism-shape", "gram-negative",
     "witness-unknown-point", "witness-unknown-morphism", "zero-denominator", "no-parameters",
     "truncated", "top-level-list", "free-rank-zero", "target-degree-zero", "torsion-budget-zero",
-    "free-rank-over-cap",
+    "free-rank-over-cap", "free-rank-infinite", "slot-total-over-cap", "counts-off-morphism-source",
 ])
 def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, edit, message):
     path = _scenario_copy(tmp_path, scenario_paths, edit, getattr(edit, "stem", "z-basic"))
@@ -241,6 +264,19 @@ def test_cli_names_invalid_scenario(tmp_path, scenario_paths, capsys, edit, mess
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1, command
+
+
+def test_cli_reports_at_the_size_cap(tmp_path, scenario_paths):
+    # free ranks at the cap still load and run every section, in a fresh
+    # interpreter under a time cap
+    path = _scenario_copy(tmp_path, scenario_paths, _update("ambient", free_ranks=[64, 64]), "two-factor")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "endoapprox", "report", "--scenario", str(path)],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert json.loads(done.stdout)["ok"]
 
 
 def test_cli_reports_within_a_small_torsion_budget(tmp_path, scenario_paths):

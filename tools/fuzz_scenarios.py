@@ -36,7 +36,7 @@ PACK = ROOT / "src" / "endoapprox" / "scenarios"
 COMMANDS = ("approx", "reduce", "pipeline", "verify", "thresholds", "report")
 RATIONALS = ({"num": "0", "den": "1"}, {"num": "-3", "den": "1"},
              {"num": str(10**15 + 1), "den": "7"}, {"num": "1", "den": "3"})
-INTEGERS = (0, -1, 10**9, 3)
+INTEGERS = (0, -1, 10**9, 3, 64, 65)
 
 
 def leaves(node, path=()):
