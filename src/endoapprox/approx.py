@@ -28,6 +28,7 @@ from math import isqrt, lcm
 from typing import Callable, NamedTuple
 
 from . import dirichlet
+from .base import EndoapproxError
 from .exact import ceil_sqrt, le_linear_sqrt_int, sqrt_lower, sqrt_upper
 from .ledger import ConstantLedger, op_constant_sq
 from .model import apply_morphism, concat_points, divide
@@ -47,11 +48,11 @@ from .rings import (
 )
 
 
-class ApproxError(ValueError):
+class ApproxError(EndoapproxError, ValueError):
     pass
 
 
-class CertificationError(AssertionError):
+class CertificationError(EndoapproxError, AssertionError):
     """An output failed its own re-verification; indicates a real bug."""
 
 

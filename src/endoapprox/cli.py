@@ -14,12 +14,12 @@ import sys
 from pathlib import Path
 
 from .approx import approx_weighted, derive_ledger
+from .base import EndoapproxError
 from .morphisms import rank_and_codim, weighted_normal_form
-from .pipeline import PipelineErrors, run_pipeline, run_property_suites
+from .pipeline import run_pipeline, run_property_suites
 from .reduction import gamma_embed, point_project, translate_witness
 from .scenario import (
     Scenario,
-    ScenarioError,
     dump_report,
     load_scenario,
     morphism_to_json,
@@ -63,7 +63,7 @@ def cmd_approx(scenario: Scenario) -> dict:
                 }
             )
             row["ok"] = True
-        except PipelineErrors as err:
+        except EndoapproxError as err:
             row["ok"] = False
             row["diagnostic"] = f"{type(err).__name__}: {err}"
             ok = False
@@ -93,7 +93,7 @@ def cmd_reduce(scenario: Scenario) -> dict:
             row["projected"] = witness_to_json(back)
             row["round_trip_same_point"] = back.x == w.x
             row["ok"] = True
-        except PipelineErrors as err:
+        except EndoapproxError as err:
             row["ok"] = False
             row["diagnostic"] = f"{type(err).__name__}: {err}"
             ok = False
@@ -169,12 +169,22 @@ def cmd_report(scenario: Scenario) -> dict:
     }
 
 
+COMMANDS = {
+    "approx": cmd_approx,
+    "reduce": cmd_reduce,
+    "pipeline": run_pipeline,
+    "verify": run_property_suites,
+    "thresholds": cmd_thresholds,
+    "report": cmd_report,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="endoapprox",
         description="Exact morphism approximation and witness reduction on a synthetic Mordell-Weil model",
     )
-    parser.add_argument("command", choices=["approx", "reduce", "pipeline", "verify", "thresholds", "report"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     parser.add_argument("--seed", type=int, default=None, help="seed override for property suites")
     parser.add_argument("--budget", type=int, default=None, help="search budget override")
@@ -184,29 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a package error (a bad scenario, an exceeded budget) ends the command
+    # with its name and message on one line of standard error
     try:
         scenario = load_scenario(args.scenario)
-    except (ScenarioError, FileNotFoundError) as err:
+        if args.budget is not None:
+            scenario.budget = args.budget
+        if args.seed is not None:
+            scenario.seed = args.seed
+        report = COMMANDS[args.command](scenario)
+    except (EndoapproxError, FileNotFoundError) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
-    if args.budget is not None:
-        scenario.budget = args.budget
-    if args.seed is not None:
-        scenario.seed = args.seed
-
-    if args.command == "approx":
-        report = cmd_approx(scenario)
-    elif args.command == "reduce":
-        report = cmd_reduce(scenario)
-    elif args.command == "pipeline":
-        report = run_pipeline(scenario)
-    elif args.command == "verify":
-        report = run_property_suites(scenario)
-    elif args.command == "thresholds":
-        report = cmd_thresholds(scenario)
-    else:
-        report = cmd_report(scenario)
-
     _emit(report, args.out)
     return 0 if report.get("ok", False) else 1
 

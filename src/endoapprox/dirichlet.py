@@ -30,24 +30,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .base import EndoapproxError, Record, set_field
 from .linalg import clear_denominators
 
 
-class DirichletError(ValueError):
+class DirichletError(EndoapproxError, ValueError):
     pass
 
 
-class BudgetError(RuntimeError):
+class BudgetError(EndoapproxError, RuntimeError):
     pass
 
 
 DEFAULT_BUDGET = 2_000_000
 
 
-_set = object.__setattr__
-
-
-class ApproxResult:
+class ApproxResult(Record):
     """A denominator b with its numerators and error, 1 <= b < bound (the
     exclusive denominator bound Q**m); construction checks the range.
     Immutable."""
@@ -57,24 +55,10 @@ class ApproxResult:
     def __init__(self, denominator: int, numerators: tuple[int, ...], error: Fraction, bound: int):
         if not (1 <= denominator < bound):
             raise DirichletError("denominator outside the guaranteed range")
-        _set(self, "denominator", denominator)
-        _set(self, "numerators", numerators)
-        _set(self, "error", error)
-        _set(self, "bound", bound)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.denominator, self.numerators, self.error, self.bound)
-
-    def __eq__(self, other):
-        if other.__class__ is not ApproxResult:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        set_field(self, "denominator", denominator)
+        set_field(self, "numerators", numerators)
+        set_field(self, "error", error)
+        set_field(self, "bound", bound)
 
 
 def _cleared(alpha, q: int) -> tuple[list[int], int]:

@@ -18,12 +18,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
+from .base import EndoapproxError
 from .model import GeneratorSet, ModelPoint, apply_morphism, orbit_gram
 from .morphisms import BlockMorphism
 from .rings import RingElement, norm_equivalence_constants, submultiplicativity_sq
 
 
-class GeomNumError(ValueError):
+class GeomNumError(EndoapproxError, ValueError):
     pass
 
 

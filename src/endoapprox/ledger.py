@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .base import EndoapproxError, Record, set_field
 
-class LedgerError(KeyError):
+
+class LedgerError(EndoapproxError, KeyError):
     pass
 
 
-_set = object.__setattr__
-
-
-class LedgerEntry:
+class LedgerEntry(Record):
     """One positive constant with its formula and inputs.  Immutable."""
 
     __slots__ = ("name", "value", "formula", "inputs")
@@ -26,24 +25,10 @@ class LedgerEntry:
     def __init__(self, name: str, value: Fraction, formula: str, inputs: tuple[tuple[str, str], ...] = ()):
         if value <= 0:
             raise ValueError(f"ledger constant {name} must be positive, got {value}")
-        _set(self, "name", name)
-        _set(self, "value", value)
-        _set(self, "formula", formula)
-        _set(self, "inputs", inputs)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.name, self.value, self.formula, self.inputs)
-
-    def __eq__(self, other):
-        if other.__class__ is not LedgerEntry:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        set_field(self, "name", name)
+        set_field(self, "value", value)
+        set_field(self, "formula", formula)
+        set_field(self, "inputs", inputs)
 
 
 class ConstantLedger:

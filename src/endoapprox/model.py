@@ -20,41 +20,30 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple
 
+from .base import EndoapproxError, Record, set_field
 from .dirichlet import BudgetError
 from .linalg import clear_denominators
 from .morphisms import AmbientSpec, BlockMorphism, MorphismError, rationalize_block
 from .rings import RingSpec
 
 
-class ModelError(ValueError):
+class ModelError(EndoapproxError, ValueError):
     pass
 
 
-_set = object.__setattr__
-
-
-class ModelSpace:
+class ModelSpace(Record):
     """An ambient power together with per-factor free-module ranks.
     Immutable; it keeps a `__dict__` for the spaces `with_counts` built."""
+
+    _fields = ("ambient", "free_ranks")
 
     def __init__(self, ambient: AmbientSpec, free_ranks: tuple[int, ...]):
         if len(free_ranks) != ambient.product.n_factors:
             raise ModelError("one free rank per ring factor required")
         if any(r < 0 for r in free_ranks):
             raise ModelError("free ranks must be non-negative")
-        _set(self, "ambient", ambient)
-        _set(self, "free_ranks", free_ranks)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not ModelSpace:
-            return NotImplemented
-        return (self.ambient, self.free_ranks) == (other.ambient, other.free_ranks)
-
-    def __hash__(self) -> int:
-        return hash((self.ambient, self.free_ranks))
+        set_field(self, "ambient", ambient)
+        set_field(self, "free_ranks", free_ranks)
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -135,7 +124,7 @@ class SlotValue(NamedTuple):
         return not any(self.tnums) and self.is_torsion()
 
 
-class ModelPoint:
+class ModelPoint(Record):
     """A point of a model space: per factor, a tuple of its slots, whose
     shape must match the space's counts.  Immutable; equal points have
     equal fields."""
@@ -145,19 +134,8 @@ class ModelPoint:
     def __init__(self, space: ModelSpace, slots: tuple[tuple[SlotValue, ...], ...]):
         if tuple(map(len, slots)) != tuple(space.counts):
             raise ModelError("slot shape does not match the space")
-        _set(self, "space", space)
-        _set(self, "slots", slots)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not ModelPoint:
-            return NotImplemented
-        return self.slots == other.slots and (self.space is other.space or self.space == other.space)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.slots))
+        set_field(self, "space", space)
+        set_field(self, "slots", slots)
 
     def __repr__(self) -> str:
         return f"ModelPoint(space={self.space!r}, slots={self.slots!r})"
@@ -446,7 +424,7 @@ def concat_points(x: ModelPoint, p: ModelPoint) -> ModelPoint:
     return ModelPoint(space, slots)
 
 
-class GeneratorSet:
+class GeneratorSet(Record):
     """Free generators of a finite-rank subgroup, grouped by factor.
 
     Each generator is a single-slot point of its factor; the free parts of
@@ -465,19 +443,8 @@ class GeneratorSet:
             raise ModelError("generators must be torsion-free")
         if rank_of_point(point) != space.counts:
             raise ModelError("generators are not free (rank condition fails)")
-        _set(self, "space", space)
-        _set(self, "point", point)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not GeneratorSet:
-            return NotImplemented
-        return (self.space, self.point) == (other.space, other.point)
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.point))
+        set_field(self, "space", space)
+        set_field(self, "point", point)
 
     def generator(self, factor: int, index: int) -> SlotValue:
         return self.point.slots[factor][index]

@@ -17,19 +17,18 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
+from .base import EndoapproxError, Record, set_field
 from .rings import ProductRingSpec, RingElement, RingError, RingSpec
 
 
-class MorphismError(ValueError):
+class MorphismError(EndoapproxError, ValueError):
     pass
 
 
 MultiIndex = tuple[int, ...]
 
-_set = object.__setattr__
 
-
-class AmbientSpec:
+class AmbientSpec(Record):
     """A power of the product variety: per-factor coordinate counts.
     Immutable."""
 
@@ -40,19 +39,8 @@ class AmbientSpec:
             raise MorphismError("one count per ring factor required")
         if any(c < 0 for c in counts):
             raise MorphismError("coordinate counts must be non-negative")
-        _set(self, "product", product)
-        _set(self, "counts", counts)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not AmbientSpec:
-            return NotImplemented
-        return (self.product, self.counts) == (other.product, other.counts)
-
-    def __hash__(self) -> int:
-        return hash((self.product, self.counts))
+        set_field(self, "product", product)
+        set_field(self, "counts", counts)
 
     @property
     def total(self) -> int:
@@ -66,18 +54,20 @@ class AmbientSpec:
         return AmbientSpec(self.product, tuple(counts))
 
 
-class BlockMorphism:
+class BlockMorphism(Record):
     """Per-factor matrices over the factor rings; source/target multi-indices.
 
     Every entry lies in its factor's order: construction refuses an entry
-    with a denominator, so no block carries one."""
+    with a denominator, so no block carries one.  Immutable; the product is
+    not compared, and the norm is computed once, on first use."""
 
     __slots__ = ("product", "source", "target", "blocks", "_norm_sq")
+    _fields = ("source", "target", "blocks")
 
     def __init__(self, product: ProductRingSpec, source, target, blocks):
-        self.product = product
-        self.source = tuple(source)
-        self.target = tuple(target)
+        set_field(self, "product", product)
+        set_field(self, "source", tuple(source))
+        set_field(self, "target", tuple(target))
         if len(self.source) != product.n_factors or len(self.target) != product.n_factors:
             raise MorphismError("multi-index length must match the number of factors")
         blocks = tuple(tuple(tuple(row) for row in block) for block in blocks)
@@ -92,8 +82,8 @@ class BlockMorphism:
                         raise MorphismError(f"factor {i}: entry from wrong ring {e.ring.tag}")
                     if e.den != 1:
                         raise MorphismError(f"factor {i}: entry ({r}, {c}) is not integral")
-        self.blocks = blocks
-        self._norm_sq = None
+        set_field(self, "blocks", blocks)
+        set_field(self, "_norm_sq", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -129,9 +119,9 @@ class BlockMorphism:
 
     def norm_sq(self) -> Fraction:
         if self._norm_sq is None:
-            self._norm_sq = max(
+            set_field(self, "_norm_sq", max(
                 (e.norm_sq() for block in self.blocks for row in block for e in row), default=Fraction(0)
-            )
+            ))
         return self._norm_sq
 
     def compose(self, other: "BlockMorphism") -> "BlockMorphism":
@@ -194,14 +184,8 @@ class BlockMorphism:
     def is_zero(self) -> bool:
         return all(e.is_zero() for block in self.blocks for row in block for e in row)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BlockMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.blocks == other.blocks
-        )
-
+    # hashes the entries' numerators, not the RingElements, whose hashes
+    # would hash their whole ring's tables once per entry
     def __hash__(self):
         return hash((self.source, self.target, tuple(
             tuple(tuple(e.nums for e in row) for row in block) for block in self.blocks
@@ -246,7 +230,7 @@ def rank_and_codim(phi: BlockMorphism, ambient: AmbientSpec) -> tuple[MultiIndex
     return tuple(ranks), codim
 
 
-class WeightedCertificate:
+class WeightedCertificate(Record):
     """Scale a with per-factor column selections realizing a*I inside the
     morphism it certifies; construction checks it, so a false one raises.
     Immutable.
@@ -260,25 +244,11 @@ class WeightedCertificate:
     def __init__(
         self, morphism: BlockMorphism, scale: int, columns: tuple[tuple[int, ...], ...], slack_sq: Fraction
     ):
-        _set(self, "morphism", morphism)
-        _set(self, "scale", scale)
-        _set(self, "columns", columns)
-        _set(self, "slack_sq", slack_sq)
+        set_field(self, "morphism", morphism)
+        set_field(self, "scale", scale)
+        set_field(self, "columns", columns)
+        set_field(self, "slack_sq", slack_sq)
         self._verify()
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.morphism, self.scale, self.columns, self.slack_sq)
-
-    def __eq__(self, other):
-        if other.__class__ is not WeightedCertificate:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def _verify(self) -> None:
         phi = self.morphism
@@ -303,7 +273,7 @@ class WeightedCertificate:
             raise MorphismError("norm exceeds the certified weighted slack")
 
 
-class SpecialCertificate:
+class SpecialCertificate(Record):
     """A special morphism phi_tilde = (phi|phi') with a weighted certificate
     for its left block phi; construction checks it, so a false one raises.
     Immutable.
@@ -314,21 +284,10 @@ class SpecialCertificate:
     __slots__ = ("morphism", "weighted", "slack_sq")
 
     def __init__(self, morphism: BlockMorphism, weighted: WeightedCertificate, slack_sq: Fraction):
-        _set(self, "morphism", morphism)
-        _set(self, "weighted", weighted)
-        _set(self, "slack_sq", slack_sq)
+        set_field(self, "morphism", morphism)
+        set_field(self, "weighted", weighted)
+        set_field(self, "slack_sq", slack_sq)
         self._verify()
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not SpecialCertificate:
-            return NotImplemented
-        return (self.morphism, self.weighted, self.slack_sq) == (other.morphism, other.weighted, other.slack_sq)
-
-    def __hash__(self) -> int:
-        return hash((self.morphism, self.weighted, self.slack_sq))
 
     @property
     def left_counts(self) -> MultiIndex:

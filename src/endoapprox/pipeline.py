@@ -14,6 +14,7 @@ import random
 from fractions import Fraction
 
 from . import dirichlet
+from .base import EndoapproxError
 from .approx import (
     ApproxError,
     CertificationError,
@@ -57,8 +58,6 @@ from .morphisms import (
     weightify,
 )
 from .reduction import (
-    ConsistencyError,
-    WitnessError,
     gamma_embed,
     point_project,
     specialize,
@@ -80,18 +79,6 @@ from .scenario import (
     witness_to_json,
 )
 from .thresholds import ThresholdError, kernel_degree
-
-PipelineErrors = (
-    ApproxError,
-    CertificationError,
-    ConsistencyError,
-    GeomNumError,
-    MorphismError,
-    ThresholdError,
-    WitnessError,
-    dirichlet.BudgetError,
-)
-
 
 # -- the proof chain ---------------------------------------------------------
 
@@ -181,7 +168,7 @@ def run_pipeline(scenario: Scenario) -> dict:
                     }
                 )
             row["ok"] = True
-        except PipelineErrors as err:
+        except EndoapproxError as err:
             row["ok"] = False
             row["diagnostic"] = f"{type(err).__name__}: {err}"
             ok = False
@@ -711,13 +698,13 @@ def suite_reduction(scenario: Scenario) -> dict:
         count += 1
         try:
             w = scenario.witness(spec)
-        except PipelineErrors as err:
+        except EndoapproxError as err:
             failures.append(f"{spec.name}: witness failed: {err}")
             continue
         try:
             pw = gamma_embed(w, scenario.gamma, scenario.k0_sq, scenario.ambient)
             embedded[spec.name] = (w, pw)
-        except PipelineErrors as err:
+        except EndoapproxError as err:
             failures.append(f"{spec.name}: embed failed: {err}")
     keys = list(embedded)
     for i in range(len(keys)):
@@ -736,7 +723,7 @@ def suite_reduction(scenario: Scenario) -> dict:
                 failures.append(f"{name}: round trip changed the point")
             elif not back.xi.is_torsion():
                 failures.append(f"{name}: round trip produced a non-torsion perturbation")
-        except PipelineErrors as err:
+        except EndoapproxError as err:
             failures.append(f"{name}: projection failed: {err}")
     return _suite("reduction", count, failures)
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import linalg
+from .base import EndoapproxError, Record, set_field
 from .geomnum import point_constants_all
 from .ledger import ConstantLedger, op_constant_sq
 from .model import (
@@ -39,18 +40,15 @@ from .morphisms import (
 )
 
 
-_set = object.__setattr__
-
-
-class WitnessError(ValueError):
+class WitnessError(EndoapproxError, ValueError):
     pass
 
 
-class ConsistencyError(AssertionError):
+class ConsistencyError(EndoapproxError, AssertionError):
     """A structurally impossible state was observed; indicates corrupted inputs."""
 
 
-class InclusionWitness:
+class InclusionWitness(Record):
     """A certificate that a point lies in a kernel translated by a small ball.
 
     Plain form (p is None): morphism(x + y + xi) == 0.
@@ -78,30 +76,16 @@ class InclusionWitness:
         special: SpecialCertificate | None = None,
         group_data: tuple[int, BlockMorphism] | None = None,
     ):
-        _set(self, "morphism", morphism)
-        _set(self, "x", x)
-        _set(self, "xi", xi)
-        _set(self, "xi_bound_sq", xi_bound_sq)
-        _set(self, "p", p)
-        _set(self, "y", y)
-        _set(self, "weighted", weighted)
-        _set(self, "special", special)
-        _set(self, "group_data", group_data)
+        set_field(self, "morphism", morphism)
+        set_field(self, "x", x)
+        set_field(self, "xi", xi)
+        set_field(self, "xi_bound_sq", xi_bound_sq)
+        set_field(self, "p", p)
+        set_field(self, "y", y)
+        set_field(self, "weighted", weighted)
+        set_field(self, "special", special)
+        set_field(self, "group_data", group_data)
         self.verify()
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not InclusionWitness:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def argument(self) -> ModelPoint:
         base = self.x if self.p is None else concat_points(self.x, self.p)

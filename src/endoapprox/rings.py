@@ -15,15 +15,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterator, NamedTuple
 
 from . import linalg
+from .base import EndoapproxError, Record, set_field
+from .dirichlet import DEFAULT_BUDGET, BudgetError
 from .exact import floor_sqrt, sqrt_upper
 
 
-class RingError(ValueError):
+class RingError(EndoapproxError, ValueError):
     """Domain error raised for ill-formed ring data or mismatched elements."""
 
 
@@ -36,10 +38,7 @@ def _lowest(nums, den: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), den
 
 
-_set = object.__setattr__
-
-
-class RingSpec:
+class RingSpec(Record):
     """An order (or quaternion order) presented by structure constants.
 
     mul_table[j][k] is the coordinate vector of basis_j * basis_k.
@@ -55,6 +54,8 @@ class RingSpec:
     first use, and not compared either.
     """
 
+    _fields = ("tag", "rank", "dimension", "basis_labels", "mul_table", "involution", "gram", "lattice_rep")
+
     def __init__(
         self,
         tag: str,
@@ -66,14 +67,14 @@ class RingSpec:
         gram: tuple[tuple[Fraction, ...], ...],
         lattice_rep: tuple[tuple[tuple[int, ...], ...], ...],
     ):
-        _set(self, "tag", tag)
-        _set(self, "rank", rank)
-        _set(self, "dimension", dimension)
-        _set(self, "basis_labels", basis_labels)
-        _set(self, "mul_table", mul_table)
-        _set(self, "involution", involution)
-        _set(self, "gram", gram)
-        _set(self, "lattice_rep", lattice_rep)
+        set_field(self, "tag", tag)
+        set_field(self, "rank", rank)
+        set_field(self, "dimension", dimension)
+        set_field(self, "basis_labels", basis_labels)
+        set_field(self, "mul_table", mul_table)
+        set_field(self, "involution", involution)
+        set_field(self, "gram", gram)
+        set_field(self, "lattice_rep", lattice_rep)
         t = rank
         if t < 1 or self.dimension < 1:
             raise RingError("rank and dimension must be positive")
@@ -91,24 +92,9 @@ class RingSpec:
         ):
             raise RingError("lattice representation must be rank matrices of size 2*dimension")
         nums, den = linalg.clear_denominators([x for row in self.gram for x in row])
-        _set(self, "gram_int", tuple(tuple(nums[i * t : (i + 1) * t]) for i in range(t)))
-        _set(self, "gram_den", den)
+        set_field(self, "gram_int", tuple(tuple(nums[i * t : (i + 1) * t]) for i in range(t)))
+        set_field(self, "gram_den", den)
         self.validate()
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.tag, self.rank, self.dimension, self.basis_labels, self.mul_table,
-                self.involution, self.gram, self.lattice_rep)
-
-    def __eq__(self, other):
-        if other.__class__ is not RingSpec:
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     # -- elements ----------------------------------------------------------
 
@@ -276,7 +262,7 @@ class RingSpec:
         return [[col[i] for col in cols] for i in range(t)]
 
 
-class RingElement:
+class RingElement(Record):
     """An element as integer numerators over one denominator, nums[i] / den
     its i-th coordinate, in lowest terms: den >= 1, gcd(den, *nums) == 1,
     and zero over 1, so equal elements have equal fields.  `coords` is the
@@ -285,20 +271,9 @@ class RingElement:
     __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring: RingSpec, nums: tuple[int, ...], den: int):
-        _set(self, "ring", ring)
-        _set(self, "nums", nums)
-        _set(self, "den", den)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not RingElement:
-            return NotImplemented
-        return (self.ring, self.nums, self.den) == (other.ring, other.nums, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.nums, self.den))
+        set_field(self, "ring", ring)
+        set_field(self, "nums", nums)
+        set_field(self, "den", den)
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -373,10 +348,14 @@ def enumerate_short_vectors(ring: RingSpec, radius_sq: Fraction) -> Iterator[Rin
 
     Box enumeration inside the certified bound |a_i|^2 <= radius_sq*(G^-1)_ii;
     only representatives with positive leading coordinate are yielded (the
-    norm is invariant under negation).
+    norm is invariant under negation).  A box of more than DEFAULT_BUDGET
+    points raises BudgetError before the first one is visited.
     """
     gram = linalg.mat(ring.gram)
     bounds = _box_bounds(gram, radius_sq)
+    points = prod(2 * b + 1 for b in bounds)
+    if points > DEFAULT_BUDGET:
+        raise BudgetError(f"{ring.tag}: short-vector box of {points} points exceeds budget {DEFAULT_BUDGET}")
     ranges = [range(-b, b + 1) for b in bounds]
     for coords in itertools.product(*ranges):
         first = next((c for c in coords if c != 0), 0)
@@ -416,7 +395,7 @@ def submultiplicativity_sq(ring: RingSpec) -> Fraction:
     return ring._submultiplicativity
 
 
-class ProductRingSpec:
+class ProductRingSpec(Record):
     """Ordered product of pairwise distinct simple-factor rings.  Immutable."""
 
     __slots__ = ("factors",)
@@ -427,18 +406,7 @@ class ProductRingSpec:
             raise RingError("product factors must carry distinct tags")
         if not factors:
             raise RingError("product of zero rings")
-        _set(self, "factors", factors)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not ProductRingSpec:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
+        set_field(self, "factors", factors)
 
     @property
     def rank(self) -> int:
@@ -465,25 +433,14 @@ class ProductRingSpec:
         return ProductElement(self, tuple(parts))
 
 
-class ProductElement:
+class ProductElement(Record):
     """One element per factor of a product ring.  Immutable."""
 
     __slots__ = ("product", "parts")
 
     def __init__(self, product: ProductRingSpec, parts: tuple[RingElement, ...]):
-        _set(self, "product", product)
-        _set(self, "parts", parts)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not ProductElement:
-            return NotImplemented
-        return (self.product, self.parts) == (other.product, other.parts)
-
-    def __hash__(self) -> int:
-        return hash((self.product, self.parts))
+        set_field(self, "product", product)
+        set_field(self, "parts", parts)
 
     def norm_sq(self) -> Fraction:
         return sum((p.norm_sq() for p in self.parts), Fraction(0))

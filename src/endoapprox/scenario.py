@@ -11,6 +11,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
+from .base import EndoapproxError
 from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators
 from .morphisms import AmbientSpec, BlockMorphism, SpecialCertificate, WeightedCertificate
 from .reduction import InclusionWitness
@@ -30,7 +31,7 @@ def report_envelope(kind: str, scenario: "Scenario") -> dict:
     return {"schema": REPORT_SCHEMA, "kind": kind, "scenario": scenario.name, "seed": scenario.seed}
 
 
-class ScenarioError(ValueError):
+class ScenarioError(EndoapproxError, ValueError):
     pass
 
 

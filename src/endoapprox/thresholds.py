@@ -13,17 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .base import EndoapproxError, Record, set_field
 from .exact import pow_lower, pow_upper
 
 
-class ThresholdError(ValueError):
+class ThresholdError(EndoapproxError, ValueError):
     pass
 
 
-_set = object.__setattr__
-
-
-class VarietyCard:
+class VarietyCard(Record):
     """Degree/dimension data of the subvariety and its ambient.  Immutable."""
 
     __slots__ = ("ambient_tag", "deg_v", "dim_d", "cod_v", "deg_ambient", "ambient_dim")
@@ -37,26 +35,12 @@ class VarietyCard:
             raise ThresholdError("dimension must be non-negative and codimension positive")
         if dim_d + cod_v != ambient_dim:
             raise ThresholdError("dimension + codimension must equal the ambient dimension")
-        _set(self, "ambient_tag", ambient_tag)
-        _set(self, "deg_v", deg_v)
-        _set(self, "dim_d", dim_d)
-        _set(self, "cod_v", cod_v)
-        _set(self, "deg_ambient", deg_ambient)
-        _set(self, "ambient_dim", ambient_dim)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.ambient_tag, self.deg_v, self.dim_d, self.cod_v, self.deg_ambient, self.ambient_dim)
-
-    def __eq__(self, other):
-        if other.__class__ is not VarietyCard:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        set_field(self, "ambient_tag", ambient_tag)
+        set_field(self, "deg_v", deg_v)
+        set_field(self, "dim_d", dim_d)
+        set_field(self, "cod_v", cod_v)
+        set_field(self, "deg_ambient", deg_ambient)
+        set_field(self, "ambient_dim", ambient_dim)
 
 
 class ConjecturalOracle(NamedTuple):

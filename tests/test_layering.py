@@ -15,8 +15,10 @@ it). `scenario.dump_report` writes every report and refuses any value but
 dict, list, str, int, bool and None, so no module calls `json.dump` or
 `json.dumps`, which would write a float. The test oracles in
 `tests/reference.py` compute without the program's kernels, so from the
-package they import only the exception classes in REFERENCE_IMPORTS. Modules
-are parsed with `ast`, not imported.
+package they import only the exception classes in REFERENCE_IMPORTS. Only
+`base.Record` defines `__setattr__`, `__eq__`, `__hash__` and `_key`; a
+class keeps its own where its semantics differ, as KEPT_OVERRIDES lists.
+Modules are parsed with `ast`, not imported.
 """
 
 import ast
@@ -256,3 +258,51 @@ def test_reference_imports_only_exception_classes():
     assert imported
     offenders = [found for found in imported if found.split(": ")[1] not in REFERENCE_IMPORTS]
     assert not offenders, f"tests/reference.py imports from the program: {offenders}"
+
+
+RECORD_METHODS = {"__setattr__", "__eq__", "__hash__", "_key"}
+# the two mutable classes compare their contents and are unhashable;
+# BlockMorphism hashes its entries' numerators, not the ring elements
+KEPT_OVERRIDES = {
+    "ledger.py: ConstantLedger.__eq__",
+    "scenario.py: Scenario.__eq__",
+    "morphisms.py: BlockMorphism.__hash__",
+}
+
+
+def record_methods(source: str) -> list[str]:
+    """The RECORD_METHODS a class body defines or assigns, as "Class.name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names = [stmt.target.id]
+            else:
+                names = []
+            found += [f"{node.name}.{name}" for name in names if name in RECORD_METHODS]
+    return found
+
+
+def test_record_method_detector():
+    source = (
+        "class A:\n    def __eq__(self, o):\n        return True\n    __hash__ = None\n"
+        "    def _key(self):\n        def __eq__():\n            pass\n"
+        "class B(A):\n    _fields = ('x',)\n    def __repr__(self):\n        return 'B'\n"
+        "def __setattr__(self, name, value):\n    pass\n"
+    )
+    assert record_methods(source) == ["A.__eq__", "A.__hash__", "A._key"]
+
+
+def test_only_base_defines_record_methods():
+    offenders = [
+        f"{path.name}: {found}" for path in sorted(PACKAGE.glob("*.py")) if path.name != "base.py"
+        for found in record_methods(path.read_text())
+        if f"{path.name}: {found}" not in KEPT_OVERRIDES
+    ]
+    assert not offenders, f"record methods outside base.Record: {offenders}"

@@ -1,8 +1,14 @@
 """The package's records: importing the package generates no code, equal
 records compare and hash equal, frozen ones refuse assignment, and every
 record that checks itself raises on a bad construction, the copies the
-reduction transformers make included."""
+reduction transformers make included.  Every `base.Record` in the package
+is a case of the equality, hash and assignment test, and every exception
+the package defines descends from `base.EndoapproxError` and from the
+built-in exception callers catch it by."""
 
+import builtins
+import importlib
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -10,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
+import endoapprox
 from endoapprox import reduction
+from endoapprox.base import EndoapproxError, Record
 from endoapprox.approx import derive_ledger
 from endoapprox.dirichlet import ApproxResult, DirichletError
 from endoapprox.ledger import ConstantLedger, LedgerEntry
-from endoapprox.model import GeneratorSet, ModelError, ModelSpace
+from endoapprox.model import GeneratorSet, ModelError, ModelPoint, ModelSpace
 from endoapprox.morphisms import (
     AmbientSpec,
     BlockMorphism,
@@ -81,6 +89,8 @@ RECORDS = {
     ),
     AmbientSpec: (lambda: AmbientSpec(_pz(), (2,)), lambda: AmbientSpec(_pz(), (3,)), "counts"),
     ModelSpace: (_space, lambda: _space().with_counts((1,)), "free_ranks"),
+    ModelPoint: (lambda: _space().zero(), lambda: _space().point([[_space().slot(0, free=[[1]]), _space().slot(0)]]),
+                 "slots"),
     GeneratorSet: (lambda: load_scenario(Z_BASIC).gamma,
                    lambda: load_scenario(Z_BASIC.with_name("gaussian.json")).gamma, "point"),
     WeightedCertificate: (
@@ -96,6 +106,7 @@ RECORDS = {
     InclusionWitness: (lambda: load_scenario(Z_BASIC).witnesses()[0][1],
                        lambda: load_scenario(Z_BASIC).witnesses()[1][1], "xi_bound_sq"),
     ApproxResult: (lambda: ApproxResult(3, (1,), F(0), 5), lambda: ApproxResult(3, (1,), F(0), 9), "error"),
+    BlockMorphism: (_phi, lambda: BlockMorphism.from_coords(_pz(), (2,), (1,), [[[[2], [6]]]]), "blocks"),
     LedgerEntry: (lambda: LedgerEntry("c", F(2), "two", (("a", "1"),)), lambda: LedgerEntry("c", F(2), "two"),
                   "value"),
     VarietyCard: (lambda: load_scenario(Z_BASIC).card,
@@ -121,6 +132,39 @@ def test_record_equality_hash_and_assignment(cls):
     with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
         setattr(a, field, getattr(other, field))
     assert a == b
+
+
+def _package_modules():
+    """Every module of the package but `__main__`, which runs the command line."""
+    return [importlib.import_module(f"endoapprox.{m.name}")
+            for m in pkgutil.iter_modules(endoapprox.__path__) if m.name != "__main__"]
+
+
+def _defined(cls):
+    """The classes of the package that derive from cls, cls excluded."""
+    return {obj for module in _package_modules() for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, cls) and obj is not cls
+            and obj.__module__ == module.__name__}
+
+
+def test_every_record_is_a_case():
+    records = _defined(Record)
+    assert len(records) >= 15
+    missing = sorted(cls.__name__ for cls in records - set(RECORDS))
+    assert not missing, f"records without an equality, hash and assignment case: {missing}"
+
+
+BUILTIN_EXCEPTIONS = {
+    obj for obj in vars(builtins).values() if isinstance(obj, type) and issubclass(obj, BaseException)
+} - {BaseException, Exception}
+
+
+def test_every_exception_descends_from_the_root():
+    errors = _defined(BaseException) - {EndoapproxError}
+    assert len(errors) >= 13
+    for cls in errors:
+        assert issubclass(cls, EndoapproxError), cls.__name__
+        assert BUILTIN_EXCEPTIONS & set(cls.__mro__), cls.__name__
 
 
 def test_named_tuple_records_keep_their_repr():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from endoapprox import cli, pipeline
 from endoapprox.cli import main
-from endoapprox.pipeline import run_pipeline, run_property_suites
+from endoapprox.model import ModelError
+from endoapprox.pipeline import run_pipeline, run_property_suites, suite_reduction
 from endoapprox.scenario import (
     ScenarioError,
     dump_report,
@@ -306,6 +309,60 @@ def test_cli_seed_and_budget_overrides(tmp_path, scenario_paths):
     assert [row["diagnostic"] for row in rows if not row["ok"]] == [
         "BudgetError: scan of 3 denominators exceeds budget 1"
     ]
+
+
+def _raise_model_error(*args, **kwargs):
+    raise ModelError("planted")
+
+
+@pytest.mark.parametrize("module, name, command, rows", [
+    (pipeline, "specialize", "pipeline", "witnesses"),
+    (cli, "translate_witness", "reduce", "witnesses"),
+    (cli, "approx_weighted", "approx", "morphisms"),
+], ids=["pipeline", "reduce", "approx"])
+def test_cli_rows_name_any_package_error(tmp_path, scenario_paths, monkeypatch, module, name, command, rows):
+    # a row catches every error the package defines, ModelError included
+    monkeypatch.setattr(module, name, _raise_model_error)
+    path = next(p for p in scenario_paths if p.stem == "z-basic")
+    out = tmp_path / "out.json"
+    assert main([command, "--scenario", str(path), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert not report["ok"] and report[rows]
+    assert [row["diagnostic"] for row in report[rows]] == ["ModelError: planted"] * len(report[rows])
+    assert not any(row["ok"] for row in report[rows])
+
+
+def test_suite_reduction_names_any_package_error(scenario_paths, monkeypatch):
+    monkeypatch.setattr(pipeline, "gamma_embed", _raise_model_error)
+    scenario = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic"))
+    suite = suite_reduction(scenario)
+    assert suite["failures"] == len(scenario.witness_specs) > 0
+    assert suite["first_failures"][0] == f"{scenario.witness_specs[0].name}: embed failed: planted"
+
+
+def _quaternion_gram_huge(data):
+    # lambda_min's short-vector box then spans about 4 * 10**22 points
+    data["rings"][0]["gram"][0][0] = {"num": str(10**15), "den": "7"}
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cli_names_an_unaffordable_short_vector_box(tmp_path, scenario_paths):
+    # in a fresh interpreter capped at 1 GiB, so a box enumerated without
+    # its budget check ends there and not in this process
+    path = _scenario_copy(tmp_path, scenario_paths, _quaternion_gram_huge, "quaternion")
+    src = Path(__file__).resolve().parents[1] / "src"
+    for command in ("approx", "pipeline", "verify"):
+        done = subprocess.run(
+            [sys.executable, "-m", "endoapprox", command, "--scenario", str(path)],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+            preexec_fn=_limit_memory,
+        )
+        assert done.returncode == 1 and done.stdout == "", command
+        assert done.stderr.startswith("BudgetError: Hq: short-vector box of ") and done.stderr.count("\n") == 1, (
+            command, done.stderr[-300:])
 
 
 def test_cli_names_missing_scenario(tmp_path, capsys):
