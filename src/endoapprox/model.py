@@ -74,6 +74,8 @@ class ModelSpace(Record):
         return ModelPoint(self, tuple(tuple(s for s in fac) for fac in slots))
 
     def slot(self, factor: int, torsion=(), free=()) -> "SlotValue":
+        """The slot of this factor with these int or Fraction torsion
+        coordinates and free coefficients, missing ones zero."""
         spec = self.product.factors[factor]
         nu, t = self.free_ranks[factor], spec.rank
         tors = [0] * (2 * spec.dimension)
@@ -83,12 +85,9 @@ class ModelSpace(Record):
         for k, coeff in enumerate(free):
             for l, v in enumerate(coeff):
                 fr[k][l] = v
-        # over the least common denominator the numerators share no factor with it
         fnums, fden = clear_denominators([x for row in fr for x in row])
-        return SlotValue(
-            *_torsion_mod1(*clear_denominators(tors)),
-            tuple(tuple(fnums[k * t : (k + 1) * t]) for k in range(nu)),
-            fden,
+        return slot_from_nums(
+            *clear_denominators(tors), [fnums[k * t : (k + 1) * t] for k in range(nu)], fden
         )
 
 
@@ -148,10 +147,7 @@ class ModelPoint(Record):
 
     def __add__(self, other: "ModelPoint") -> "ModelPoint":
         self._check(other)
-        slots = tuple(
-            tuple(_slot_add(a, b) for a, b in zip(fa, fb))
-            for fa, fb in zip(self.slots, other.slots)
-        )
+        slots = tuple(tuple(map(_slot_add, fa, fb)) for fa, fb in zip(self.slots, other.slots))
         return ModelPoint(self.space, slots)
 
     def __neg__(self) -> "ModelPoint":
@@ -159,14 +155,12 @@ class ModelPoint(Record):
 
     def __sub__(self, other: "ModelPoint") -> "ModelPoint":
         self._check(other)
-        slots = tuple(
-            tuple(_slot_add(a, b, -1) for a, b in zip(fa, fb))
-            for fa, fb in zip(self.slots, other.slots)
-        )
+        minus = itertools.repeat(-1)
+        slots = tuple(tuple(map(_slot_add, fa, fb, minus)) for fa, fb in zip(self.slots, other.slots))
         return ModelPoint(self.space, slots)
 
     def int_mul(self, n: int) -> "ModelPoint":
-        slots = tuple(tuple(_slot_int_mul(s, n) for s in fac) for fac in self.slots)
+        slots = tuple(tuple(map(_slot_int_mul, fac, itertools.repeat(n))) for fac in self.slots)
         return ModelPoint(self.space, slots)
 
     def is_zero(self) -> bool:
@@ -228,47 +222,53 @@ def orbit_gram(spec: RingSpec, slots) -> list[list[Fraction]]:
     return gram
 
 
-def _torsion_mod1(nums, den: int) -> tuple[tuple[int, ...], int]:
-    """Torsion numerators nums / den reduced mod 1 and to the least
-    denominator: (numerators in [0, den'), den')."""
-    if den == 1:
-        return (0,) * len(nums), 1
-    nums = [x % den for x in nums]
-    g = gcd(den, *nums)
-    if g > 1:
-        return tuple(x // g for x in nums), den // g
-    return tuple(nums), den
-
-
-def _free_lowest(rows, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Free numerators rows / den over the least denominator."""
-    if den == 1:
-        return tuple(map(tuple, rows)), 1
-    g = gcd(den, *(x for row in rows for x in row))
-    if g > 1:
-        return tuple(tuple(x // g for x in row) for row in rows), den // g
-    return tuple(tuple(row) for row in rows), den
+def slot_from_nums(tnums, tden: int, fnums, fden: int) -> SlotValue:
+    """The slot with torsion tnums[i] / tden and free coefficients
+    fnums[k][l] / fden, for integer numerators over positive denominators
+    in any terms: torsion reduced mod 1 (numerators in [0, tden)) and both
+    parts brought to their least denominator, each in one gcd step and at
+    once over denominator 1.  The one reduction every slot is built
+    through."""
+    if tden == 1:
+        tnums = (0,) * len(tnums)
+    else:
+        tnums = [x % tden for x in tnums]
+        g = gcd(tden, *tnums)
+        if g > 1:
+            tnums, tden = tuple([x // g for x in tnums]), tden // g
+        else:
+            tnums = tuple(tnums)
+    if fden != 1:
+        g = gcd(fden, *itertools.chain.from_iterable(fnums))
+        if g > 1:
+            fnums, fden = [[x // g for x in row] for row in fnums], fden // g
+    return SlotValue(tnums, tden, tuple(map(tuple, fnums)), fden)
 
 
 def _slot_add(a: SlotValue, b: SlotValue, k: int = 1) -> SlotValue:
-    """The slot a + k*b."""
-    tden = lcm(a.tden, b.tden)
-    ka, kb = tden // a.tden, k * (tden // b.tden)
-    fden = lcm(a.fden, b.fden)
-    ga, gb = fden // a.fden, k * (fden // b.fden)
-    return SlotValue(
-        *_torsion_mod1([x * ka + y * kb for x, y in zip(a.tnums, b.tnums)], tden),
-        *_free_lowest(
-            [[x * ga + y * gb for x, y in zip(ra, rb)] for ra, rb in zip(a.fnums, b.fnums)], fden
-        ),
+    """The slot a + k*b, each part over the lcm of the two denominators
+    (skipped when they are equal, as they mostly are)."""
+    tden, fden = a.tden, a.fden
+    if tden == b.tden:
+        ka, kb = 1, k
+    else:
+        tden = lcm(tden, b.tden)
+        ka, kb = tden // a.tden, k * (tden // b.tden)
+    if fden == b.fden:
+        ga, gb = 1, k
+    else:
+        fden = lcm(fden, b.fden)
+        ga, gb = fden // a.fden, k * (fden // b.fden)
+    return slot_from_nums(
+        [x * ka + y * kb for x, y in zip(a.tnums, b.tnums)],
+        tden,
+        [[x * ga + y * gb for x, y in zip(ra, rb)] for ra, rb in zip(a.fnums, b.fnums)],
+        fden,
     )
 
 
 def _slot_int_mul(a: SlotValue, n: int) -> SlotValue:
-    return SlotValue(
-        *_torsion_mod1([n * x for x in a.tnums], a.tden),
-        *_free_lowest([[n * x for x in row] for row in a.fnums], a.fden),
-    )
+    return slot_from_nums([n * x for x in a.tnums], a.tden, [[n * x for x in row] for row in a.fnums], a.fden)
 
 
 def _act_into(spec: RingSpec, coords, tors: list[int], free, acc_tors, acc_free) -> None:
@@ -277,26 +277,24 @@ def _act_into(spec: RingSpec, coords, tors: list[int], free, acc_tors, acc_free)
     accumulators: lattice representation on torsion, module multiplication
     on each free coefficient."""
     if any(tors):
-        for r, row in enumerate(spec.rho_int(coords)):
-            acc_tors[r] += sum(m * t for m, t in zip(row, tors))
+        spec.rho_act_int(coords, tors, acc_tors)
     for acc, coeff in zip(acc_free, free):
         for l, v in enumerate(spec.mul_int(coords, coeff)):
             acc[l] += v
 
 
-def _slot_nums(slots) -> tuple[list[list[int]], int, list[list[list[int]]], int]:
+def _slot_nums(slots) -> tuple[list, int, list, int]:
     """The slots' torsion and free numerators brought over one torsion and
-    one free denominator: (torsion per slot, torsion den, free
-    coefficients per slot, free den)."""
-    tden = lcm(*(s.tden for s in slots))
-    fden = lcm(*(s.fden for s in slots))
-    tors = [[x * (tden // s.tden) for x in s.tnums] for s in slots]
-    free = [[[x * (fden // s.fden) for x in row] for row in s.fnums] for s in slots]
+    one free denominator, read-only (a slot already over it gives its own):
+    (torsion per slot, torsion den, free coefficients per slot, free den)."""
+    tden = lcm(*[s.tden for s in slots])
+    fden = lcm(*[s.fden for s in slots])
+    tors = [s.tnums if s.tden == tden else [x * (tden // s.tden) for x in s.tnums] for s in slots]
+    free = [
+        s.fnums if s.fden == fden else [[x * (fden // s.fden) for x in row] for row in s.fnums]
+        for s in slots
+    ]
     return tors, tden, free, fden
-
-
-def _slot_from_nums(acc_tors, tden: int, acc_free, fden: int) -> SlotValue:
-    return SlotValue(*_torsion_mod1(acc_tors, tden), *_free_lowest(acc_free, fden))
 
 
 def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
@@ -319,10 +317,10 @@ def apply_morphism(phi: BlockMorphism, x: ModelPoint) -> ModelPoint:
         for row in phi.blocks[i]:
             acc_tors = [0] * (2 * spec.dimension)
             acc_free = [[0] * spec.rank for _ in range(nu)]
-            for c, e in enumerate(row):
-                if not e.is_zero():
-                    _act_into(spec, e.nums, tors[c], free[c], acc_tors, acc_free)
-            fac.append(_slot_from_nums(acc_tors, tden, acc_free, fden))
+            for e, t, f in zip(row, tors, free):
+                if any(e.nums):
+                    _act_into(spec, e.nums, t, f, acc_tors, acc_free)
+            fac.append(slot_from_nums(acc_tors, tden, acc_free, fden))
         out_slots.append(tuple(fac))
     return ModelPoint(target_space, tuple(out_slots))
 
@@ -361,11 +359,7 @@ def divide(y: ModelPoint, b: int) -> ModelPoint:
     if b < 1:
         raise ModelError("division needs a positive integer")
     slots = tuple(
-        tuple(
-            SlotValue(*_torsion_mod1(s.tnums, s.tden * b), *_free_lowest(s.fnums, s.fden * b))
-            for s in fac
-        )
-        for fac in y.slots
+        tuple(slot_from_nums(s.tnums, s.tden * b, s.fnums, s.fden * b) for s in fac) for fac in y.slots
     )
     return ModelPoint(y.space, slots)
 
@@ -385,7 +379,7 @@ def torsion_enum(space: ModelSpace, n: int, budget: int = 100_000):
             two_d = 2 * spec.dimension
             fac = []
             for _ in range(space.counts[i]):
-                fac.append(SlotValue(*_torsion_mod1(assignment[at : at + two_d], n), *zero_free[i]))
+                fac.append(slot_from_nums(assignment[at : at + two_d], n, *zero_free[i]))
                 at += two_d
             slots.append(tuple(fac))
         yield ModelPoint(space, tuple(slots))

@@ -40,6 +40,7 @@ from .model import (
     ModelSpace,
     apply_morphism,
     divide,
+    slot_from_nums,
     torsion_count,
     torsion_matrices,
     torsion_widths,
@@ -217,8 +218,10 @@ def _moduli_table(scenario: Scenario, ledger, p_height: Fraction) -> list[dict]:
 # -- random data for the suites ---------------------------------------------
 
 
-def _rand_element(rng, spec: RingSpec, limit: int):
-    return spec.element([rng.randint(-limit, limit) for _ in range(spec.rank)])
+def _rand_element(rng, spec: RingSpec, limit: int) -> RingElement:
+    """An integral element, its coordinates in [-limit, limit] and over 1,
+    which is lowest terms."""
+    return RingElement(spec, tuple([rng.randint(-limit, limit) for _ in range(spec.rank)]), 1)
 
 
 def rand_full_rank(rng, spec: RingSpec) -> list[list]:
@@ -258,13 +261,15 @@ def rand_lower_bound_case(rng, gamma: GeneratorSet, factor: int, consts: PointCo
     den = rng.randint(2, 6)
     xi_slots: list = [[] for _ in space.counts]
     for k, spec_k in enumerate(space.product.factors):
+        no_torsion = (0,) * (2 * spec_k.dimension)
         for _ in range(space.counts[k]):
             free = []
             for _ in range(space.free_ranks[k]):
                 coeff = [0] * spec_k.rank
-                coeff[rng.randrange(spec_k.rank)] = Fraction(rng.randint(-den, den), den * den)
+                num = rng.randint(-den, den)  # the value is drawn before its position
+                coeff[rng.randrange(spec_k.rank)] = num
                 free.append(coeff)
-            xi_slots[k].append(space.slot(k, free=free))
+            xi_slots[k].append(slot_from_nums(no_torsion, 1, free, den * den))
     xi = space.point(xi_slots)
     if any(xi.slot_height(k, j) > consts.eps0_sq for k, c in enumerate(space.counts) for j in range(c)):
         return None
@@ -277,15 +282,12 @@ def _rand_point(rng, space: ModelSpace) -> ModelPoint:
     for i, spec in enumerate(space.product.factors):
         fac = []
         for _ in range(space.counts[i]):
-            torsion = [
-                Fraction(rng.randrange(4), 4)
-                for _ in range(2 * spec.dimension)
-            ]
+            torsion = [rng.randrange(4) for _ in range(2 * spec.dimension)]
             free = [
                 [rng.randint(-3, 3) for _ in range(spec.rank)]
                 for _ in range(space.free_ranks[i])
             ]
-            fac.append(space.slot(i, torsion=torsion, free=free))
+            fac.append(slot_from_nums(torsion, 4, free, 1))
         slots.append(fac)
     return space.point(slots)
 
@@ -532,7 +534,7 @@ def suite_weightify_torsion(scenario: Scenario, trials: int, rng: random.Random)
 def suite_model(scenario: Scenario, trials: int, rng: random.Random) -> dict:
     failures: list[str] = []
     space = scenario.space
-    ledger = derive_ledger(scenario.product)
+    c_op_sq = op_constant_sq(derive_ledger(scenario.product), sum(space.counts))
     count = 0
     for _ in range(trials):
         count += 1
@@ -565,10 +567,8 @@ def suite_model(scenario: Scenario, trials: int, rng: random.Random) -> dict:
         if hx == 0:
             if image_h != 0:
                 failures.append("torsion points must map to torsion")
-        else:
-            c_op_sq = op_constant_sq(ledger, sum(space.counts))
-            if image_h > c_op_sq * phi.norm_sq() * hx:
-                failures.append("operator height bound failed")
+        elif image_h > c_op_sq * phi.norm_sq() * hx:
+            failures.append("operator height bound failed")
     return _suite("model", count, failures)
 
 

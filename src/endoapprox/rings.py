@@ -49,9 +49,10 @@ class RingSpec(Record):
     lattice_rep[j] is the integer matrix (size 2*dimension) by which
     basis_j acts on the homology of the simple factor.
     The ring constants (`norm_equivalence_constants`,
-    `submultiplicativity_sq`, `lambda_min_nonzero`) and the nonzero
-    structure constants `mul_int` sums over are derived once per ring, on
-    first use, and not compared either.
+    `submultiplicativity_sq`, `lambda_min_nonzero`), the nonzero
+    structure constants `mul_int` sums over and the nonzero
+    lattice-representation entries `rho_int` and `rho_act_int` sum over are
+    derived once per ring, on first use, and not compared either.
     """
 
     _fields = ("tag", "rank", "dimension", "basis_labels", "mul_table", "involution", "gram", "lattice_rep")
@@ -216,18 +217,33 @@ class RingSpec(Record):
         scales both sides by d_a * d_b, so it gives the same answer."""
         return linalg.mat_mul(self.rho_int(a), self.rho_int(b)) == self.rho_int(self.mul_int(a, b))
 
+    @cached_property
+    def _rho_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The nonzero lattice-representation entries as (j, r, k, v):
+        entry (r, k) of lattice_rep[j] is v."""
+        return tuple(
+            (j, r, k, v)
+            for j, m in enumerate(self.lattice_rep)
+            for r, row in enumerate(m)
+            for k, v in enumerate(row)
+            if v
+        )
+
     def rho_int(self, coords) -> list[list[int]]:
         """Integer image sum_j coords[j] * lattice_rep[j] of integer
-        coordinates under the lattice representation."""
+        coordinates under the lattice representation, summed over its
+        nonzero entries."""
         two_d = 2 * self.dimension
         out = [[0] * two_d for _ in range(two_d)]
-        for c, m in zip(coords, self.lattice_rep):
-            if c:
-                for orow, mrow in zip(out, m):
-                    for k, v in enumerate(mrow):
-                        if v:
-                            orow[k] += c * v
+        for j, r, k, v in self._rho_terms:
+            out[r][k] += coords[j] * v
         return out
+
+    def rho_act_int(self, coords, vec, acc) -> None:
+        """Add rho(coords) * vec into acc, for integer coordinates and an
+        integer vector of length 2*dimension, without building the matrix."""
+        for j, r, k, v in self._rho_terms:
+            acc[r] += coords[j] * v * vec[k]
 
     @cached_property
     def _mul_terms(self) -> tuple[tuple[int, int, int, int], ...]:

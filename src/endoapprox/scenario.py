@@ -8,11 +8,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
 from .base import EndoapproxError
-from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators
+from .model import GeneratorSet, ModelPoint, ModelSpace, empty_generators, slot_from_nums
 from .morphisms import AmbientSpec, BlockMorphism, SpecialCertificate, WeightedCertificate
 from .reduction import InclusionWitness
 from .rings import ProductRingSpec, RingSpec
@@ -42,12 +43,33 @@ def rat_to_json(x: Fraction) -> dict:
 
 def rat_from_json(obj) -> Fraction:
     if isinstance(obj, dict):
-        return Fraction(int(obj["num"]), int(obj["den"]))
+        return Fraction(*_rat_pair(obj))
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
         return Fraction(obj)
     raise ScenarioError(f"not a rational: {obj!r}")
+
+
+def _rat_pair(obj) -> tuple[int, int]:
+    """The rational `rat_from_json` reads, as a numerator over a positive
+    denominator in any terms; the `{"num","den"}` form is read here, as two
+    ints, and builds no Fraction."""
+    if isinstance(obj, dict):
+        num, den = int(obj["num"]), int(obj["den"])
+        if den > 0:
+            return num, den
+        if den < 0:
+            return -num, -den
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    x = rat_from_json(obj)
+    return x.numerator, x.denominator
+
+
+def _over_lcm(pairs, den: int, width: int) -> list[int]:
+    """The numerators of (num, den) pairs brought over a multiple `den` of
+    their denominators, padded with zeros to `width`."""
+    return [n * (den // d) for n, d in pairs] + [0] * (width - len(pairs))
 
 
 def _ring_from_json(obj) -> RingSpec:
@@ -82,7 +104,9 @@ def ring_to_json(spec: RingSpec) -> dict:
 
 def point_from_json(space_g: ModelSpace, obj) -> ModelPoint:
     """The point the data describes; its counts, and the torsion and free
-    parts of each slot, must fit the space's ring factors and free ranks."""
+    parts of each slot, must fit the space's ring factors and free ranks.
+    Each part of a slot is read as numerators over the lcm of its
+    denominators and reduced once, by `slot_from_nums`."""
     counts = tuple(int(c) for c in obj["counts"])
     space = space_g.with_counts(counts)
     if len(obj["slots"]) != len(counts):
@@ -92,20 +116,21 @@ def point_from_json(space_g: ModelSpace, obj) -> ModelPoint:
         if len(fac) != counts[i]:
             raise ScenarioError("slot count mismatch in point")
         spec, nu = space.product.factors[i], space.free_ranks[i]
+        two_d, t = 2 * spec.dimension, spec.rank
         built = []
         for slot in fac:
-            if len(slot.get("torsion", [])) > 2 * spec.dimension:
-                raise ScenarioError(f"factor {i}: torsion part longer than {2 * spec.dimension}")
+            torsion = slot.get("torsion", [])
+            if len(torsion) > two_d:
+                raise ScenarioError(f"factor {i}: torsion part longer than {two_d}")
             free = slot.get("free", [])
-            if len(free) > nu or any(len(coeff) > spec.rank for coeff in free):
-                raise ScenarioError(f"factor {i}: free part exceeds free rank {nu} over rank {spec.rank}")
-            built.append(
-                space.slot(
-                    i,
-                    torsion=[rat_from_json(t) for t in slot.get("torsion", [])],
-                    free=[[rat_from_json(c) for c in coeff] for coeff in slot.get("free", [])],
-                )
-            )
+            if len(free) > nu or any(len(coeff) > t for coeff in free):
+                raise ScenarioError(f"factor {i}: free part exceeds free rank {nu} over rank {t}")
+            tpairs = [_rat_pair(x) for x in torsion]
+            fpairs = [[_rat_pair(c) for c in coeff] for coeff in free]
+            tden = lcm(*(d for _, d in tpairs))
+            fden = lcm(*(d for row in fpairs for _, d in row))
+            fnums = [_over_lcm(row, fden, t) for row in fpairs] + [[0] * t for _ in range(nu - len(fpairs))]
+            built.append(slot_from_nums(_over_lcm(tpairs, tden, two_d), tden, fnums, fden))
         slots.append(built)
     return space.point(slots)
 

@@ -4,7 +4,8 @@ Fractions or plain integers, calling no kernel of the program.
 
 Several are an earlier version of a program kernel, kept as it was with the
 kernels it called replaced by the copies here: the model's slot and point
-arithmetic (`Slot`, `Point`, `apply_morphism`), the Fraction-row
+arithmetic (`Slot`, `Point`, `apply_morphism`), the suites' Fraction-valued
+samplers (`rand_point_views`, `lower_bound_views`), the Fraction-row
 `feasibility_oracle`, the itertools `kernel_inclusion` loop, the Fraction
 `validate` of a ring's laws and the stepping `dirichlet_scan` that visited
 every denominator."""
@@ -354,6 +355,54 @@ def apply_morphism(phi, x: Point, free_ranks) -> Point:
             fac.append(Slot(*torsion_mod1(acc_tors, tden), *free_lowest(acc_free, fden)))
         out_slots.append(tuple(fac))
     return Point(tuple(phi.target), tuple(out_slots))
+
+
+# -- the suites' samplers, drawing Fraction values as they did before slots
+# were built from numerators
+
+
+def rand_point_views(rng, space):
+    """Per factor and slot, the (torsion, free) views of the point the model
+    suite's sampler draws: each torsion coordinate on the (1/4)-grid, then
+    integral free coefficients in [-3, 3], drawn as the sampler drew them."""
+    views = []
+    for i, spec in enumerate(space.product.factors):
+        fac = []
+        for _ in range(space.counts[i]):
+            torsion = tuple(Fraction(rng.randrange(4), 4) for _ in range(2 * spec.dimension))
+            free = tuple(
+                tuple(Fraction(rng.randint(-3, 3)) for _ in range(spec.rank))
+                for _ in range(space.free_ranks[i])
+            )
+            fac.append((torsion, free))
+        views.append(fac)
+    return views
+
+
+def lower_bound_views(rng, space, generators: int, rank: int):
+    """The row coordinates and xi's (torsion, free) views the geomnum
+    sampler draws for a factor with this many generators of this ring rank,
+    drawn as the sampler drew them: the row, its denominator, then per free
+    coefficient one value on the den^-2 grid at a random position (the
+    value is drawn first, as Python evaluates an assignment's right side
+    before its subscript).  None for a zero row; the eps0 ball is the
+    caller's to check."""
+    row = [[rng.randint(-20, 20) for _ in range(rank)] for _ in range(generators)]
+    if not any(any(e) for e in row):
+        return None
+    den = rng.randint(2, 6)
+    views = []
+    for k, spec in enumerate(space.product.factors):
+        fac = []
+        for _ in range(space.counts[k]):
+            free = []
+            for _ in range(space.free_ranks[k]):
+                coeff = [Fraction(0)] * spec.rank
+                coeff[rng.randrange(spec.rank)] = Fraction(rng.randint(-den, den), den * den)
+                free.append(tuple(coeff))
+            fac.append(((Fraction(0),) * (2 * spec.dimension), tuple(free)))
+        views.append(fac)
+    return row, views
 
 
 # -- Dirichlet -----------------------------------------------------------------

@@ -258,38 +258,44 @@ REPORT_DIGESTS = {
     ("eisenstein", "pipeline"): "e8d37ca8fc25650ea6ecbc778642f9641e12427c06d4164959672d193676b539",
     ("eisenstein", "thresholds"): "5e77b8813026b816bfc07759beef3cab362dc8d72a9a06072e366c65b5b441c4",
     ("eisenstein", "verify"): "d73981998e89b988fbda89cef44ef29dbbd1efc15e46c01ad24514733f4130fd",
+    ("eisenstein", "report"): "de6314e0a234c2348a76f38bb44697f41ec21c6131f0195482ae0331a733a34c",
     ("gaussian", "approx"): "6e2c1733537cf2828bb09ad9dede112eb9028b567f6e0969ad33c4a501393e4e",
     ("gaussian", "reduce"): "6999b5368550bb66ff6f53d147870640d8fada64dab28f1da8b61246e55c0d02",
     ("gaussian", "pipeline"): "5a5a565833f3d67f8dd19ac5b83e6899c12ea8a1716fc3c377a292a4722c98ac",
     ("gaussian", "thresholds"): "f72e5ba6e54f5c953a03f5233af787d0125e11aea8fb95ccae41f0aa62044450",
     ("gaussian", "verify"): "b6116bb1cc1ede736f870f68c3f9bc9564cf2e256b312e3afb4bc55c764687e0",
+    ("gaussian", "report"): "171c469f8f7e919a1d3704127b0e2d808cb59b29017b86e18bfc69b56d54104c",
     ("quaternion", "approx"): "8d8b5c2aa6e533a74427c937f98a78157aabf3961798749048ae72e9eaef66fb",
     ("quaternion", "reduce"): "5a1c4e7c668fcb07fab904a4f8821bc3bd775baf299f3a7e59ee71fcbfa4c5eb",
     ("quaternion", "pipeline"): "74048f1dcc329f194fb1c999106def2cde6425d4edc5a4e8bb90af816243a0ea",
     ("quaternion", "thresholds"): "c80f99f2e35792f37456fdbc370d7d2581355747262427ecde1531af6c4dfb1b",
     ("quaternion", "verify"): "ab71039ad0a5a91e51853c9a464593dfd52ad1a7b98a1c5f4446a99fc11afb0c",
+    ("quaternion", "report"): "9ec0916ae44cb2da6765e390c0f3464a84c0184208db0c46f471cfeb9f26f1a2",
     ("two-factor", "approx"): "f6f10ba2f1a0ec3a23ec3bd51afc26df393f7294da010598a0a584723688bd1e",
     ("two-factor", "reduce"): "031deeb4dedcfb93cd98018e41a6c683ae7023cc01c0c12fa22e45691dde0cf9",
     ("two-factor", "pipeline"): "e41405ed26b59dfc1d0e1c0f9b900c13d423412d89caf50ab93cf99a355cc1a6",
     ("two-factor", "thresholds"): "0b7ce8b4ae3d019324e2c8a173b23d587c6ff38a2bd33e65e5032954ef56a641",
     ("two-factor", "verify"): "9322ad986d0ecb3628e0c351857fe9d67724eaf60d9fbc23710f14896962df1d",
+    ("two-factor", "report"): "bbf96f17d68d47cab0b42fe38de06d5a39d0a2913e32f788a380774c45b7efca",
     ("z-approximating", "approx"): "6b1d758937d0a9ec5078667c05f09339a479fc553bb090a0c79c615ac5044280",
     ("z-approximating", "reduce"): "9dc2f7e3eabd51c44a542564a7f034fafe219e922a822a5b129ff42e5277f11b",
     ("z-approximating", "pipeline"): "ea37c40f9b5458c348c4b129d73001acaeb7a4fd3d62caf931cd140c1466e9b6",
     ("z-approximating", "thresholds"): "c9e991a76ced2b222824d872a809ca9c1fe50a5f661d2f3a19e912868dcf9d9d",
     ("z-approximating", "verify"): "40c42c709b7f2f4ed26db91aa632b1ef32167dee5b987337bbd45b1f685e072f",
+    ("z-approximating", "report"): "bc35578c221432f7d5f6669c19f12037eb14886155eb9acf37293aaa266580fd",
     ("z-basic", "approx"): "e06a89f34ecc4b7f314fb18dbfa0519aecd48964cfc44f65f5c299041d7080bd",
     ("z-basic", "reduce"): "d75def24c01beaa6df67da02c813b1cc7e0c1b9a466ae87868d1a3dc7ecf7182",
     ("z-basic", "pipeline"): "8cf073aaf13959482c2fab53ec4a8e0c1bfd5952ddf3ead9b58d47e189becb51",
     ("z-basic", "thresholds"): "cc39da1050b718921f8cb4af82f658d1c7653f6076e9b32d5c35a3ad9fa8d206",
     ("z-basic", "verify"): "2ff7684d42820a74647a682b9260ac5b465968a26663f2355cbcb80bccff4477",
+    ("z-basic", "report"): "7306d4de46889986fa05be68f9d63dfca3112cc88e3087fea47fd2146981c12f",
 }
 
 
 def test_criterion_9_report_determinism(tmp_path, scenario_paths):
     t0 = time.time()
     for path in scenario_paths:
-        for command in ("approx", "reduce", "pipeline", "thresholds", "verify"):
+        for command in ("approx", "reduce", "pipeline", "thresholds", "verify", "report"):
             outs = []
             for run in (1, 2):
                 out = tmp_path / f"{path.stem}-{command}-{run}.json"
@@ -301,4 +307,4 @@ def test_criterion_9_report_determinism(tmp_path, scenario_paths):
             assert digest == REPORT_DIGESTS[(path.stem, command)], (
                 f"{command} on {path.name} changed its report bytes"
             )
-    _done(9, "five commands byte-identical, exit 0 and pinned on the pack", t0, 300)
+    _done(9, "six commands byte-identical, exit 0 and pinned on the pack", t0, 300)

@@ -2,7 +2,8 @@
 lattice representation, the Gram form, the orbit Gram, the involution, the
 ring laws, Gauss reduction, the model's slot arithmetic and action, the
 torsion-kernel checks and determinants against plain Fraction references
-written here, on the four reference rings and on two-factor products; the
+written here, on the four reference rings and on two-factor products
+(`rho_act_int`, the action without the matrix, also on skewed bases); the
 ring constants each ring derives once against their per-call derivations;
 and `linalg`'s one fraction-free elimination (rank, solve, det, adjugate)
 against the separate elimination loops it replaced, kept here as
@@ -967,14 +968,36 @@ def test_rho_respects_product_matches_fraction_reference(rings, two_factor, mixe
                 a, b = spec.element(x), spec.element(y)
                 assert linalg.mat_mul(spec.rho(a), spec.rho(b)) == spec.rho(a * b)
                 assert spec.rho_respects_product(x, y)
-    # a representation that is additive but not multiplicative fails it
+    # a representation that is additive but not multiplicative fails it.
+    # The ring is built field by field, past `validate`, so the tables it
+    # derives on first use come from the planted data (a copy would keep Zi's)
     zi = rings["Zi"]
-    broken = copy.copy(zi)
-    object.__setattr__(broken, "lattice_rep", (zi.lattice_rep[0], ((0, 1), (1, 0))))
+    broken = object.__new__(RingSpec)
+    for name, value in dict(_fields(zi), lattice_rep=(zi.lattice_rep[0], ((0, 1), (1, 0)))).items():
+        object.__setattr__(broken, name, value)
+    assert broken.rho_int([0, 1]) == [[0, 1], [1, 0]]
     for x, y in ([[0, 1], [0, 1]], [[F(1, 2), F(3)], [F(-2, 3), F(5, 7)]]):
         a, b = broken.element(x), broken.element(y)
         assert linalg.mat_mul(broken.rho(a), broken.rho(b)) != broken.rho(a * b)
         assert not broken.rho_respects_product(x, y)
+
+
+def test_rho_act_int_matches_reference(rings, scenario_paths, mixed):
+    # every ring scenarios accept, in skewed bases too, and the mixed factors
+    rng = random.Random(139)
+    for spec in _accepted_rings(rings, scenario_paths) + list(mixed.factors):
+        two_d = 2 * spec.dimension
+        for trial in range(30):
+            coords = [rng.choice((0, rng.randint(-60, 60))) for _ in range(spec.rank)]
+            if trial == 0:
+                coords = [0] * spec.rank
+            image = reference.rho_int(spec, coords)
+            assert spec.rho_int(coords) == image
+            vec = [rng.randint(-50, 50) for _ in range(two_d)]
+            start = [rng.randint(-9, 9) for _ in range(two_d)]
+            acc = list(start)
+            assert spec.rho_act_int(coords, vec, acc) is None
+            assert acc == [s + sum(m * v for m, v in zip(row, vec)) for s, row in zip(start, image)]
 
 
 # -- determinants ----------------------------------------------------------

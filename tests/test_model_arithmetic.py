@@ -1,9 +1,11 @@
 """Differential tests: the model's tuple slots and points against the
 frozen-dataclass arithmetic they replaced (`reference.Slot`,
 `reference.Point`), on every bundled space and on spaces over each
-reference ring; the arithmetic builds no `Fraction`; and the running-residue
-walk of the kernel-inclusion check against the itertools loop it replaced,
-with an escape planted at each torsion level."""
+reference ring; the arithmetic builds no `Fraction`; `slot_from_nums`
+against `ModelSpace.slot`; the suites' samplers against the Fraction draws
+they replaced (`reference.rand_point_views`, `reference.lower_bound_views`);
+and the running-residue walk of the kernel-inclusion check against the
+itertools loop it replaced, with an escape planted at each torsion level."""
 
 import itertools
 import random
@@ -12,16 +14,25 @@ from math import gcd
 
 import pytest
 
+from endoapprox.geomnum import point_lower_constants
 from endoapprox.model import (
+    GeneratorSet,
     ModelError,
     ModelPoint,
     ModelSpace,
     SlotValue,
     apply_morphism,
     divide,
+    slot_from_nums,
 )
 from endoapprox.morphisms import AmbientSpec, BlockMorphism
-from endoapprox.pipeline import TORSION_LEVEL, _escapes, check_kernel_inclusion
+from endoapprox.pipeline import (
+    TORSION_LEVEL,
+    _escapes,
+    _rand_point,
+    check_kernel_inclusion,
+    rand_lower_bound_case,
+)
 from endoapprox.rings import ProductRingSpec, eisenstein_ring, quaternion_ring
 from endoapprox.scenario import load_scenario
 
@@ -168,6 +179,100 @@ def test_model_arithmetic_builds_no_fraction(rings, monkeypatch):
     monkeypatch.undo()
     assert flags[4] == (True, True, False)
     assert heights == [reference.height(product, reference.point_of(p)) for p in results]
+
+
+# -- slots from numerators and the samplers that build them -------------------
+
+
+def _nums(rng, n, den, trial):
+    """n numerators over den: negative ones and ones at or above den, all
+    zero on every fourth trial."""
+    if trial % 4 == 3:
+        return [0] * n
+    return [rng.randint(-3 * den, 3 * den) for _ in range(n)]
+
+
+def test_slot_from_nums_matches_slot(rings, scenario_paths):
+    rng = random.Random(29)
+    for space in _spaces(rings, scenario_paths):
+        for i, spec in enumerate(space.product.factors):
+            two_d, t, nu = 2 * spec.dimension, spec.rank, space.free_ranks[i]
+            for trial in range(24):
+                tden = rng.choice((1, 2, 4, 12, rng.randint(1, 30)))
+                fden = rng.choice((1, 3, rng.randint(1, 30)))
+                tnums = _nums(rng, two_d, tden, trial)
+                fnums = [_nums(rng, t, fden, trial + 1) for _ in range(nu)]
+                if trial % 3 == 1:  # not in lowest terms
+                    g = rng.randint(2, 6)
+                    tnums, tden = [g * x for x in tnums], g * tden
+                    fnums, fden = [[g * x for x in row] for row in fnums], g * fden
+                got = slot_from_nums(tnums, tden, fnums, fden)
+                want = space.slot(
+                    i, [F(x, tden) for x in tnums], [[F(x, fden) for x in row] for row in fnums]
+                )
+                assert got == want and type(got) is SlotValue
+                assert type(got.tnums) is tuple and all(type(row) is tuple for row in got.fnums)
+                assert got.torsion == tuple(F(x, tden) % 1 for x in tnums)
+                assert got.free == tuple(tuple(F(x, fden) for x in row) for row in fnums)
+                assert gcd(got.tden, *got.tnums) == 1
+                assert gcd(got.fden, *(x for row in got.fnums for x in row)) == 1
+
+
+def _views(p):
+    return [[(s.torsion, s.free) for s in fac] for fac in p.slots]
+
+
+def _generator_sets(rings, scenario_paths):
+    """Each bundled scenario's generators that have slots, and one
+    generator of free rank 1 over each reference ring."""
+    out = [load_scenario(path).gamma for path in scenario_paths]
+    for spec in rings.values():
+        space = ModelSpace(AmbientSpec(ProductRingSpec((spec,)), (1,)), (1,))
+        out.append(GeneratorSet(space, space.point([[space.slot(0, free=[[1] + [0] * (spec.rank - 1)])]])))
+    return [g for g in out if g.point.space.ambient.total]
+
+
+def test_samplers_replay_the_fraction_draws(rings, scenario_paths, monkeypatch):
+    for space in _spaces(rings, scenario_paths):
+        rng, ref = random.Random(41), random.Random(41)
+        for _ in range(8):
+            assert _views(_rand_point(rng, space)) == reference.rand_point_views(ref, space)
+            assert rng.getstate() == ref.getstate()
+    checked = rejected = 0
+    for gamma in _generator_sets(rings, scenario_paths):
+        space = gamma.space
+        for i, (spec, gens) in enumerate(zip(space.product.factors, gamma.point.slots)):
+            if not gens:
+                continue
+            consts = point_lower_constants(gamma.point, i)
+            rng, ref = random.Random(43), random.Random(43)
+            for _ in range(40):
+                case = rand_lower_bound_case(rng, gamma, i, consts)
+                want = reference.lower_bound_views(ref, space, len(gens), spec.rank)
+                assert rng.getstate() == ref.getstate()
+                if want is None:
+                    assert case is None
+                    continue
+                row, views = want
+                heights = [
+                    sum((reference.gram_form(s, c, c) for c in free), F(0))
+                    for s, fac in zip(space.product.factors, views)
+                    for _, free in fac
+                ]
+                if case is None:
+                    assert max(heights) > consts.eps0_sq
+                    rejected += 1
+                    continue
+                assert [list(e.nums) for e in case[0]] == row and all(e.den == 1 for e in case[0])
+                assert _views(case[1]) == views and max(heights) <= consts.eps0_sq
+                checked += 1
+    assert checked and rejected
+    # the model suite's sampler builds no Fraction
+    space, built, new = _spaces(rings, scenario_paths)[-1], [], F.__new__
+    monkeypatch.setattr(F, "__new__", staticmethod(lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)))
+    _rand_point(random.Random(7), space)
+    monkeypatch.undo()
+    assert built == []
 
 
 # -- the kernel-inclusion walk ------------------------------------------------

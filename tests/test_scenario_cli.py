@@ -49,6 +49,53 @@ def test_scenario_loads_and_round_trips(scenario_paths):
             assert again == pt
 
 
+def _json_rational(rng):
+    """One JSON rational in any form `rat_from_json` reads: a pair with a
+    negative or non-lowest denominator, an int or a string."""
+    num, den = rng.randint(-30, 30), rng.choice((1, 2, 4, 6, -4, -9, rng.randint(1, 40)))
+    form = rng.randrange(4)
+    if form == 0:
+        return {"num": str(num), "den": str(den)}
+    if form == 1:
+        return num
+    if form == 2:
+        return f"{num}/{abs(den)}"
+    return str(num)
+
+
+def test_point_values_read_as_rat_from_json(scenario_paths):
+    # points load from numerators; each value means what rat_from_json reads
+    rng = random.Random(47)
+    for path in scenario_paths:
+        space = load_scenario(path).space
+        for _ in range(20):
+            slots, want = [], []
+            for i, spec in enumerate(space.product.factors):
+                fac, wfac = [], []
+                for _ in range(space.counts[i]):
+                    # some parts shorter than the slot, so the rest is zero
+                    torsion = [_json_rational(rng) for _ in range(rng.randint(0, 2 * spec.dimension))]
+                    free = [
+                        [_json_rational(rng) for _ in range(rng.randint(0, spec.rank))]
+                        for _ in range(rng.randint(0, space.free_ranks[i]))
+                    ]
+                    fac.append({"torsion": torsion, "free": free})
+                    wfac.append(space.slot(i, [rat_from_json(x) for x in torsion],
+                                           [[rat_from_json(c) for c in coeff] for coeff in free]))
+                slots.append(fac)
+                want.append(wfac)
+            got = point_from_json(space, {"counts": list(space.counts), "slots": slots})
+            assert got == space.point(want)
+    # a negative denominator carries the sign; the torsion value is then taken mod 1
+    space = load_scenario(next(p for p in scenario_paths if p.stem == "z-basic")).space
+    value = {"num": "2", "den": "-4"}
+    point = point_from_json(space, {"counts": [1], "slots": [[{"torsion": [value], "free": [[value]]}]]})
+    slot = point.slots[0][0]
+    assert slot.free == ((F(-1, 2),),) and slot.torsion == (F(1, 2), F(0))
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-3, 0\)$"):
+        point_from_json(space, {"counts": [1], "slots": [[{"free": [[{"num": "-3", "den": "0"}]]}]]})
+
+
 def test_schema_rejected():
     with pytest.raises(ScenarioError):
         scenario_from_json({"schema": "something/else"})
@@ -226,6 +273,10 @@ def _free_rank_infinite(data):
 _free_rank_infinite.stem = "two-factor"
 
 
+def _point_zero_denominator(data):
+    data["points"]["xa"]["slots"][0][0]["free"][0][0] = {"num": "1", "den": "0"}
+
+
 def _slot_total_over_cap(data):
     data["ambient"]["counts"] = [33, 32]
 
@@ -243,6 +294,7 @@ _slot_total_over_cap.stem = "two-factor"
     (_update("witnesses", 0, x="nope"), "ScenarioError: witness 'w_a' names 'nope', which the scenario lacks"),
     (_update("witnesses", 1, morphism="nope"), "ScenarioError: witness 'w_b' names 'nope', which the scenario lacks"),
     (_update("parameters", eps_sq={"num": "1", "den": "0"}), "ScenarioError: ZeroDivisionError: Fraction(1, 0)"),
+    (_point_zero_denominator, "ScenarioError: ZeroDivisionError: Fraction(1, 0)"),
     (_drop_parameters, "ScenarioError: KeyError: 'parameters'"),
     (lambda data: '{"schema": ', "ScenarioError: JSONDecodeError: Expecting value: line 1 column 12 (char 11)"),
     (lambda data: "[1, 2]", "ScenarioError: a scenario is a JSON object, not list"),
@@ -256,7 +308,8 @@ _slot_total_over_cap.stem = "two-factor"
      "ScenarioError: morphism 'phi_a' has source [2], not the ambient counts [3]"),
 ], ids=[
     "eps-zero", "k0-below-eps", "non-integral-morphism", "morphism-shape", "gram-negative",
-    "witness-unknown-point", "witness-unknown-morphism", "zero-denominator", "no-parameters",
+    "witness-unknown-point", "witness-unknown-morphism", "zero-denominator", "point-zero-denominator",
+    "no-parameters",
     "truncated", "top-level-list", "free-rank-zero", "target-degree-zero", "torsion-budget-zero",
     "free-rank-over-cap", "free-rank-infinite", "slot-total-over-cap", "counts-off-morphism-source",
 ])
